@@ -8,10 +8,12 @@ Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-Every benchmark session also writes ``BENCH_runtime.json`` at the repo
+Every benchmark session also updates ``BENCH_runtime.json`` at the repo
 root: per-stage wall times, index/cache counters, the runtime config
 (workers, chunk size, cache state), and any named measurements recorded
 via :func:`record_timing` — the perf trajectory future PRs diff against.
+Sections merge into the file, so a partial run (or ``e2ebench/run.py
+--bench-json``) never erases what other sessions recorded.
 """
 
 from __future__ import annotations
@@ -60,15 +62,71 @@ def record_timing(section: str, **payload) -> None:
     RUNTIME_BENCH[section] = payload
 
 
+def available_cores() -> int:
+    """CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def skipped_asserts(check: str, *, resolved: int,
+                    fell_back: bool) -> list[str]:
+    """Whether a parallel-speed assert can apply on this machine.
+
+    A speed assert is vacuous when dispatch resolved one worker, on
+    fewer than two cores, or after a pool fallback.  Prints
+    ``assertion skipped: <reason>`` and returns ``[reason]`` in that
+    case (record it as the section's ``skipped_asserts``); returns
+    ``[]`` when the assert applies.
+    """
+    cores = available_cores()
+    reasons = [why for why, hit in (
+        (f"dispatch resolved {resolved} worker", resolved < 2),
+        (f"{cores} core available", cores < 2),
+        ("the pool fell back to serial", fell_back)) if hit]
+    if not reasons:
+        return []
+    reason = f"{check} ({', '.join(reasons)})"
+    print(f"assertion skipped: {reason}")
+    return [reason]
+
+
+def merge_bench_json(path: Path, report: dict) -> None:
+    """Write ``report`` to ``path``, keeping earlier sessions' sections.
+
+    Each of this session's sections (``report["sections"]``) is stamped
+    with the report's ``generated_iso`` and ``git_sha``; every section
+    it did not record is carried over unchanged.  The file is written
+    to a temporary name and then swapped in, so an interrupted write
+    never leaves half a file.
+    """
+    try:
+        sections = json.loads(path.read_text())["sections"]
+    except (OSError, ValueError, KeyError, TypeError):
+        sections = {}
+    if not isinstance(sections, dict):
+        sections = {}
+    stamp = {key: report[key] for key in ("generated_iso", "git_sha")}
+    sections.update({name: {**payload, **stamp}
+                     for name, payload in report["sections"].items()})
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps({**report, "sections": sections},
+                              indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
+
+
 def pytest_sessionfinish(session, exitstatus) -> None:
-    """Dump the session's runtime stats as machine-readable JSON.
+    """Merge the session's runtime stats into ``BENCH_runtime.json``.
 
     Schema ``bench-runtime/2``: ISO-8601 UTC timestamp, git SHA, and
     cpu count replace the bare ``generated_unix`` float of schema 1
-    (``repro history --bench`` ingests both).  When a run ledger is
-    armed (``REPRO_LEDGER_DIR``), the same measurements are appended
-    there as a bench-kind manifest, so benchmark sessions and CLI runs
-    share one perf history — the ``repro gate`` CI baseline.
+    (``repro history --bench`` ingests both).  The top-level fields
+    describe the latest session; sections accumulate (see
+    :func:`merge_bench_json`).  When a run ledger is armed
+    (``REPRO_LEDGER_DIR``), the same measurements are appended there
+    as a bench-kind manifest, so benchmark sessions and CLI runs share
+    one perf history — the ``repro gate`` CI baseline.
     """
     cfg = get_config()
     snapshot = STATS.snapshot()
@@ -98,8 +156,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
         "sections": RUNTIME_BENCH,
     }
     try:
-        BENCH_JSON_PATH.write_text(json.dumps(report, indent=2,
-                                              sort_keys=True) + "\n")
+        merge_bench_json(BENCH_JSON_PATH, report)
     except OSError:
         pass
 

@@ -26,7 +26,9 @@ Execution is delegated to :mod:`repro.runtime`:
   full point universe and build the grid index **once**, on first use,
   then reuse it for every fire of every season of a 19-year sweep; a
   task ships only a slice of the fire list and returns per-fire counts
-  plus global hit indices;
+  plus global hit indices.  Every pooled join — batch overlay, delta
+  tick, classify, scenario ensemble — fans out through one helper,
+  :func:`fan_out`, and runs the same per-item loop, :func:`join_items`;
 * results are memoized in a content-addressed cache keyed by the
   inputs' bytes.
 
@@ -41,7 +43,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -52,11 +56,9 @@ from ..geo.index import UniformGridIndex
 from ..runtime import (
     cache_key,
     chunk_spans,
-    classify_workers,
-    delta_workers,
     get_cache,
     get_config,
-    overlay_workers,
+    plan,
     run_tasks,
     use_shared_memory,
 )
@@ -70,7 +72,7 @@ if TYPE_CHECKING:
 
 __all__ = ["FireOverlayResult", "FireDelta", "overlay_fires",
            "overlay_fires_bruteforce", "update_overlay", "empty_overlay",
-           "classify_cells", "fires_token"]
+           "classify_cells", "fires_token", "join_items", "fan_out"]
 
 #: Default grid-index bucket size, matching :meth:`CellUniverse.index`.
 _INDEX_CELL_DEG = 0.25
@@ -154,64 +156,55 @@ def fires_token(fires: list[HazardEvent]) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing.  The pool initializer installs the point
-# universe once per worker (inherited copy-on-write under fork); the
-# grid index is built lazily on the first task and reused for every
-# subsequent task of every subsequent call — the pool itself persists
-# across overlay_fires calls (see repro.runtime.pool).
+# Worker-process plumbing.  One pool initializer installs the point
+# universe once per worker (a shared-memory handle, or the coordinate
+# arrays, inherited copy-on-write under fork) plus, for a classify
+# pool, the intensity surface.  The grid index is built lazily on the
+# first task and reused for every subsequent task of every subsequent
+# call — the pool itself persists across joins (see
+# repro.runtime.pool).
 # ----------------------------------------------------------------------
 
 _WORKER_STATE: dict | None = None
 
 
-def _init_overlay_worker(lons, lats, cell_deg) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = {"lons": lons, "lats": lats, "cell_deg": cell_deg,
-                     "index": None}
+def _init_worker(handle, lons, lats, surface) -> None:
+    """Store the universe (``handle`` or ``lons``/``lats``) and surface.
 
-
-def _init_overlay_worker_shm(handle) -> None:
-    """Shared-memory initializer: store only the (tiny) handle.
-
-    The actual attach happens lazily on the first task: an initializer
-    that raises would put the pool into a silent respawn loop, whereas a
-    task failure propagates through ``pool.map`` into the runtime's
-    serial fallback.
+    A shared-memory handle is attached lazily on the first task: an
+    initializer that raises would put the pool into a silent respawn
+    loop, whereas a task failure propagates through ``pool.map`` into
+    the runtime's serial fallback.
     """
     global _WORKER_STATE
-    _WORKER_STATE = {"shm_handle": handle, "index": None}
-
-
-def _init_classify_worker_shm(handle, whp) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = {"shm_handle": handle, "whp": whp}
+    _WORKER_STATE = {"handle": handle, "lons": lons, "lats": lats,
+                     "surface": surface, "index": None}
 
 
 def _worker_arrays() -> dict:
-    """The worker's zero-copy view dict, attaching on first use."""
+    """The worker's universe columns: zero-copy views of the parent's
+    pack (attached on first use), or the initializer's arrays."""
     state = _WORKER_STATE
-    arrays = state.get("arrays")
-    if arrays is None:
-        arrays = _shm.attach_arrays(state["shm_handle"])
-        state["arrays"] = arrays
-    return arrays
+    if state["handle"] is None:
+        return state
+    if "arrays" not in state:
+        state["arrays"] = _shm.attach_arrays(state["handle"])
+    return state["arrays"]
 
 
 def _worker_index() -> UniformGridIndex:
     state = _WORKER_STATE
-    index = state["index"]
-    if index is None:
-        if "shm_handle" in state:
+    if state["index"] is None:
+        if state["handle"] is not None:
             # Adopt the parent's pre-built CSR index zero-copy: no
             # coordinate hashing, no argsort, no bucket rebuild.
-            index = unpack_index(_worker_arrays())
+            state["index"] = unpack_index(_worker_arrays())
             STATS.count("pool.worker_index_attach")
         else:
-            index = UniformGridIndex(state["lons"], state["lats"],
-                                     state["cell_deg"])
+            state["index"] = UniformGridIndex(
+                state["lons"], state["lats"], _INDEX_CELL_DEG)
             STATS.count("pool.worker_index_builds")
-        state["index"] = index
-    return index
+    return state["index"]
 
 
 def _shared_handle(cells: CellUniverse):
@@ -227,71 +220,115 @@ def _shared_handle(cells: CellUniverse):
     return _shm.share_arrays(pack.token, pack.arrays)
 
 
-def _overlay_fires_task(fires: list[HazardEvent]):
-    """Join a slice of the fire list against the worker-resident index.
+def join_items(index: UniformGridIndex, items: list) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Join ``(event, prev_hits | None)`` items against ``index``.
 
-    Returns per-fire hit counts (slice order), the concatenated global
-    hit indices, and the worker's stats delta.
+    The one per-item loop every join runs, serially in the parent or
+    as a pool task.  An item with an answered footprint (``prev_hits``)
+    runs the dirty-bucket delta query, any other the full polygon
+    query.  Returns per-item hit counts and the hits concatenated in
+    item order.
     """
+    hits = [index.query_polygon(event.polygon) if prev is None
+            else index.query_polygon_delta(event.polygon, prev)
+            for event, prev in items]
+    counts = np.array([len(h) for h in hits], dtype=np.int64)
+    return counts, (np.concatenate(hits) if hits
+                    else np.empty(0, dtype=np.int64))
+
+
+def _join_task(items: list):
+    """Pool task: :func:`join_items` against the worker-resident index,
+    plus the worker's stats delta."""
     before = STATS.snapshot()
-    with trace_span("overlay.chunk", n_fires=len(fires)) as sp:
-        index = _worker_index()
-        counts = np.zeros(len(fires), dtype=np.int64)
-        hit_chunks = []
-        for i, fire in enumerate(fires):
-            hits = index.query_polygon(fire.polygon)
-            counts[i] = len(hits)
-            hit_chunks.append(hits)
-        hits = np.concatenate(hit_chunks) if hit_chunks \
-            else np.empty(0, dtype=np.int64)
+    with trace_span("overlay.chunk", n_fires=len(items)) as sp:
+        counts, hits = join_items(_worker_index(), items)
         sp.set(hits=int(counts.sum()))
-    return counts, hits, STATS.delta_since(before)
-
-
-def _delta_overlay_task(items: list):
-    """Delta-join a slice of ``(fire, prev_hits)`` pairs.
-
-    Same shape as :func:`_overlay_fires_task` — per-fire hit counts in
-    slice order, concatenated global hit indices, worker stats delta —
-    but each fire with an answered footprint runs the dirty-bucket
-    delta query instead of the full polygon query.
-    """
-    before = STATS.snapshot()
-    with trace_span("overlay.delta_chunk", n_deltas=len(items)) as sp:
-        index = _worker_index()
-        counts = np.zeros(len(items), dtype=np.int64)
-        hit_chunks = []
-        for i, (fire, prev_hits) in enumerate(items):
-            if prev_hits is None:
-                hits = index.query_polygon(fire.polygon)
-            else:
-                hits = index.query_polygon_delta(fire.polygon, prev_hits)
-            counts[i] = len(hits)
-            hit_chunks.append(hits)
-        hits = np.concatenate(hit_chunks) if hit_chunks \
-            else np.empty(0, dtype=np.int64)
-        sp.set(hits=int(counts.sum()))
-    return counts, hits, STATS.delta_since(before)
-
-
-def _init_classify_worker(lons, lats, whp) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = {"lons": lons, "lats": lats, "whp": whp}
+    return (counts, hits), STATS.delta_since(before)
 
 
 def _classify_task(span: tuple[int, int]):
     start, stop = span
-    state = _WORKER_STATE
-    if "shm_handle" in state:
-        arrays = _worker_arrays()
-        lons, lats = arrays["lons"], arrays["lats"]
-    else:
-        lons, lats = state["lons"], state["lats"]
+    arrays = _worker_arrays()
     before = STATS.snapshot()
     with trace_span("classify.chunk", start=start, stop=stop):
-        classes = state["whp"].classify(lons[start:stop],
-                                        lats[start:stop])
+        classes = _WORKER_STATE["surface"].classify(
+            arrays["lons"][start:stop], arrays["lats"][start:stop])
     return classes, STATS.delta_since(before)
+
+
+def fan_out(kind: str, cells: CellUniverse, requested: int, work: int,
+            units: int, tasks: Callable[[int], list], *,
+            surface: IntensitySurface | None = None,
+            span=None) -> list | None:
+    """Run one join over the persistent universe pool.
+
+    Plans the workers for ``kind`` (:func:`repro.runtime.plan`),
+    builds the task list with ``tasks(workers)``, ships the universe to
+    new workers through shared memory (or the initializer pickle), runs
+    the tasks and merges the workers' stats deltas.  Returns the task
+    payloads in task order, or ``None`` when the caller should run its
+    serial loop: below the crossover, or after a pool failure.
+
+    ``classify`` tasks are point spans sampling ``surface`` on a pool
+    of their own; every other kind's tasks are :func:`join_items` item
+    lists on the shared ``overlay`` pool.  ``span`` (the caller's join
+    span) records the planned workers.
+    """
+    workers = plan(kind, requested, len(cells), work, units)
+    if span is not None:
+        span.set(workers=workers)
+    if workers <= 1:
+        return None
+    handle = _shared_handle(cells) if use_shared_memory(len(cells)) \
+        else None
+    coords = (cells.lons, cells.lats) if handle is None else (None, None)
+    name, fn, token = "overlay", _join_task, cells.content_token()
+    if kind == "classify":
+        name, fn = "classify", _classify_task
+        token += surface.content_token()
+    results = run_tasks(name, workers, token, fn, tasks(workers),
+                        initializer=_init_worker,
+                        initargs=(handle, *coords, surface))
+    if results is None:
+        return None
+    for _, delta in results:
+        STATS.merge(delta)
+    return [payload for payload, _ in results]
+
+
+def _fire_slices(items: list, workers: int) -> list[list]:
+    """Contiguous slices of ``items``, several per worker."""
+    size = -(-len(items) // (workers * _FIRE_SLICES_PER_WORKER))
+    return [items[lo:hi] for lo, hi in chunk_spans(len(items), size)]
+
+
+def _join_fires(kind: str, cells: CellUniverse, items: list,
+                requested: int, span) -> list:
+    """``(counts, hits)`` parts of an overlay or delta join: fire slices
+    fanned out over the pool, else one serial part."""
+    parts = fan_out(kind, cells, requested, len(cells) * len(items),
+                    len(items), partial(_fire_slices, items), span=span)
+    if parts is None:
+        parts = [join_items(cells.index(), items)]
+    return parts
+
+
+def _fold(result: FireOverlayResult, fires: list, parts: list) \
+        -> FireOverlayResult:
+    """Fold join parts into ``result``: mask union, per-fire counts and
+    (when retained) footprints, in fire order."""
+    pieces: list[np.ndarray] = []
+    for counts, hits in parts:
+        result.in_perimeter_mask[hits] = True
+        ends = list(accumulate(counts.tolist()))
+        pieces += [hits[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    names = [fire.name for fire in fires]
+    result.per_fire_counts.update(zip(names, map(len, pieces)))
+    if result.per_fire_hits is not None:
+        result.per_fire_hits.update(zip(names, pieces))
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -343,90 +380,17 @@ def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
     with trace_span("overlay_fires", year=resolved_year,
                     n_points=len(cells), n_fires=len(fires)) as sp:
         with STATS.timer("overlay_fires"):
-            eff_workers = overlay_workers(workers, len(cells),
-                                          len(fires))
-            sp.set(workers=eff_workers)
-            if eff_workers > 1:
-                result = _overlay_parallel(cells, fires, resolved_year,
-                                           eff_workers, keep_hits)
-            else:
-                result = _overlay_serial(cells, fires, resolved_year,
-                                         keep_hits)
+            parts = _join_fires("overlay", cells,
+                                [(fire, None) for fire in fires],
+                                workers, sp)
+            result = empty_overlay(cells, resolved_year,
+                                   keep_hits=keep_hits)
+            result.n_fires = len(fires)
+            _fold(result, fires, parts)
 
     if use_cache and key is not None:
         get_cache().put(key, _encode_overlay(result))
     return result
-
-
-def _overlay_serial(cells: CellUniverse, fires: list[HazardEvent],
-                    year: int, keep_hits: bool = False) \
-        -> FireOverlayResult:
-    index = cells.index()
-    mask = np.zeros(len(cells), dtype=bool)
-    per_fire: dict[str, int] = {}
-    hits_map: dict[str, np.ndarray] | None = {} if keep_hits else None
-    for fire in fires:
-        hits = index.query_polygon(fire.polygon)
-        per_fire[fire.name] = len(hits)
-        if hits_map is not None:
-            hits_map[fire.name] = hits
-        mask[hits] = True
-    return FireOverlayResult(year=year, n_fires=len(fires),
-                             in_perimeter_mask=mask,
-                             per_fire_counts=per_fire,
-                             per_fire_hits=hits_map)
-
-
-def _overlay_parallel(cells: CellUniverse, fires: list[HazardEvent],
-                      year: int, workers: int,
-                      keep_hits: bool = False) -> FireOverlayResult:
-    """Fire-sharded parallel overlay on the persistent universe pool.
-
-    Each task is a contiguous slice of the fire list; each fire is
-    evaluated by exactly one worker against the same full-universe index
-    the serial path queries, so results are bit-identical by
-    construction (not merely by concatenation order).
-    """
-    slice_size = max(1, -(-len(fires) //
-                          (workers * _FIRE_SLICES_PER_WORKER)))
-    spans = chunk_spans(len(fires), slice_size)
-    tasks = [fires[lo:hi] for lo, hi in spans]
-    initializer, initargs = _overlay_pool_init(cells)
-    results = run_tasks(
-        "overlay", workers, cells.content_token(),
-        _overlay_fires_task, tasks,
-        initializer=initializer, initargs=initargs)
-    if results is None:
-        return _overlay_serial(cells, fires, year, keep_hits)
-
-    mask = np.zeros(len(cells), dtype=bool)
-    counts = np.concatenate([r[0] for r in results]) if results \
-        else np.empty(0, dtype=np.int64)
-    pieces: list[np.ndarray] = []
-    for slice_counts, hits, delta in results:
-        mask[hits] = True
-        STATS.merge(delta)
-        if keep_hits:
-            pieces.extend(np.split(hits,
-                                   np.cumsum(slice_counts)[:-1]))
-    per_fire = {fire.name: int(counts[i]) for i, fire in enumerate(fires)}
-    hits_map = {fire.name: pieces[i] for i, fire in enumerate(fires)} \
-        if keep_hits else None
-    return FireOverlayResult(year=year, n_fires=len(fires),
-                             in_perimeter_mask=mask,
-                             per_fire_counts=per_fire,
-                             per_fire_hits=hits_map)
-
-
-def _overlay_pool_init(cells: CellUniverse):
-    """(initializer, initargs) for the shared universe pool."""
-    initializer, initargs = _init_overlay_worker, \
-        (cells.lons, cells.lats, _INDEX_CELL_DEG)
-    if use_shared_memory(len(cells)):
-        handle = _shared_handle(cells)
-        if handle is not None:
-            initializer, initargs = _init_overlay_worker_shm, (handle,)
-    return initializer, initargs
 
 
 def empty_overlay(cells: CellUniverse, year: int, *,
@@ -462,7 +426,7 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
     The mask update relies on monotone growth (``prev`` hits stay
     hits), the same contract ``query_polygon_delta`` documents.  Large
     dirty sets dispatch through the persistent pool/shm machinery
-    (``delta_workers`` crossover); small ticks run serially.
+    (the ``delta`` plan); small ticks run serially.
     """
     cfg = get_config()
     if workers is None:
@@ -470,75 +434,26 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
     if not deltas:
         return prev
     prev_hits_map = prev.per_fire_hits or {}
-    items = [(d.fire, prev_hits_map.get(d.fire.name)) for d in deltas]
+    fires = [d.fire for d in deltas]
 
     with trace_span("update_overlay", year=prev.year,
                     n_points=len(cells), n_deltas=len(deltas)) as sp:
         with STATS.timer("update_overlay"):
-            eff_workers = delta_workers(workers, len(cells),
-                                        len(deltas))
-            sp.set(workers=eff_workers)
-            fire_hits = None
-            if eff_workers > 1:
-                fire_hits = _update_parallel(cells, items, eff_workers)
-            if fire_hits is None:
-                fire_hits = _update_serial(cells, items)
+            parts = _join_fires(
+                "delta", cells,
+                [(fire, prev_hits_map.get(fire.name)) for fire in fires],
+                workers, sp)
 
-    mask = prev.in_perimeter_mask.copy()
-    per_fire = dict(prev.per_fire_counts)
-    hits_map = dict(prev_hits_map) if keep_hits else None
-    n_fires = prev.n_fires
-    for delta, hits in zip(deltas, fire_hits):
-        name = delta.fire.name
-        if name not in per_fire:
-            n_fires += 1
-        mask[hits] = True
-        per_fire[name] = len(hits)
-        if hits_map is not None:
-            hits_map[name] = hits
-    return FireOverlayResult(year=prev.year, n_fires=n_fires,
-                             in_perimeter_mask=mask,
-                             per_fire_counts=per_fire,
-                             per_fire_hits=hits_map)
-
-
-def _update_serial(cells: CellUniverse, items: list) -> list[np.ndarray]:
-    index = cells.index()
-    out = []
-    for fire, prev_hits in items:
-        if prev_hits is None:
-            out.append(index.query_polygon(fire.polygon))
-        else:
-            out.append(index.query_polygon_delta(fire.polygon,
-                                                 prev_hits))
-    return out
-
-
-def _update_parallel(cells: CellUniverse, items: list,
-                     workers: int) -> list[np.ndarray] | None:
-    """Delta-sharded parallel tick on the persistent universe pool.
-
-    Reuses the warm ``overlay`` pool (same name, same universe token)
-    so a tick after a batch overlay ships only its delta slices; the
-    pool-failure fallback returns ``None`` and the caller runs the
-    identical queries serially.
-    """
-    slice_size = max(1, -(-len(items) //
-                          (workers * _FIRE_SLICES_PER_WORKER)))
-    spans = chunk_spans(len(items), slice_size)
-    tasks = [items[lo:hi] for lo, hi in spans]
-    initializer, initargs = _overlay_pool_init(cells)
-    results = run_tasks(
-        "overlay", workers, cells.content_token(),
-        _delta_overlay_task, tasks,
-        initializer=initializer, initargs=initargs)
-    if results is None:
-        return None
-    out: list[np.ndarray] = []
-    for counts, hits, delta in results:
-        STATS.merge(delta)
-        out.extend(np.split(hits, np.cumsum(counts)[:-1]))
-    return out
+    result = FireOverlayResult(
+        year=prev.year, n_fires=prev.n_fires,
+        in_perimeter_mask=prev.in_perimeter_mask.copy(),
+        per_fire_counts=dict(prev.per_fire_counts),
+        per_fire_hits=dict(prev_hits_map) if keep_hits else None)
+    _fold(result, fires, parts)
+    # Ignitions — names new to the season — join it.
+    result.n_fires += len(result.per_fire_counts) \
+        - len(prev.per_fire_counts)
+    return result
 
 
 def overlay_fires_bruteforce(cells: CellUniverse,
@@ -595,31 +510,15 @@ def classify_cells(cells: CellUniverse, whp: IntensitySurface, *,
         if entry is not None:
             return entry["classes"]
 
-    with trace_span("classify_cells", n_points=len(cells)) as sp:
+    n = len(cells)
+    with trace_span("classify_cells", n_points=n) as sp:
         with STATS.timer("classify_cells"):
-            eff_workers = classify_workers(workers, len(cells),
-                                           chunk_size)
-            sp.set(workers=eff_workers)
-            classes = None
-            if eff_workers > 1:
-                spans = chunk_spans(len(cells), chunk_size)
-                token = cells.content_token() + whp.content_token()
-                initializer, initargs = _init_classify_worker, \
-                    (cells.lons, cells.lats, whp)
-                if use_shared_memory(len(cells)):
-                    handle = _shared_handle(cells)
-                    if handle is not None:
-                        initializer, initargs = \
-                            _init_classify_worker_shm, (handle, whp)
-                results = run_tasks(
-                    "classify", eff_workers, token, _classify_task,
-                    spans, initializer=initializer, initargs=initargs)
-                if results is not None:
-                    for _, delta in results:
-                        STATS.merge(delta)
-                    classes = np.concatenate([c[0] for c in results])
-            if classes is None:
-                classes = whp.classify(cells.lons, cells.lats)
+            parts = fan_out("classify", cells, workers, n,
+                            -(-n // chunk_size),
+                            lambda _: chunk_spans(n, chunk_size),
+                            surface=whp, span=sp)
+            classes = np.concatenate(parts) if parts is not None \
+                else whp.classify(cells.lons, cells.lats)
 
     if use_cache and key is not None:
         get_cache().put(key, {"classes": classes})

@@ -5,10 +5,11 @@ variant (possibly compound: extra hazards' events ride along in every
 member), a season year, and an ensemble size.  Running one draws N
 independent members (:meth:`Hazard.ensemble_member`), joins each
 member's event list against the transceiver universe, and summarizes
-the impact distribution.  The ensemble fans out through the *existing*
-pool/shm machinery: each member is exactly the fire-slice task shape
-the batch overlay ships to workers, so members run concurrently on the
-persistent universe pool with zero new worker code.
+the impact distribution.  The ensemble fans out through the same
+pool/shm helper and worker plan as the batch overlay: each member is
+exactly the fire-slice task shape the batch overlay ships to workers,
+so members run concurrently on the persistent universe pool with zero
+new worker code.
 
 Scenarios are session artifacts (``session.artifact("scenario",
 scenario=..., members=...)``) and a CLI stage (``repro scenario
@@ -162,35 +163,29 @@ def ensemble_impacts(universe, member_events: list[list], year: int, *,
                      workers: int | None = None) -> list[int]:
     """Unique-transceiver impact count per member event list.
 
-    Members dispatch as whole tasks through the persistent universe
-    pool — the exact task shape (a fire list in, per-fire counts plus
-    global hit indices out) the batch overlay shards by fire slices —
-    so an N-member ensemble costs one warm pool round-trip.  Pool
-    failure falls back to the serial joins, bit-identically.
+    Each member is one task on the persistent universe pool — the join
+    task the batch overlay ships in fire slices — so an N-member
+    ensemble costs one warm pool round-trip.  The fan-out follows the
+    overlay plan, with the members' events summed into the work
+    estimate; below the crossover, or after a pool failure, the members
+    run the identical join serially.  ``year`` labels the season; the
+    counts do not depend on it.
     """
-    from ..core import overlay as ov
-    from ..runtime import get_config, run_tasks
+    from ..core.overlay import fan_out, join_items
+    from ..runtime import get_config
 
     cells = universe.cells
     if workers is None:
         workers = get_config().workers
-    eff_workers = max(1, min(workers, len(member_events)))
-
-    results = None
-    if eff_workers > 1:
-        initializer, initargs = ov._overlay_pool_init(cells)
-        results = run_tasks(
-            "overlay", eff_workers, cells.content_token(),
-            ov._overlay_fires_task, member_events,
-            initializer=initializer, initargs=initargs)
-    if results is not None:
-        impacts = []
-        for _, hits, delta in results:
-            STATS.merge(delta)
-            impacts.append(int(np.unique(hits).size))
-        return impacts
-    return [ov._overlay_serial(cells, events, year).n_in_perimeter
-            for events in member_events]
+    tasks = [[(event, None) for event in events]
+             for events in member_events]
+    parts = fan_out("overlay", cells, workers,
+                    len(cells) * sum(map(len, tasks)), len(tasks),
+                    lambda _: tasks)
+    if parts is None:
+        index = cells.index()
+        parts = [join_items(index, items) for items in tasks]
+    return [int(np.unique(hits).size) for _, hits in parts]
 
 
 def run_scenario(universe, name: str, *, members: int | None = None,

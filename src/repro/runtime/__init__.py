@@ -7,11 +7,10 @@ as fast as the machine allows without changing a single result bit:
 * :mod:`.pool` — persistent worker pools (``REPRO_WORKERS``), created
   lazily, keyed by dataset content, and reused across every join of a
   reproduction, with a guaranteed serial fallback;
-* :mod:`.dispatch` — the adaptive serial/parallel decision: estimated
-  work (points × fires, raster samples) against a measured crossover,
-  capped by the machine's core count, so parallel never loses to serial;
-* :mod:`.parallel` — one-shot chunked maps (the pre-pool primitive,
-  still used for ad-hoc fan-outs);
+* :mod:`.dispatch` — the one adaptive serial/parallel plan every
+  fan-out goes through: estimated work (points × events, raster
+  samples) against a measured crossover per kind, capped by the
+  machine's core count, so parallel never loses to serial;
 * :mod:`.cache` — a content-addressed in-memory + on-disk result cache
   keyed by the inputs' bytes, so identical joins are computed once;
 * :mod:`.stats` — per-stage wall times and candidate/hit/cache counters
@@ -32,15 +31,14 @@ from .config import (
     get_config,
     set_config,
 )
-from .dispatch import (
-    classify_workers,
-    cpu_budget,
-    delta_workers,
-    overlay_workers,
-    use_shared_memory,
+from .dispatch import cpu_budget, plan, use_shared_memory
+from .pool import (
+    active_pools,
+    chunk_spans,
+    get_pool,
+    run_tasks,
+    shutdown_pools,
 )
-from .parallel import chunk_spans, parallel_map
-from .pool import active_pools, get_pool, run_tasks, shutdown_pools
 from .shm import (
     ShmField,
     ShmHandle,
@@ -55,10 +53,8 @@ __all__ = [
     "RuntimeConfig", "get_config", "set_config", "configure",
     "default_cache_dir",
     "ResultCache", "cache_key", "array_token", "get_cache", "set_cache",
-    "chunk_spans", "parallel_map",
-    "active_pools", "get_pool", "run_tasks", "shutdown_pools",
-    "cpu_budget", "overlay_workers", "classify_workers",
-    "delta_workers", "use_shared_memory",
+    "chunk_spans", "active_pools", "get_pool", "run_tasks",
+    "shutdown_pools", "cpu_budget", "plan", "use_shared_memory",
     "ShmField", "ShmHandle", "share_arrays", "attach_arrays",
     "release_segments", "active_segments",
     "STATS", "PerfRegistry", "set_trace_channel", "trace_channel",

@@ -71,14 +71,6 @@ class RuntimeConfig:
         if self.memory_cache_entries < 0:
             raise ValueError("memory_cache_entries must be >= 0")
 
-    def effective_workers(self, n_points: int) -> int:
-        """Workers actually worth using for an ``n_points`` join."""
-        if self.workers <= 1 or n_points < MIN_PARALLEL_POINTS:
-            return 1
-        # No point forking more workers than there are chunks.
-        n_chunks = -(-n_points // self.chunk_size)
-        return max(1, min(self.workers, n_chunks))
-
     @classmethod
     def from_env(cls) -> "RuntimeConfig":
         """Build a config from ``REPRO_*`` environment variables."""

@@ -1,24 +1,24 @@
-"""Adaptive dispatch: choose serial vs parallel from estimated work.
+"""Adaptive dispatch: one worker plan for every process fan-out.
 
-The old gate ("more than 8k points → fork") made the parallel path a
-net loss on every benchmark below full-universe scale: pool creation
-plus task shipping costs tens to hundreds of milliseconds, while a
-150k-point season overlay finishes serially in under ten.  This module
-decides per call whether forking can possibly pay, from three inputs:
+Forking pays only above a crossover: pool creation plus task shipping
+costs tens to hundreds of milliseconds, while a 150k-point season
+overlay finishes serially in under ten.  :func:`plan` decides per call
+whether a fan-out can possibly pay, from three inputs:
 
-* **estimated work** — point-in-polygon work scales with
-  ``points × fires`` for the perimeter overlay and with ``points``
-  (raster samples) for the WHP classify;
+* **estimated work** — ``points × events`` for a perimeter overlay, a
+  delta tick (changed perimeters) or a scenario ensemble (events summed
+  over members); ``points`` (raster samples) for the WHP classify;
 * **the machine** — never resolve more workers than there are CPU
   cores; an oversubscribed pool on a small machine only adds context
   switches to the exact same amount of arithmetic;
-* **the crossover** — measured constants expressing how much work a
-  fork must amortize before the parallel path breaks even.
+* **the crossover** — a measured constant per kind expressing how much
+  work a fork must amortize before the parallel path breaks even.
 
 The decision is intentionally conservative: below the crossover the
 join runs serially on the exact code path the seed implementation used,
 so "parallel" can never lose to serial — it simply *is* serial until
-the workload is big enough to win.
+the workload is big enough to win.  Every fan-out (overlay, delta,
+classify, ensemble) goes through this one rule.
 
 All knobs are module constants so tests (and unusual deployments) can
 patch them; the work floor scales off ``config.MIN_PARALLEL_POINTS``,
@@ -36,21 +36,18 @@ __all__ = [
     "OVERLAY_WORK_FACTOR",
     "CLASSIFY_WORK_FACTOR",
     "DELTA_WORK_FACTOR",
-    "MIN_PARALLEL_FIRES",
-    "MIN_PARALLEL_DELTAS",
     "CPU_COUNT_OVERRIDE",
     "SHM_MIN_POINTS",
     "cpu_budget",
-    "overlay_workers",
-    "classify_workers",
-    "delta_workers",
+    "plan",
     "use_shared_memory",
 ]
 
 #: A fork pays off for the perimeter overlay once ``points × fires``
 #: exceeds ``MIN_PARALLEL_POINTS × OVERLAY_WORK_FACTOR`` (~100M work
 #: units at the default floor — full-universe scale).  Below that the
-#: serial join finishes before a pool could even start.
+#: serial join finishes before a pool could even start.  Ensembles are
+#: overlays too, with their members' events summed.
 OVERLAY_WORK_FACTOR = 12_288
 
 #: Same crossover for raster classification, in raster samples
@@ -64,13 +61,6 @@ CLASSIFY_WORK_FACTOR = 4_096
 #: crossover keeps typical incident ticks (a handful of grown fronts)
 #: on the serial path, where they already finish in milliseconds.
 DELTA_WORK_FACTOR = 49_152
-
-#: The overlay shards by fire; fewer perimeters than this cannot feed
-#: more than one worker anything useful.
-MIN_PARALLEL_FIRES = 2
-
-#: Same for the delta overlay, in changed perimeters per tick.
-MIN_PARALLEL_DELTAS = 2
 
 #: Test hook / deployment override for the visible core count.
 #: ``None`` means trust ``os.cpu_count()``.
@@ -89,49 +79,26 @@ def cpu_budget() -> int:
     return os.cpu_count() or 1
 
 
-def overlay_workers(requested: int, n_points: int, n_fires: int) -> int:
-    """Workers to actually use for a perimeter overlay.
+def plan(kind: str, requested: int, n_points: int, work: int,
+         units: int) -> int:
+    """Workers to actually use for one fan-out of ``kind``.
 
-    Returns 1 (strictly serial, no pool) unless the estimated work
-    clears the crossover *and* the machine has cores to spare.
+    ``kind`` is ``"overlay"``, ``"delta"`` or ``"classify"`` and picks
+    the crossover; ``work`` is the estimated join work in that kind's
+    units, and ``units`` the most tasks the join can split into (fires,
+    changed perimeters, ensemble members, point chunks).  Returns 1 —
+    strictly serial, no pool — unless the work clears the crossover
+    *and* the machine has cores to spare.
     """
+    factor = {"overlay": OVERLAY_WORK_FACTOR,
+              "delta": DELTA_WORK_FACTOR,
+              "classify": CLASSIFY_WORK_FACTOR}[kind]
     floor = _config.MIN_PARALLEL_POINTS
-    if requested <= 1 or n_points < floor:
+    if requested <= 1 or n_points < floor or units < 2:
         return 1
-    if n_fires < MIN_PARALLEL_FIRES:
+    if work < floor * factor:
         return 1
-    if n_points * n_fires < floor * OVERLAY_WORK_FACTOR:
-        return 1
-    return max(1, min(requested, cpu_budget(), n_fires))
-
-
-def delta_workers(requested: int, n_points: int, n_deltas: int) -> int:
-    """Workers to actually use for a delta (dirty-bucket) overlay tick.
-
-    Mirrors :func:`overlay_workers` with the delta crossover: below it
-    the tick runs serially on the exact same delta queries, so a small
-    dirty set never pays pool latency.
-    """
-    floor = _config.MIN_PARALLEL_POINTS
-    if requested <= 1 or n_points < floor:
-        return 1
-    if n_deltas < MIN_PARALLEL_DELTAS:
-        return 1
-    if n_points * n_deltas < floor * DELTA_WORK_FACTOR:
-        return 1
-    return max(1, min(requested, cpu_budget(), n_deltas))
-
-
-def classify_workers(requested: int, n_points: int,
-                     chunk_size: int) -> int:
-    """Workers to actually use for a raster classification."""
-    floor = _config.MIN_PARALLEL_POINTS
-    if requested <= 1 or n_points < floor:
-        return 1
-    if n_points < floor * CLASSIFY_WORK_FACTOR:
-        return 1
-    n_chunks = -(-n_points // chunk_size)
-    return max(1, min(requested, cpu_budget(), n_chunks))
+    return min(requested, cpu_budget(), units)
 
 
 def use_shared_memory(n_points: int) -> bool:

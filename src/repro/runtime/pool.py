@@ -33,7 +33,8 @@ from ..obs.trace import event as trace_event
 from ..obs.trace import span as trace_span
 from .stats import STATS
 
-__all__ = ["get_pool", "run_tasks", "shutdown_pools", "active_pools"]
+__all__ = ["chunk_spans", "get_pool", "run_tasks", "shutdown_pools",
+           "active_pools"]
 
 #: Resident pool cap.  Each distinct (name, workers, dataset) keeps
 #: ``workers`` processes alive; a handful covers a whole reproduction.
@@ -104,6 +105,16 @@ def discard_pool(name: str, workers: int, token: bytes) -> None:
     pool = _pools.pop((name, workers, token, START_METHOD_OVERRIDE), None)
     if pool is not None:
         _terminate(pool)
+
+
+def chunk_spans(n: int, chunk_size: int) -> list[tuple[int, int]]:
+    """Contiguous ``[start, stop)`` spans covering ``range(n)``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+    return [(start, min(start + chunk_size, n))
+            for start in range(0, n, chunk_size)]
 
 
 def run_tasks(name: str, workers: int, token: bytes, fn: Callable,

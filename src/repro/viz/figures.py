@@ -21,11 +21,11 @@ from ..core import (
     population_impact_analysis,
     total_in_perimeters,
 )
-from ..core.overlay import classify_cells
 from ..data.ecoregions import slc_denver_window
 from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
 from ..geo.geometry import BBox
+from ..session import session_of
 from .ascii import bar_chart, class_map, density_map
 
 __all__ = [
@@ -105,7 +105,7 @@ def figure6(universe: SyntheticUS, width: int = 110) -> FigureArtifact:
 def _class_panel(universe: SyntheticUS, whp_class: WHPClass,
                  width: int) -> str:
     cells = universe.cells
-    classes = classify_cells(cells, universe.whp)
+    classes = session_of(universe).artifact("whp_classes")
     mask = classes == int(whp_class)
     return density_map(cells.lons[mask], cells.lats[mask],
                        universe.population.grid.bbox, width=width)

@@ -19,6 +19,9 @@ from repro.hazard import (
 from repro.hazard.scenarios import ensemble_impacts
 from repro.obs.ledger import compare_runs
 from repro.obs.manifest import RunManifest
+from repro.runtime import STATS, shutdown_pools
+from repro.runtime import config as runtime_config
+from repro.runtime import dispatch
 from repro.session import session_of
 
 
@@ -62,16 +65,30 @@ class TestDeterminismAndPooling:
         assert [m.impacted for m in a.members] \
             == [m.impacted for m in b.members]
 
-    def test_pooled_matches_serial(self, universe):
+    def test_pooled_matches_serial(self, universe, monkeypatch):
+        # 3 members x 48 events on the test universe is far below the
+        # overlay crossover; lower it (and pretend to have the cores)
+        # so the pooled side genuinely runs on the pool.
+        monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+        monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 1)
+        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 8)
         scenario = get_scenario("grid-ignition-season")
         member_events = [
             scenario.hazard.ensemble_member(universe, scenario.year, m)
             for m in range(3)]
         serial = ensemble_impacts(universe, member_events,
                                   scenario.year, workers=1)
-        pooled = ensemble_impacts(universe, member_events,
-                                  scenario.year, workers=2)
+        before = STATS.snapshot()
+        try:
+            pooled = ensemble_impacts(universe, member_events,
+                                      scenario.year, workers=2)
+        finally:
+            shutdown_pools()
+        counters = STATS.delta_since(before)["counters"]
         assert serial == pooled
+        if counters.get("parallel.fallbacks", 0):
+            pytest.skip("no multiprocessing in this environment")
+        assert counters.get("pool.tasks", 0) > 0
 
     def test_member_count_validation(self, universe):
         with pytest.raises(ValueError):

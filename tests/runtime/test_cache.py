@@ -142,15 +142,6 @@ class TestGlobalWiring:
         monkeypatch.setenv("REPRO_WORKERS", "lots")
         assert RuntimeConfig.from_env().workers == 1
 
-    def test_effective_workers_gates_small_inputs(self):
-        cfg = RuntimeConfig(workers=8, chunk_size=1000)
-        assert cfg.effective_workers(100) == 1
-        assert cfg.effective_workers(1_000_000) == 8
-        # never more workers than chunks
-        assert cfg.effective_workers(10_000) == 8 or \
-            cfg.effective_workers(10_000) == 10  # 10 chunks cap
-        assert RuntimeConfig(workers=1).effective_workers(10**7) == 1
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             RuntimeConfig(chunk_size=0)

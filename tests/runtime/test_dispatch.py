@@ -2,9 +2,10 @@
 
 The dispatcher's contract is one-sided: parallel must never be chosen
 where it would lose.  These tests pin the serial decisions below every
-gate (work floor, crossover, fire count, core budget) and the resolved
-worker counts above them — plus an end-to-end regression proving that a
-sub-crossover overlay with ``workers=4`` never touches the pool.
+gate of :func:`dispatch.plan` (work floor, crossover, unit count, core
+budget) and the resolved worker counts above them, once per kind — plus
+end-to-end regressions proving that sub-crossover and core-starved
+fan-outs with ``workers > 1`` never touch the pool.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.runtime import active_pools, shutdown_pools
 from repro.runtime import config as runtime_config
 from repro.runtime import dispatch
 from repro.runtime.stats import STATS
@@ -38,68 +40,77 @@ class TestCpuBudget:
         assert dispatch.cpu_budget() >= 1
 
 
-class TestOverlayWorkers:
+class _PlanGates:
+    """The gates every kind shares, written once; subclasses pick the
+    kind and add its unit gates.  ``work`` is given against the kind's
+    crossover, ``MIN_PARALLEL_POINTS × <KIND>_WORK_FACTOR``."""
+
+    kind = ""
+
+    def plan(self, requested, n_points, work, units):
+        return dispatch.plan(self.kind, requested, n_points, work, units)
+
+    @property
+    def crossover(self) -> int:
+        factor = getattr(dispatch, f"{self.kind.upper()}_WORK_FACTOR")
+        return runtime_config.MIN_PARALLEL_POINTS * factor
+
     def test_serial_when_one_requested(self):
-        assert dispatch.overlay_workers(1, 10**9, 10**3) == 1
+        assert self.plan(1, 10**9, 10 * self.crossover, 10**3) == 1
 
     def test_serial_below_point_floor(self):
-        assert dispatch.overlay_workers(4, 999, 10**6) == 1
+        assert self.plan(4, 999, 10 * self.crossover, 10**6) == 1
+
+    def test_serial_below_crossover(self):
+        assert self.plan(4, 10_000, self.crossover - 1, 10**3) == 1
+
+    def test_parallel_at_crossover(self):
+        assert self.plan(4, 10_000, self.crossover, 10**3) == 4
+
+    def test_never_more_than_cpu_budget(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 2)
+        assert self.plan(16, 10**9, 10 * self.crossover, 10**4) == 2
+
+
+class TestOverlayWorkers(_PlanGates):
+    """Batch overlays and ensembles: work is points × events, units are
+    fires (or members)."""
+
+    kind = "overlay"
 
     def test_serial_below_fire_floor(self):
-        assert dispatch.overlay_workers(4, 10**9, 1) == 1
-
-    def test_serial_below_crossover(self):
-        floor = runtime_config.MIN_PARALLEL_POINTS
-        work = floor * dispatch.OVERLAY_WORK_FACTOR
-        n_points = 10 * floor
-        n_fires = (work - 1) // n_points      # just under the crossover
-        assert n_points * n_fires < work
-        assert dispatch.overlay_workers(4, n_points, n_fires) == 1
-
-    def test_parallel_at_crossover(self):
-        floor = runtime_config.MIN_PARALLEL_POINTS
-        work = floor * dispatch.OVERLAY_WORK_FACTOR
-        n_points = 10 * floor
-        n_fires = -(-work // n_points)        # just over the crossover
-        assert dispatch.overlay_workers(4, n_points, n_fires) == 4
-
-    def test_never_more_than_cpu_budget(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 2)
-        assert dispatch.overlay_workers(16, 10**9, 10**4) == 2
+        assert self.plan(4, 10**9, 10**9, 1) == 1
 
     def test_never_more_than_fires(self):
-        floor = runtime_config.MIN_PARALLEL_POINTS
-        n_points = floor * dispatch.OVERLAY_WORK_FACTOR
-        assert dispatch.overlay_workers(8, n_points, 3) == 3
+        n_points = self.crossover
+        assert self.plan(8, n_points, n_points * 3, 3) == 3
 
 
-class TestClassifyWorkers:
-    def test_serial_when_one_requested(self):
-        assert dispatch.classify_workers(1, 10**9, 4096) == 1
+class TestDeltaWorkers(TestOverlayWorkers):
+    """Delta ticks: the overlay's gates against the delta crossover;
+    units are changed fires."""
 
-    def test_serial_below_point_floor(self):
-        assert dispatch.classify_workers(4, 999, 64) == 1
+    kind = "delta"
 
-    def test_serial_below_crossover(self):
-        floor = runtime_config.MIN_PARALLEL_POINTS
-        n_points = floor * dispatch.CLASSIFY_WORK_FACTOR - 1
-        assert dispatch.classify_workers(4, n_points, 4096) == 1
 
-    def test_parallel_at_crossover(self):
-        floor = runtime_config.MIN_PARALLEL_POINTS
-        n_points = floor * dispatch.CLASSIFY_WORK_FACTOR
-        assert dispatch.classify_workers(4, n_points, 4096) == 4
+class TestClassifyWorkers(_PlanGates):
+    """Raster classify: work is points, units are point chunks."""
+
+    kind = "classify"
 
     def test_never_more_than_chunks(self):
-        floor = runtime_config.MIN_PARALLEL_POINTS
-        n_points = floor * dispatch.CLASSIFY_WORK_FACTOR
-        assert dispatch.classify_workers(8, n_points, n_points) == 1
+        n_points = self.crossover
+        assert self.plan(8, n_points, n_points, 1) == 1
 
-    def test_never_more_than_cpu_budget(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 2)
-        floor = runtime_config.MIN_PARALLEL_POINTS
-        n_points = floor * dispatch.CLASSIFY_WORK_FACTOR
-        assert dispatch.classify_workers(8, n_points, 4096) == 2
+
+class TestPlanTable:
+    def test_unknown_kind_raises(self):
+        with pytest.raises(KeyError):
+            dispatch.plan("nope", 4, 10**9, 10**18, 10)
+
+    def test_work_factor_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "DELTA_WORK_FACTOR", 1)
+        assert dispatch.plan("delta", 4, 10_000, 1_000, 2) == 2
 
 
 class TestDispatchEndToEnd:
@@ -135,3 +146,54 @@ class TestDispatchEndToEnd:
         assert delta.get("parallel.pool_runs", 0) == 0
         assert delta.get("pool.created", 0) == 0
         assert delta.get("parallel.fallbacks", 0) == 0
+
+    def test_one_core_never_creates_a_pool(self, universe, monkeypatch):
+        """Crossovers lowered, one core: no caller may fork.
+
+        Every fan-out — batch overlay, delta tick, classify, scenario
+        ensemble, and the scenario stage on top of it — takes its
+        worker count from the one plan, so a one-core budget keeps all
+        of them serial even with ``workers=8`` requested.
+        """
+        from repro.core.overlay import (
+            FireDelta,
+            classify_cells,
+            overlay_fires,
+            update_overlay,
+        )
+        from repro.hazard.scenarios import (
+            ensemble_impacts,
+            get_scenario,
+            run_scenario,
+        )
+
+        monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+        monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 1)
+        monkeypatch.setattr(dispatch, "CLASSIFY_WORK_FACTOR", 1)
+        monkeypatch.setattr(dispatch, "DELTA_WORK_FACTOR", 1)
+        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 1)
+        shutdown_pools()
+
+        cells = universe.cells
+        fires = universe.fire_season(2018).fires
+        scenario = get_scenario("grid-ignition-season")
+        members = [scenario.hazard.ensemble_member(universe,
+                                                   scenario.year, m)
+                   for m in range(4)]
+
+        before = STATS.snapshot()
+        prev = overlay_fires(cells, fires[:-2], year=2018, workers=8,
+                             use_cache=False, keep_hits=True)
+        update_overlay(cells, prev,
+                       [FireDelta(fire=f) for f in fires[-2:]],
+                       workers=8)
+        classify_cells(cells, universe.whp, workers=8, chunk_size=1024,
+                       use_cache=False)
+        ensemble_impacts(universe, members, scenario.year, workers=8)
+        run_scenario(universe, "grid-ignition-season", members=2,
+                     workers=8)
+        counters = STATS.delta_since(before)["counters"]
+
+        assert counters.get("pool.created", 0) == 0
+        assert counters.get("pool.tasks", 0) == 0
+        assert active_pools() == []

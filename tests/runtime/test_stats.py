@@ -7,7 +7,13 @@ import json
 import numpy as np
 
 from repro.core.report import render_stats
-from repro.runtime import PerfRegistry, STATS, chunk_spans, parallel_map
+from repro.runtime import (
+    STATS,
+    PerfRegistry,
+    chunk_spans,
+    run_tasks,
+    shutdown_pools,
+)
 
 
 class TestPerfRegistry:
@@ -180,11 +186,20 @@ class TestInstrumentationHooks:
 
     def test_parallel_counters(self):
         spans = chunk_spans(100, 10)
-        got = parallel_map(_double, spans, workers=2)
+        before = STATS.snapshot()
+        try:
+            got = run_tasks("test-double", 2, b"spans", _double, spans)
+        finally:
+            shutdown_pools()
+        counters = STATS.delta_since(before)["counters"]
+        if got is None:
+            # no pool in this environment: the fallback is counted
+            assert counters.get("parallel.fallbacks", 0) == 1
+            return
         assert got == [(a * 2, b * 2) for a, b in spans]
-        # pool path or fallback, exactly one of the two counters moved
-        assert STATS.get("parallel.pool_runs") + \
-            STATS.get("parallel.fallbacks") >= 1
+        assert counters.get("parallel.pool_runs", 0) == 1
+        assert counters.get("parallel.tasks", 0) == len(spans)
+        assert counters.get("pool.tasks", 0) == len(spans)
 
 
 def _double(span):

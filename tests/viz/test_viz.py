@@ -104,6 +104,42 @@ class TestFigureArtifacts:
         art = figures.figure7(universe, width=40)
         assert art.ascii_art.count("[") == 3
 
+    def test_figure7_panels_are_the_direct_classification(self, universe):
+        """The panels read the session's ``whp_classes``; the text is
+        exactly what classifying the universe directly draws."""
+        from repro.data.whp import WHPClass
+
+        cells = universe.cells
+        classes = universe.whp.classify(cells.lons, cells.lats)
+        expected = "\n\n".join(
+            f"[{name}]\n" + viz.density_map(
+                cells.lons[classes == int(cls)],
+                cells.lats[classes == int(cls)],
+                universe.population.grid.bbox, width=40)
+            for name, cls in (("Moderate", WHPClass.MODERATE),
+                              ("High", WHPClass.HIGH),
+                              ("Very High", WHPClass.VERY_HIGH)))
+        assert figures.figure7(universe, width=40).ascii_art == expected
+
+    def test_figure7_classifies_at_most_once(self, monkeypatch):
+        from repro.core import overlay as overlay_mod
+        from repro.data import SyntheticUS, UniverseConfig
+
+        calls = []
+        real = overlay_mod.classify_cells
+
+        def spy(cells, whp, **kw):
+            calls.append(id(cells))
+            return real(cells, whp, **kw)
+
+        # Spy the name in the figure module too, so a direct call from
+        # the figure code would be counted.
+        monkeypatch.setattr(overlay_mod, "classify_cells", spy)
+        monkeypatch.setattr(figures, "classify_cells", spy, raising=False)
+        fresh = SyntheticUS(UniverseConfig(n_transceivers=6000, seed=7))
+        figures.figure7(fresh, width=40)
+        assert len(calls) <= 1
+
     def test_figure11_counts_nested(self, universe):
         art = figures.figure11(universe, width=40)
         assert art.data["vh_both"] <= art.data["vh_pop"] \
