@@ -35,7 +35,7 @@ from .providers import (
     provider_registry,
     rural_affinity,
 )
-from .radios import RadioType, draw_radio_types
+from .radios import RadioType, _draw_radio_types_by_code
 
 __all__ = ["CellUniverse", "generate_cells", "PROVIDER_GROUPS",
            "PAPER_TRANSCEIVER_COUNT"]
@@ -45,6 +45,9 @@ PAPER_TRANSCEIVER_COUNT = 5_364_949
 
 #: Canonical provider groups, in Table 2 order; index = stored code.
 PROVIDER_GROUPS = (*MAJOR_PROVIDERS, "Others")
+
+#: Transceivers per site are drawn in ``[1, MAX_PER_SITE]``.
+MAX_PER_SITE = 12
 
 
 @dataclass
@@ -225,25 +228,23 @@ def generate_cells(pop: PopulationSurface, n_transceivers: int,
     """
     if n_transceivers <= 0:
         raise ValueError("n_transceivers must be positive")
+    if not mean_per_site >= 1.0:
+        raise ValueError(f"mean_per_site must be >= 1, got {mean_per_site}")
+    n_sites = max(1, int(round(n_transceivers / mean_per_site)))
+    if not n_sites <= n_transceivers <= MAX_PER_SITE * n_sites:
+        raise ValueError(
+            f"{n_transceivers} transceivers do not fit {n_sites} sites "
+            f"of 1-{MAX_PER_SITE} each (mean_per_site={mean_per_site})")
     rng = np.random.default_rng(seed)
 
-    n_sites = max(1, int(round(n_transceivers / mean_per_site)))
     site_lons, site_lats = pop.sample_points(n_sites, rng,
                                              exponent=placement_exponent)
 
     # Transceivers per site: geometric-ish, clipped to [1, 12].
     per_site = np.clip(rng.geometric(1.0 / mean_per_site, size=n_sites),
-                       1, 12)
+                       1, MAX_PER_SITE)
     # Adjust total to exactly n_transceivers by trimming/padding.
-    total = int(per_site.sum())
-    while total != n_transceivers:
-        i = int(rng.integers(n_sites))
-        if total < n_transceivers and per_site[i] < 12:
-            per_site[i] += 1
-            total += 1
-        elif total > n_transceivers and per_site[i] > 1:
-            per_site[i] -= 1
-            total -= 1
+    _fill_to_total(per_site, n_transceivers, rng)
 
     site_of = np.repeat(np.arange(n_sites, dtype=np.int64), per_site)
     lons = np.repeat(site_lons, per_site)
@@ -261,12 +262,41 @@ def generate_cells(pop: PopulationSurface, n_transceivers: int,
 
     groups = _draw_provider_groups(u, rng)
     mcc, mnc = _draw_plmns(groups, rng)
-    radio = draw_radio_types(np.array(PROVIDER_GROUPS)[groups],
-                             ruralness, rng)
+    radio = _draw_radio_types_by_code(groups, PROVIDER_GROUPS, ruralness,
+                                      rng)
 
     return CellUniverse(lons=lons, lats=lats, site_ids=site_of,
                         mcc=mcc, mnc=mnc, provider_group=groups,
                         radio=radio)
+
+
+def _fill_to_total(per_site: np.ndarray, total: int,
+                   rng: np.random.Generator) -> None:
+    """Pad or trim ``per_site`` in place until it sums to ``total``.
+
+    Replays the scalar loop "draw ``i = rng.integers(n_sites)``; move
+    site ``i`` one step toward the total unless it sits at its bound"
+    in batches, with the same draws and the same final rng state.  The
+    loop stops the moment the total is reached, and each draw moves it
+    at most one step, so it makes at least ``need`` more draws: draw
+    exactly ``need`` with one ``integers(n, size=need)`` call (the same
+    stream as ``need`` scalar calls).  A site's ``k``-th draw of the
+    batch is accepted iff ``k`` is below its room (``12 - count`` when
+    padding, ``count - 1`` when trimming), so it takes
+    ``min(draws, room)`` steps.  Needs ``n_sites <= total <= 12 *
+    n_sites``, which leaves room somewhere while ``need > 0``.
+    """
+    need = total - int(per_site.sum())
+    step = 1 if need > 0 else -1
+    need = abs(need)
+    while need:
+        sites, draws = np.unique(rng.integers(len(per_site), size=need),
+                                 return_counts=True)
+        room = (MAX_PER_SITE - per_site[sites] if step > 0
+                else per_site[sites] - 1)
+        taken = np.minimum(draws, room)
+        per_site[sites] += step * taken
+        need -= int(taken.sum())
 
 
 def _draw_provider_groups(u: np.ndarray,
@@ -310,6 +340,6 @@ def _draw_plmns(groups: np.ndarray, rng: np.random.Generator) \
             weights = 1.0 / (np.arange(len(plmns)) + 1.0)
             weights /= weights.sum()
         pick = rng.choice(len(plmns), size=count, p=weights)
-        mcc[mask] = np.array([plmns[i].mcc for i in pick], dtype=np.int32)
-        mnc[mask] = np.array([plmns[i].mnc for i in pick], dtype=np.int32)
+        mcc[mask] = np.array([p.mcc for p in plmns], dtype=np.int32)[pick]
+        mnc[mask] = np.array([p.mnc for p in plmns], dtype=np.int32)[pick]
     return mcc, mnc

@@ -68,8 +68,7 @@ class PopulationSurface:
         # only), so every kernel's squared distance is an outer sum of
         # two 1-D terms — bit-identical to the full-grid expression,
         # built from W + H elements instead of W * H.
-        lon_axis, _ = grid.cell_center(0, cols)
-        _, lat_axis = grid.cell_center(rows, 0)
+        lon_axis, lat_axis = grid.axes()
 
         def kernel_d2(lon0: float, lat0: float) -> np.ndarray:
             du2 = ((lon_axis - lon0) * np.cos(np.radians(lat0))) ** 2

@@ -11,6 +11,7 @@ transceivers in the snapshot (§3.5), which we reproduce by not modeling
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import IntEnum
 
 import numpy as np
@@ -68,15 +69,31 @@ def draw_radio_types(groups: np.ndarray, ruralness: np.ndarray,
     -------
     Array of :class:`RadioType` integer codes.
     """
-    groups = np.asarray(groups)
+    names, codes = np.unique(np.asarray(groups), return_inverse=True)
+    return _draw_radio_types_by_code(codes, names.tolist(), ruralness, rng)
+
+
+def _draw_radio_types_by_code(codes: np.ndarray, names: Sequence[str],
+                              ruralness: np.ndarray,
+                              rng: np.random.Generator) -> np.ndarray:
+    """:func:`draw_radio_types` for groups given as integer codes.
+
+    ``names[code]`` is the provider group of each code.  Draws the same
+    types from the same rng stream as :func:`draw_radio_types` on
+    ``np.asarray(names)[codes]``, without comparing name strings.
+    """
+    codes = np.asarray(codes)
     ruralness = np.clip(np.asarray(ruralness, dtype=float), 0.0, 1.0)
-    n = len(groups)
+    n = len(codes)
     out = np.empty(n, dtype=np.int8)
     u = rng.random(n)
-    for group in set(groups.tolist()):
-        mask = groups == group
+    for code, group in enumerate(names):
+        mask = codes == code
+        count = int(mask.sum())
+        if count == 0:
+            continue
         base = np.array(technology_mix(group), dtype=float)
-        probs = np.tile(base, (int(mask.sum()), 1))
+        probs = np.tile(base, (count, 1))
         tilt = _LTE_RURAL_TILT * ruralness[mask]
         non_lte = probs[:, :3].sum(axis=1)
         scale = np.where(non_lte > 0,

@@ -70,6 +70,10 @@ DEFAULT_TARGET_SHARES = {
     # VERY_LOW takes the remaining burnable cells.
 }
 
+#: ``np.exp(-x)`` is exactly 0.0 for every ``x`` above this bound: its
+#: last nonzero value, the smallest subnormal double, is near x = 745.13.
+_EXP_UNDERFLOW = 750.0
+
 
 @dataclass
 class WhpModel:
@@ -118,19 +122,7 @@ class WhpModel:
         big perimeters concentrate in remote wildland (the reason only
         hundreds — not tens of thousands — of transceivers fall inside
         perimeters each year despite millions of acres burning).
-
-        Memoized per (model, remoteness): the gaussian smoothing pass
-        dominates fire-season generation at paper scale, and every year's
-        season asks for the identical field.  Callers treat the result
-        as read-only.
         """
-        cache = getattr(self, "_ignition_cache", None)
-        if cache is None:
-            cache = self._ignition_cache = {}
-        key = float(remoteness)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
         table = np.array([0.0, 0.05, 0.25, 1.0, 2.0, 4.0])
         hazard = table[self.raster.data.astype(np.int64)]
         # Smooth the placement weight so the penalty sees the whole
@@ -141,8 +133,32 @@ class WhpModel:
         positive = weight[weight > 0]
         w0 = np.percentile(positive, 25) if len(positive) else 1.0
         penalty = 1.0 / (1.0 + remoteness * (weight / max(w0, 1e-9)))
-        cache[key] = hazard * penalty
-        return cache[key]
+        return hazard * penalty
+
+    def ignition_cdf(self) -> np.ndarray:
+        """Cumulative ignition probability over flat cell ids (memoized).
+
+        ``cdf.searchsorted(rng.random(n), side="right")`` draws the same
+        cells from the same doubles as ``rng.choice(cdf.size, size=n,
+        p=w / w.sum())`` for ``w = ignition_weights().ravel()``: that is
+        ``Generator.choice``'s ``replace=True`` branch, whose
+        ``p.cumsum()`` and ``cdf /= cdf[-1]`` this repeats.  Memoized
+        per model: the gaussian smoothing inside the weights dominates
+        fire-season generation at paper scale, and every year's season
+        draws from the identical CDF.  Callers treat it as read-only.
+        """
+        cdf = getattr(self, "_ignition_cdf", None)
+        if cdf is None:
+            weights = self.ignition_weights().ravel()
+            total = weights.sum()
+            if not (np.isfinite(total) and total > 0):
+                raise ValueError(
+                    f"ignition weights must have a positive finite total, "
+                    f"got {total}")
+            cdf = (weights / total).cumsum()
+            cdf /= cdf[-1]
+            self._ignition_cdf = cdf
+        return cdf
 
 
 def build_whp(pop: PopulationSurface, seed: int = 7,
@@ -164,19 +180,16 @@ def build_whp(pop: PopulationSurface, seed: int = 7,
     """
     rng = np.random.default_rng(seed)
     grid = GridSpec(conus_bbox(), resolution_deg)
-    rows = np.arange(grid.height)
-    cols = np.arange(grid.width)
-    col_mesh, row_mesh = np.meshgrid(cols, rows)
-    lons, lats = grid.cell_center(row_mesh.ravel(), col_mesh.ravel())
 
-    # Population density resampled onto the WHP grid.
-    density = pop.raster.sample(lons, lats).astype(float)
+    # Population density resampled onto the WHP grid.  Every per-cell
+    # field below is flat in row-major cell order.
+    density = pop.raster.sample_grid(grid).ravel().astype(float, copy=False)
     land = density > 0.0
 
     urbanization = np.where(land, density / (density + urban_halfsat), 0.0)
 
-    propensity, intermix = _propensity_field(pop, grid, lons, lats, land)
-    front_field = _wildland_front_field(lons, lats)
+    propensity, intermix = _propensity_field(pop, grid, land)
+    front_field = _wildland_front_field(grid)
 
     noise = rng.standard_normal(grid.shape)
     noise = ndimage.gaussian_filter(noise, sigma=noise_sigma_cells)
@@ -207,14 +220,15 @@ def build_whp(pop: PopulationSurface, seed: int = 7,
     # the real WHP (§3.8: "Most of the area alongside transportation
     # throughways is classified as either low risk or nonburnable").
     if pop.road_distance is not None:
-        road_d = pop.road_distance.sample(lons, lats, outside=np.inf)
+        road_d = pop.road_distance.sample_grid(grid,
+                                               outside=np.inf).ravel()
         in_corridor = land & (road_d < corridor_nonburnable_deg)
         # A road crossing a wildland front does not sterilize the front:
         # the canyon highways through the San Gabriels or Wasatch are
         # surrounded by high hazard.
         in_corridor &= front_field < 0.2
     else:
-        in_corridor = np.zeros(lons.shape, dtype=bool)
+        in_corridor = np.zeros(land.shape, dtype=bool)
 
     weight = np.where(land, np.power(density, placement_exponent), 0.0)
 
@@ -231,30 +245,47 @@ def build_whp(pop: PopulationSurface, seed: int = 7,
     )
 
 
-def _wildland_front_field(lons: np.ndarray,
-                          lats: np.ndarray) -> np.ndarray:
+def _wildland_front_field(grid: GridSpec) -> np.ndarray:
     """Additive hazard field at the metros' adjacent wildland fronts.
 
     Models the terrain features (San Gabriel mountains, Wasatch front,
     Everglades edge, ...) that put very-high WHP cells against specific
     urban fringes; see :data:`repro.data.cities.WILDLAND_FRONTS`.
+    Returned flat, in row-major cell order.
+
+    Bit-identical to evaluating every front at every cell center.  A
+    front's squared distance is the outer sum of a per-column and a
+    per-row term (the grid is separable).  It is evaluated only on the
+    columns whose term alone, over ``2 sigma^2``, is at most
+    :data:`_EXP_UNDERFLOW`, and on the rows where the same holds.  Any
+    other cell's sum is at least that large (adding a non-negative
+    float never lowers it), so ``np.exp`` would give exactly 0.0 there
+    and ``boost * 0.0`` would change no bit of ``out``.
     """
     from .cities import conus_cities
 
-    out = np.zeros(lons.shape)
+    lon_axis, lat_axis = grid.axes()
+    out = np.zeros(grid.shape)
     for city in conus_cities():
         front = city.wildland_front
         if front is None:
             continue
         flon, flat, sigma, boost = front
-        d2 = ((lons - flon) * np.cos(np.radians(flat))) ** 2 \
-            + (lats - flat) ** 2
-        out += boost * np.exp(-d2 / (2.0 * sigma * sigma))
-    return out
+        scale = 2.0 * sigma * sigma
+        du2 = ((lon_axis - flon) * np.cos(np.radians(flat))) ** 2
+        dv2 = (lat_axis - flat) ** 2
+        cols = np.flatnonzero(du2 / scale <= _EXP_UNDERFLOW)
+        rows = np.flatnonzero(dv2 / scale <= _EXP_UNDERFLOW)
+        if len(cols) == 0 or len(rows) == 0:
+            continue
+        c0, c1 = cols[0], cols[-1] + 1
+        r0, r1 = rows[0], rows[-1] + 1
+        d2 = du2[None, c0:c1] + dv2[r0:r1, None]
+        out[r0:r1, c0:c1] += boost * np.exp(-d2 / scale)
+    return out.ravel()
 
 
 def _propensity_field(pop: PopulationSurface, grid: GridSpec,
-                      lons: np.ndarray, lats: np.ndarray,
                       land: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """State (propensity, wui_intermix) resampled to the WHP grid.
 
@@ -269,18 +300,17 @@ def _propensity_field(pop: PopulationSurface, grid: GridSpec,
     cmesh, rmesh = np.meshgrid(pcol, prow)
     plons, plats = pgrid.cell_center(rmesh.ravel(), cmesh.ravel())
     pland = pop.raster.data.ravel() > 0
-    abbrs = assigner.assign_many(plons[pland], plats[pland])
-    prop_lut = {abbr: st.whp_propensity
-                for abbr, st in assigner.states.items()}
-    mix_lut = {abbr: st.wui_intermix
-               for abbr, st in assigner.states.items()}
+    abbrs, state_of = np.unique(
+        assigner.assign_many(plons[pland], plats[pland]),
+        return_inverse=True)
+    states = [assigner.states[a] for a in abbrs]
 
     fields = []
-    for lut in (prop_lut, mix_lut):
+    for attr in ("whp_propensity", "wui_intermix"):
         vals = np.zeros(plons.shape)
-        vals[pland] = np.array([lut[a] for a in abbrs])
+        vals[pland] = np.array([getattr(st, attr) for st in states])[state_of]
         raster = Raster(pgrid, vals.reshape(pgrid.shape))
-        out = raster.sample(lons, lats).astype(float)
+        out = raster.sample_grid(grid).ravel().astype(float, copy=False)
         # WHP cells on land whose coarse parent was water: median fill.
         missing = land & (out <= 0.0)
         if missing.any():

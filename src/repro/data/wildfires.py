@@ -177,9 +177,8 @@ def generate_fire_season(year: int, whp: WhpModel, seed: int | None = None,
 
     sizes = _pareto_sizes(n_perimeter_fires, total_acres, rng)
 
-    weights = whp.ignition_weights().ravel()
-    prob = weights / weights.sum()
-    cell_ids = rng.choice(len(prob), size=n_perimeter_fires, p=prob)
+    cell_ids = whp.ignition_cdf().searchsorted(
+        rng.random(n_perimeter_fires), side="right")
     rows, cols = np.unravel_index(cell_ids, whp.grid.shape)
     lons, lats = whp.grid.cell_center(rows, cols)
     half = whp.grid.res / 2.0

@@ -75,6 +75,18 @@ class GridSpec:
         lats = self.bbox.max_lat - (rows + 0.5) * self.res
         return lons, lats
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-center lons per column and lats per row.
+
+        The grid is separable: the center of cell (r, c) is
+        ``(lons[c], lats[r])``, bit-identical to :meth:`cell_center`
+        at that cell, so per-cell fields can be built from W + H
+        values instead of a W * H meshgrid.
+        """
+        lons, _ = self.cell_center(0, np.arange(self.width))
+        _, lats = self.cell_center(np.arange(self.height), 0)
+        return lons, lats
+
     def inside(self, rows, cols) -> np.ndarray:
         return ((rows >= 0) & (rows < self.height)
                 & (cols >= 0) & (cols < self.width))
@@ -87,8 +99,7 @@ class GridSpec:
 
     def cell_areas_sqm(self) -> np.ndarray:
         """(height,) array of per-row cell areas in square meters."""
-        rows = np.arange(self.height)
-        _, lats = self.cell_center(rows, np.zeros_like(rows))
+        _, lats = self.axes()
         mx = np.pi * 6_371_007.2 / 180.0 * np.cos(np.radians(lats))
         my = np.pi * 6_371_007.2 / 180.0
         return self.res * mx * self.res * my
@@ -159,6 +170,31 @@ class Raster:
         STATS.count("raster.samples", lons.size)
         if scalar:
             return out[0]
+        return out
+
+    def sample_grid(self, grid: GridSpec, outside=None) -> np.ndarray:
+        """Sample this raster at every cell center of ``grid``.
+
+        Equals ``sample`` at the meshgrid of ``grid``'s cell centers,
+        reshaped to ``grid.shape``, bit for bit: a center's source row
+        depends only on its latitude and its source column only on its
+        longitude, so one :meth:`GridSpec.rowcol` per axis and a row
+        take then a column take replace the per-point index arithmetic.
+        Returns a new array.  Counts ``grid.size`` samples, as
+        ``sample`` would.
+        """
+        rows, cols = self.grid.rowcol(*grid.axes())
+        in_rows = (rows >= 0) & (rows < self.grid.height)
+        in_cols = (cols >= 0) & (cols < self.grid.width)
+        block = self.data.take(rows[in_rows], axis=0) \
+            .take(cols[in_cols], axis=1)
+        STATS.count("raster.samples", grid.height * grid.width)
+        if in_rows.all() and in_cols.all():
+            return block
+        if outside is None:
+            outside = np.zeros(1, dtype=self.data.dtype)[0]
+        out = np.full(grid.shape, outside, dtype=self.data.dtype)
+        out[np.ix_(in_rows, in_cols)] = block
         return out
 
     def mask_where(self, predicate: Callable[[np.ndarray], np.ndarray]) \
@@ -239,8 +275,7 @@ def rasterize_polygon(grid: GridSpec, polygon: Polygon) -> np.ndarray:
         edge_arrays.append((xs, ys, np.roll(xs, -1), np.roll(ys, -1)))
     # Cell-center longitudes depend only on the column (separable grid),
     # so the scanline x-axis is shared by every row.
-    cols = np.arange(col_min, col_max + 1)
-    lons, _ = grid.cell_center(np.full_like(cols, row_min), cols)
+    lons = grid.axes()[0][col_min:col_max + 1]
 
     for row in range(row_min, row_max + 1):
         _, lat = grid.cell_center(row, 0)

@@ -15,12 +15,22 @@ Two tiers:
   a warm cache accelerates fresh CLI runs.
 
 Hits and misses are counted in :data:`repro.runtime.stats.STATS` under
-``cache.hits`` / ``cache.misses`` (and ``cache.disk_hits``).
+``cache.hits`` / ``cache.misses`` (and ``cache.disk_hits``).  A disk
+entry that cannot be decoded (truncated, CRC-corrupt, foreign bytes) is
+a miss counted under ``cache.corrupt``.  Each write goes to its own
+uniquely named temporary file, created with the umask's mode like any
+plain file, and is renamed into place, so processes sharing a cache
+directory never read a half-written entry.  A write killed mid-way
+leaves its ``*.tmp.npz`` behind; ``clear(disk=True)`` removes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import uuid
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 
@@ -101,35 +111,46 @@ class ResultCache:
             trace_event("cache.hit", key=key[:12], tier="memory")
             return entry
         if self.disk_dir is not None:
-            path = self._disk_path(key)
-            if path.exists():
-                try:
-                    with np.load(path, allow_pickle=False) as npz:
-                        entry = {name: npz[name] for name in npz.files}
-                except (OSError, ValueError):
-                    entry = None      # corrupt/truncated file: treat as miss
-                if entry is not None:
-                    self._remember(key, entry)
-                    STATS.count("cache.hits")
-                    STATS.count("cache.disk_hits")
-                    trace_event("cache.hit", key=key[:12], tier="disk")
-                    return entry
+            entry = self._load(key)
+            if entry is not None:
+                self._remember(key, entry)
+                STATS.count("cache.hits")
+                STATS.count("cache.disk_hits")
+                trace_event("cache.hit", key=key[:12], tier="disk")
+                return entry
         STATS.count("cache.misses")
         trace_event("cache.miss", key=key[:12])
         return None
 
+    def _load(self, key: str) -> dict | None:
+        """The disk entry for ``key``, or None if absent, unreadable or
+        undecodable; only the last counts under ``cache.corrupt``."""
+        try:
+            with np.load(self._disk_path(key), allow_pickle=False) as npz:
+                return {name: npz[name] for name in npz.files}
+        except (FileNotFoundError, PermissionError):
+            return None
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+            STATS.count("cache.corrupt")
+            return None
+
     def put(self, key: str, payload: dict) -> None:
         """Store a payload under ``key`` in both tiers."""
         self._remember(key, payload)
-        if self.disk_dir is not None:
-            try:
-                self.disk_dir.mkdir(parents=True, exist_ok=True)
-                path = self._disk_path(key)
-                tmp = path.with_suffix(".tmp.npz")
-                np.savez(tmp, **payload)
-                tmp.replace(path)
-            except OSError:
-                STATS.count("cache.disk_write_errors")
+        if self.disk_dir is None:
+            return
+        tmp = self.disk_dir / f"{key}.{uuid.uuid4().hex}.tmp.npz"
+        try:
+            self.disk_dir.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "xb") as fh:
+                np.savez(fh, **payload)
+            os.replace(tmp, self._disk_path(key))
+        except OSError:
+            STATS.count("cache.disk_write_errors")
+        finally:
+            # A no-op after the rename; removes a failed write's file.
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
 
     def _remember(self, key: str, payload: dict) -> None:
         if self.max_entries == 0:

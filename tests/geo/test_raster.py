@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geo.geometry import BBox, Polygon
 from repro.geo.raster import GridSpec, Raster, disk_footprint, rasterize_polygon
+from repro.runtime.stats import STATS
 
 
 @pytest.fixture()
@@ -109,6 +111,76 @@ class TestRaster:
         r2 = r.copy()
         r2.data[0, 0] = 99.0
         assert r.data[0, 0] == 1.0
+
+
+def _sample_at_centers(raster: Raster, grid: GridSpec, outside=None):
+    """Reference: point-sample every cell center of a full meshgrid."""
+    col_mesh, row_mesh = np.meshgrid(np.arange(grid.width),
+                                     np.arange(grid.height))
+    lons, lats = grid.cell_center(row_mesh.ravel(), col_mesh.ravel())
+    return raster.sample(lons, lats, outside=outside).reshape(grid.shape)
+
+
+@st.composite
+def grid_specs(draw):
+    """A grid whose extent is a whole number of cells of its res."""
+    res = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.25, 0.3]))
+    min_lon = draw(st.floats(min_value=-104.0, max_value=-98.0))
+    min_lat = draw(st.floats(min_value=32.0, max_value=38.0))
+    width = draw(st.integers(min_value=1, max_value=40))
+    height = draw(st.integers(min_value=1, max_value=40))
+    return GridSpec(BBox(min_lon, min_lat, min_lon + width * res,
+                         min_lat + height * res), res)
+
+
+class TestSampleGrid:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(source=grid_specs(), target=grid_specs(),
+           as_int=st.booleans(),
+           outside=st.sampled_from([None, -1, 7, np.inf]),
+           seed=st.integers(min_value=0, max_value=2**16))
+    def test_equals_point_sampling_at_centers(self, source, target,
+                                              as_int, outside, seed):
+        rng = np.random.default_rng(seed)
+        if as_int:
+            data = rng.integers(-5, 6, size=source.shape).astype(np.int8)
+            if outside is np.inf:
+                outside = 9
+        else:
+            data = rng.standard_normal(source.shape)
+        raster = Raster(source, data)
+        got = raster.sample_grid(target, outside=outside)
+        want = _sample_at_centers(raster, target, outside=outside)
+        assert got.dtype == want.dtype and got.shape == target.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_partial_overlap_and_disjoint(self, grid):
+        raster = Raster(grid, np.arange(900, dtype=float).reshape(30, 30))
+        shifted = GridSpec(BBox(-102.0, 33.55, -99.5, 35.05), 0.05)
+        got = raster.sample_grid(shifted, outside=-1.0)
+        assert (got == -1.0).any() and (got >= 0).any()
+        assert got.tobytes() == \
+            _sample_at_centers(raster, shifted, -1.0).tobytes()
+        far = GridSpec(BBox(10.0, 10.0, 11.0, 11.0), 0.1)
+        assert (raster.sample_grid(far) == 0.0).all()
+
+    def test_counts_one_sample_per_cell(self, grid):
+        raster = Raster(grid, np.ones(grid.shape))
+        target = GridSpec(BBox(-100.5, 34.5, -99.0, 36.0), 0.02)
+        before = STATS.get("raster.samples")
+        raster.sample_grid(target)
+        assert STATS.get("raster.samples") - before == 75 * 75
+
+    def test_axes_match_cell_centers(self, grid):
+        lons, lats = grid.axes()
+        assert lons.shape == (grid.width,) and lats.shape == (grid.height,)
+        col_mesh, row_mesh = np.meshgrid(np.arange(grid.width),
+                                         np.arange(grid.height))
+        mlons, mlats = grid.cell_center(row_mesh, col_mesh)
+        assert np.broadcast_to(lons[None, :], grid.shape).tobytes() \
+            == mlons.tobytes()
+        assert np.broadcast_to(lats[:, None], grid.shape).tobytes() \
+            == mlats.tobytes()
 
 
 class TestDiskFootprint:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -58,6 +63,49 @@ class TestKeys:
         assert array_token(a) != array_token(b)
 
 
+def _entry_bytes(tmp_path) -> bytes:
+    """The on-disk bytes of a freshly written multi-array entry."""
+    ResultCache(max_entries=0, disk_dir=tmp_path).put("entry", {
+        "mask": np.arange(5000) % 3 == 0,
+        "hits": np.arange(2000, dtype=np.int64),
+        "names": np.array(["Kincade", "Tick"])})
+    return (tmp_path / "entry.npz").read_bytes()
+
+
+#: One side of the shared-directory race: ``write`` re-puts one key,
+#: ``read`` re-gets it, each for about a second; prints a JSON report.
+_RACE_SCRIPT = """
+import json, sys, time
+import numpy as np
+from repro.runtime.cache import ResultCache
+from repro.runtime.stats import STATS
+role, path = sys.argv[1], sys.argv[2]
+payload = {"a": np.arange(50_000, dtype=np.int64), "b": np.ones(20_000)}
+cache = ResultCache(max_entries=0, disk_dir=path)
+if role == "read":
+    cache.put("key", payload)
+report = {"puts": 0, "hits": 0, "errors": {}}
+end = time.monotonic() + 1.0
+while time.monotonic() < end:
+    if role == "write":
+        cache.put("key", payload)
+        report["puts"] += 1
+        continue
+    try:
+        got = cache.get("key")
+    except Exception as exc:
+        name = type(exc).__name__
+        report["errors"][name] = report["errors"].get(name, 0) + 1
+        continue
+    if got is not None:
+        assert (got["a"] == payload["a"]).all()
+        report["hits"] += 1
+report["write_errors"] = STATS.get("cache.disk_write_errors")
+report["corrupt"] = STATS.get("cache.corrupt")
+print(json.dumps(report))
+"""
+
+
 class TestResultCache:
     def test_memory_round_trip(self):
         cache = ResultCache(max_entries=8)
@@ -106,6 +154,85 @@ class TestResultCache:
         (tmp_path / "bad.npz").write_bytes(b"not a zipfile")
         cache = ResultCache(max_entries=4, disk_dir=tmp_path)
         assert cache.get("bad") is None
+
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.9, -1])
+    def test_truncated_disk_entry_is_a_counted_miss(self, tmp_path, keep):
+        raw = _entry_bytes(tmp_path)
+        cut = len(raw) - 1 if keep == -1 else int(len(raw) * keep)
+        (tmp_path / "cut.npz").write_bytes(raw[:cut])
+        before = STATS.get("cache.corrupt")
+        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
+        assert cache.get("cut") is None
+        assert STATS.get("cache.corrupt") == before + 1
+
+    def test_crc_corrupt_disk_entry_is_a_counted_miss(self, tmp_path):
+        raw = bytearray(_entry_bytes(tmp_path))
+        # The CRC-32 of the first central-directory record.
+        at = raw.index(b"PK\x01\x02") + 16
+        raw[at:at + 4] = bytes(b ^ 0xFF for b in raw[at:at + 4])
+        (tmp_path / "crc.npz").write_bytes(bytes(raw))
+        before = STATS.get("cache.corrupt")
+        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
+        assert cache.get("crc") is None
+        assert STATS.get("cache.corrupt") == before + 1
+
+    def test_absent_disk_entry_is_not_corrupt(self, tmp_path):
+        before = STATS.get("cache.corrupt")
+        assert ResultCache(disk_dir=tmp_path).get("absent") is None
+        assert STATS.get("cache.corrupt") == before
+
+    def test_unreadable_disk_entry_is_not_corrupt(self, tmp_path,
+                                                  monkeypatch):
+        ResultCache(disk_dir=tmp_path).put("k", {"x": np.array([1])})
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(np, "load", denied)
+        before = STATS.get("cache.corrupt")
+        assert ResultCache(disk_dir=tmp_path).get("k") is None
+        assert STATS.get("cache.corrupt") == before
+
+    def test_entry_mode_matches_a_plain_file(self, tmp_path):
+        """Entries get the umask's mode, so other users sharing the
+        directory can read them."""
+        old_umask = os.umask(0o022)
+        try:
+            ResultCache(disk_dir=tmp_path).put("k", {"x": np.array([1])})
+            with open(tmp_path / "plain", "wb") as fh:
+                fh.write(b"x")
+        finally:
+            os.umask(old_umask)
+        mode = (tmp_path / "k.npz").stat().st_mode & 0o777
+        assert mode == (tmp_path / "plain").stat().st_mode & 0o777 == 0o644
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_rename(src, dst):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "replace", failing_rename)
+        before = STATS.get("cache.disk_write_errors")
+        ResultCache(disk_dir=tmp_path).put("k", {"x": np.array([1])})
+        assert STATS.get("cache.disk_write_errors") == before + 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_concurrent_writers_and_reader(self, tmp_path):
+        """Two processes rewriting one key while a third reads it: no
+        reader exception, no write error, no torn read, no temp left."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _RACE_SCRIPT, role, str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            for role in ("write", "write", "read")]
+        reports = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+            reports.append(json.loads(out))
+        writers, reader = reports[:2], reports[2]
+        assert all(w["puts"] > 0 and w["write_errors"] == 0
+                   for w in writers), writers
+        assert reader["errors"] == {}, reader
+        assert reader["hits"] > 0 and reader["corrupt"] == 0, reader
+        assert list(tmp_path.glob("*.tmp.npz")) == []
 
     def test_clear_disk(self, tmp_path):
         cache = ResultCache(max_entries=4, disk_dir=tmp_path)
