@@ -414,7 +414,7 @@ def _configure_obs(args: argparse.Namespace) -> dict:
     Returns the state :func:`_finalize_obs` needs: the tracer (when
     tracing), the JSONL sink, and the stage profiler.  Tracing turns
     on for ``--trace`` / ``--log-json`` and the ``trace`` subcommand;
-    everything stays off (and zero-cost) otherwise.
+    otherwise spans only feed their timers and nothing else is armed.
     """
     state: dict = {"tracer": None, "sink": None, "profiler": None}
     tracing = (args.trace is not None or args.log_json is not None
@@ -476,13 +476,13 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     ledger_state = _configure_ledger(args)
 
     def run_stage(stage, session) -> str:
-        with obs.span(f"stage.{stage.name}", paper=stage.paper):
-            with runtime.STATS.timer(f"cli.{stage.name}"):
-                if profiler is not None:
-                    with profiler.stage(stage.name):
-                        text = stage.run(session, args)
-                else:
+        with obs.span(f"stage.{stage.name}", timer=f"cli.{stage.name}",
+                      paper=stage.paper):
+            if profiler is not None:
+                with profiler.stage(stage.name):
                     text = stage.run(session, args)
+            else:
+                text = stage.run(session, args)
         if ledger_state is not None:
             ledger_state["outputs"][stage.name] = \
                 obs.checksum_text(text)

@@ -15,7 +15,7 @@ import numpy as np
 from ..data.states import StateAssigner, conus_states
 from ..data.universe import SyntheticUS
 from ..data.whp import AT_RISK_CLASSES, WHP_CLASS_NAMES, WHPClass
-from ..runtime.stats import STATS
+from ..obs.trace import span
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["HazardSummary", "StateHazard", "hazard_analysis",
@@ -103,10 +103,10 @@ def _compute_hazard(session, hazard: str = "wildfire") -> HazardSummary:
         class_counts_raw[WHP_CLASS_NAMES[whp_class]] = raw
         class_counts[WHP_CLASS_NAMES[whp_class]] = int(round(raw * scale))
 
-    with STATS.timer("hazard.state_assignment"):
+    with span("hazard.state_assignment"):
         assigner = StateAssigner()
         state_of = assigner.assign_many(cells.lons, cells.lats)
-    with STATS.timer("hazard.state_aggregation"):
+    with span("hazard.state_aggregation"):
         states = []
         for abbr, state in conus_states().items():
             in_state = state_of == abbr

@@ -379,14 +379,13 @@ def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
 
     with trace_span("overlay_fires", year=resolved_year,
                     n_points=len(cells), n_fires=len(fires)) as sp:
-        with STATS.timer("overlay_fires"):
-            parts = _join_fires("overlay", cells,
-                                [(fire, None) for fire in fires],
-                                workers, sp)
-            result = empty_overlay(cells, resolved_year,
-                                   keep_hits=keep_hits)
-            result.n_fires = len(fires)
-            _fold(result, fires, parts)
+        parts = _join_fires("overlay", cells,
+                            [(fire, None) for fire in fires],
+                            workers, sp)
+        result = empty_overlay(cells, resolved_year,
+                               keep_hits=keep_hits)
+        result.n_fires = len(fires)
+        _fold(result, fires, parts)
 
     if use_cache and key is not None:
         get_cache().put(key, _encode_overlay(result))
@@ -438,11 +437,10 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
 
     with trace_span("update_overlay", year=prev.year,
                     n_points=len(cells), n_deltas=len(deltas)) as sp:
-        with STATS.timer("update_overlay"):
-            parts = _join_fires(
-                "delta", cells,
-                [(fire, prev_hits_map.get(fire.name)) for fire in fires],
-                workers, sp)
+        parts = _join_fires(
+            "delta", cells,
+            [(fire, prev_hits_map.get(fire.name)) for fire in fires],
+            workers, sp)
 
     result = FireOverlayResult(
         year=prev.year, n_fires=prev.n_fires,
@@ -512,13 +510,12 @@ def classify_cells(cells: CellUniverse, whp: IntensitySurface, *,
 
     n = len(cells)
     with trace_span("classify_cells", n_points=n) as sp:
-        with STATS.timer("classify_cells"):
-            parts = fan_out("classify", cells, workers, n,
-                            -(-n // chunk_size),
-                            lambda _: chunk_spans(n, chunk_size),
-                            surface=whp, span=sp)
-            classes = np.concatenate(parts) if parts is not None \
-                else whp.classify(cells.lons, cells.lats)
+        parts = fan_out("classify", cells, workers, n,
+                        -(-n // chunk_size),
+                        lambda _: chunk_spans(n, chunk_size),
+                        surface=whp, span=sp)
+        classes = np.concatenate(parts) if parts is not None \
+            else whp.classify(cells.lons, cells.lats)
 
     if use_cache and key is not None:
         get_cache().put(key, {"classes": classes})

@@ -28,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from ..geo.index import UniformGridIndex
+from ..obs.profile import memory_probe
+from ..obs.trace import span
 from .population import PopulationSurface
 from .providers import (
     MAJOR_PROVIDERS,
@@ -81,9 +83,13 @@ class CellUniverse:
         return PAPER_TRANSCEIVER_COUNT / max(len(self), 1)
 
     def index(self, cell_deg: float = 0.25) -> UniformGridIndex:
-        """Spatial index over all transceivers (built lazily, cached)."""
+        """Spatial index over all transceivers (built lazily, cached;
+        each build is a ``geo.index`` span)."""
         if self._index is None or self._index.cell_deg != cell_deg:
-            self._index = UniformGridIndex(self.lons, self.lats, cell_deg)
+            with span("geo.index", n_points=len(self),
+                      cell_deg=cell_deg) as sp, memory_probe(sp):
+                self._index = UniformGridIndex(self.lons, self.lats,
+                                               cell_deg)
         return self._index
 
     def content_token(self) -> bytes:

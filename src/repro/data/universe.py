@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..obs.profile import memory_probe
+from ..obs.trace import span
 from .cells import PAPER_TRANSCEIVER_COUNT, CellUniverse, generate_cells
 from .counties import CountyLayer, build_counties
 from .dirs import DirsSimulation, simulate_dirs
@@ -46,7 +48,8 @@ class SyntheticUS:
     """Lazily-built synthetic United States.
 
     Every component is built at most once per instance; instances are
-    cheap until a component is touched.
+    cheap until a component is touched.  Each build is a ``data.<name>``
+    span (with memory attrs under ``--mem``); a memoized read is not.
     """
 
     def __init__(self, config: UniverseConfig | None = None):
@@ -63,50 +66,56 @@ class SyntheticUS:
     @property
     def population(self) -> PopulationSurface:
         if self._population is None:
-            self._population = PopulationSurface(
-                resolution_deg=self.config.pop_resolution_deg)
+            with span("data.population") as sp, memory_probe(sp):
+                self._population = PopulationSurface(
+                    resolution_deg=self.config.pop_resolution_deg)
         return self._population
 
     @property
     def whp(self) -> WhpModel:
         if self._whp is None:
-            self._whp = build_whp(
-                self.population,
-                seed=self.config.seed + 1,
-                resolution_deg=self.config.whp_resolution_deg,
-                placement_exponent=self.config.placement_exponent,
-                urban_halfsat=self.config.urban_halfsat,
-            )
+            with span("data.whp") as sp, memory_probe(sp):
+                self._whp = build_whp(
+                    self.population,
+                    seed=self.config.seed + 1,
+                    resolution_deg=self.config.whp_resolution_deg,
+                    placement_exponent=self.config.placement_exponent,
+                    urban_halfsat=self.config.urban_halfsat,
+                )
         return self._whp
 
     @property
     def cells(self) -> CellUniverse:
         if self._cells is None:
-            self._cells = generate_cells(
-                self.population,
-                n_transceivers=self.config.n_transceivers,
-                seed=self.config.seed + 2,
-                placement_exponent=self.config.placement_exponent,
-                mean_per_site=self.config.mean_per_site,
-                urban_halfsat=self.config.urban_halfsat,
-            )
+            with span("data.cells") as sp, memory_probe(sp):
+                self._cells = generate_cells(
+                    self.population,
+                    n_transceivers=self.config.n_transceivers,
+                    seed=self.config.seed + 2,
+                    placement_exponent=self.config.placement_exponent,
+                    mean_per_site=self.config.mean_per_site,
+                    urban_halfsat=self.config.urban_halfsat,
+                )
         return self._cells
 
     @property
     def counties(self) -> CountyLayer:
         if self._counties is None:
-            self._counties = build_counties(self.population)
+            with span("data.counties") as sp, memory_probe(sp):
+                self._counties = build_counties(self.population)
         return self._counties
 
     def fire_season(self, year: int) -> FireSeason:
         """The fire season for a year (2019 includes the scripted fires)."""
         if year not in self._seasons:
-            if year == 2019:
-                self._seasons[year] = generate_2019_season(
-                    self.whp, seed=self.config.seed + 19)
-            else:
-                self._seasons[year] = generate_fire_season(
-                    year, self.whp, seed=self.config.seed + year)
+            with span("data.fire_seasons", year=year) as sp, \
+                    memory_probe(sp):
+                if year == 2019:
+                    self._seasons[year] = generate_2019_season(
+                        self.whp, seed=self.config.seed + 19)
+                else:
+                    self._seasons[year] = generate_fire_season(
+                        year, self.whp, seed=self.config.seed + year)
         return self._seasons[year]
 
     def validation_cells(self, oversample: int = 8) -> CellUniverse:
@@ -120,23 +129,26 @@ class SyntheticUS:
         """
         key = int(oversample)
         if key not in self._validation_cells:
-            self._validation_cells[key] = generate_cells(
-                self.population,
-                n_transceivers=self.config.n_transceivers * key,
-                seed=self.config.seed + 7,
-                placement_exponent=self.config.placement_exponent,
-                mean_per_site=self.config.mean_per_site,
-                urban_halfsat=self.config.urban_halfsat,
-            )
+            with span("data.validation_cells", oversample=key) as sp, \
+                    memory_probe(sp):
+                self._validation_cells[key] = generate_cells(
+                    self.population,
+                    n_transceivers=self.config.n_transceivers * key,
+                    seed=self.config.seed + 7,
+                    placement_exponent=self.config.placement_exponent,
+                    mean_per_site=self.config.mean_per_site,
+                    urban_halfsat=self.config.urban_halfsat,
+                )
         return self._validation_cells[key]
 
     @property
     def dirs(self) -> DirsSimulation:
         """The 2019 California DIRS case-study simulation."""
         if self._dirs is None:
-            self._dirs = simulate_dirs(
-                self.cells, self.fire_season(2019).fires,
-                seed=self.config.seed + 3)
+            with span("data.dirs") as sp, memory_probe(sp):
+                self._dirs = simulate_dirs(
+                    self.cells, self.fire_season(2019).fires,
+                    seed=self.config.seed + 3)
         return self._dirs
 
     @property

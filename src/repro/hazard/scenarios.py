@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.trace import span as trace_span
-from ..runtime.stats import STATS
 from ..session import StageOption, artifact, register_stage
 from .base import Hazard
 from .grid_fire import GridIgnitedFireHazard
@@ -197,17 +196,16 @@ def run_scenario(universe, name: str, *, members: int | None = None,
         raise ValueError("a scenario needs at least one member")
 
     with trace_span("scenario", scenario=name, members=n_members):
-        with STATS.timer("scenario"):
-            member_events = []
-            for m in range(n_members):
-                events = list(scenario.hazard.ensemble_member(
+        member_events = []
+        for m in range(n_members):
+            events = list(scenario.hazard.ensemble_member(
+                universe, scenario.year, m))
+            for extra in scenario.extra_hazards:
+                events.extend(extra.ensemble_member(
                     universe, scenario.year, m))
-                for extra in scenario.extra_hazards:
-                    events.extend(extra.ensemble_member(
-                        universe, scenario.year, m))
-                member_events.append(events)
-            impacts = ensemble_impacts(universe, member_events,
-                                       scenario.year, workers=workers)
+            member_events.append(events)
+        impacts = ensemble_impacts(universe, member_events,
+                                   scenario.year, workers=workers)
 
     result = ScenarioResult(name=name, hazard=scenario.hazard.name,
                             year=scenario.year)

@@ -1,18 +1,22 @@
 """repro.obs — structured observability for the artifact runtime.
 
-The flat :data:`repro.runtime.stats.STATS` registry answers *how much*
-(cumulative seconds, monotonic counters); this package answers *where
-and when*: a hierarchical span tree over every artifact build, stage
-dispatch, spatial join, parallel chunk, and cache/pool event — plus
-exporters (Chrome trace_event for Perfetto, Prometheus text, JSON
-lines) and opt-in profiling hooks (per-artifact RSS/heap sampling,
+One timing primitive, :func:`span`, covers every layer: data synthesis,
+index builds, artifact builds, stage dispatch, spatial joins and
+parallel chunks.  Closing a span adds its duration to the
+:data:`repro.runtime.stats.STATS` timer of its name, so the flat
+registry's timers — *how much* — are span totals.  Under ``--trace``,
+``--log-json`` or ``repro trace`` the spans are also kept as a tree,
+with cache/pool events, which answers *where and when*.  The package
+also holds exporters (Chrome trace_event for Perfetto, Prometheus text,
+JSON lines) and opt-in profiling hooks (per-build RSS/heap sampling,
 per-stage cProfile).
 
 Layering:
 
 * :mod:`.trace` — :class:`Span` / :class:`Tracer`, the :func:`span` /
-  :func:`event` probes, and the worker → parent adoption protocol that
-  rides the existing ``STATS.snapshot()/merge()`` channel;
+  :func:`event` probes, the span :data:`~.trace.clock`, and the worker
+  → parent adoption protocol that rides the existing
+  ``STATS.snapshot()/merge()`` channel;
 * :mod:`.export` — trace_event JSON, Prometheus exposition, JSONL sink;
 * :mod:`.profile` — memory sampling and the cProfile stage wrapper;
 * :mod:`.manifest` / :mod:`.ledger` — per-run provenance manifests
@@ -20,9 +24,9 @@ Layering:
   append-only run ledger behind ``repro history`` / ``repro compare``
   / ``repro gate``.
 
-Everything is stdlib-only and **zero-overhead when disabled**: the
-probes check one module-level boolean and return a shared no-op, so
-`repro all` without ``--trace`` runs the exact hot path it always did.
+Everything is stdlib-only.  With tracing off a span reads the clock
+twice, adds one timer entry and retains nothing; events check one
+boolean and return.
 
 CLI surface (see docs/observability.md): ``--trace FILE``,
 ``--log-json FILE``, ``--metrics FILE``, ``--profile FILE``, ``--mem``,

@@ -2,12 +2,13 @@
 
 Two independent probes, both off by default and free when off:
 
-* **Memory sampling** (:func:`enable_memory_sampling`) — every artifact
-  build's span gains RSS before/after (via ``/proc/self/statm``, with a
-  ``resource.getrusage`` peak fallback) and, when ``tracemalloc`` is
-  active, the Python-heap peak over the build.  Sampling costs one
-  ``/proc`` read per artifact build — dozens per run, nothing per
-  point — so it is safe to leave on for whole reproductions.
+* **Memory sampling** (:func:`enable_memory_sampling`) — every data,
+  index and artifact build's span gains RSS before/after (via
+  ``/proc/self/statm``, with a ``resource.getrusage`` peak fallback)
+  and, when ``tracemalloc`` is active, the Python-heap peak over the
+  build.  Sampling costs one ``/proc`` read per build — dozens per
+  run, nothing per point — so it is safe to leave on for whole
+  reproductions.
 * **Stage profiling** (:class:`StageProfiler`) — a ``cProfile`` wrapper
   the CLI arms with ``--profile FILE``: every stage dispatch runs under
   one shared profiler, dumped as a ``pstats`` file at exit (load with
@@ -90,8 +91,9 @@ def memory_probe(span: Span):
     """Attach memory attrs to ``span`` around the ``with`` body.
 
     A no-op (no reads, no attrs) unless memory sampling is enabled.
-    ``span`` may be the tracer's shared null span — ``set`` is a no-op
-    there, so sampling composes with tracing being off.
+    ``span`` may be the untraced span :func:`repro.obs.span` returns
+    while tracing is off — ``set`` is a no-op there, so sampling
+    composes with tracing being off.
     """
     if not _MEM_ENABLED:
         yield

@@ -1,31 +1,32 @@
-"""Hierarchical spans: the core of the observability layer.
+"""Hierarchical spans: the one timing primitive of the program.
 
-A :class:`Span` is one named, timed region of the analysis — an
-artifact build, a stage dispatch, a spatial join, a parallel chunk —
-with attributes, a parent link, and the pid that produced it.  The
-process-global :class:`Tracer` maintains the open-span stack, records
-finished spans in completion order, and emits instant events (cache
-hits, pool lifecycle) as zero-duration spans.
+A :class:`Span` is one named, timed region of the analysis — a data
+build, an artifact build, a stage dispatch, a spatial join, a parallel
+chunk — with attributes, a parent link, and the pid that produced it.
 
-**Zero overhead when disabled.**  Tracing is off by default; every
-probe (:func:`span`, :func:`event`) checks one boolean and returns a
-shared no-op context manager, so the hot paths pay a function call and
-a branch — nothing is allocated, nothing is timed.  Enabling tracing
-(:func:`enable`) also installs the tracer as the
-:mod:`repro.runtime.stats` *trace channel*, which is how worker-process
-spans travel home: a worker task's ``STATS.delta_since(before)`` then
+Every span is a timer: closing one adds its duration to the
+:data:`repro.runtime.stats.STATS` timer of its name (or of its
+``timer=`` name), tracing on or off, so ``--stats``, Prometheus and the
+ledger manifests report span totals.  With tracing off (the default) a
+span keeps nothing else.  :func:`enable` makes the process-global
+:class:`Tracer` keep every finished span plus instant events (cache
+hits, pool lifecycle), and installs it as the :mod:`repro.runtime.stats`
+*trace channel*: a worker task's ``STATS.delta_since(before)`` then
 carries the spans it opened, and the parent's ``STATS.merge(delta)``
 re-parents them under the span active at the merge site (the
-dispatching join).  Under ``fork`` the workers inherit the enabled
-tracer; start contexts without ``fork`` simply ship no spans — the
-channel degrades to the flat counters, never to an error.
+dispatching join).  A worker's time arrives once, in the delta's
+timers; adopting its spans adds none.  Under ``fork`` the workers
+inherit the enabled tracer; start contexts without ``fork`` simply ship
+no spans — the channel degrades to the flat timers and counters, never
+to an error.
 
-Timestamps are ``time.perf_counter()`` seconds.  On Linux that clock is
-``CLOCK_MONOTONIC`` — system-wide, shared by forked workers — so
-parent and worker spans are directly comparable in one timeline.
+Timestamps come from :data:`clock` (``time.perf_counter``; a test may
+swap in a fake).  On Linux that is ``CLOCK_MONOTONIC`` — system-wide,
+shared by forked workers — so parent and worker spans are directly
+comparable in one timeline.
 
-This module is stdlib-only and import-light: it is imported by
-``repro.session`` and the runtime modules.
+This module is stdlib-only and import-light: it is imported by the
+data layer, ``repro.session`` and the runtime modules.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "Span",
     "Tracer",
+    "clock",
     "disable",
     "enable",
     "event",
@@ -61,7 +63,7 @@ class Span:
     span_id: int
     parent_id: int | None
     pid: int
-    start: float                    # perf_counter seconds
+    start: float                    # clock() seconds
     duration: float = 0.0
     kind: str = "span"
     attrs: dict = field(default_factory=dict)
@@ -94,31 +96,43 @@ class Span:
                    attrs=dict(d.get("attrs", {})))
 
 
-class _NullSpan:
-    """Shared no-op context manager returned while tracing is off."""
+#: The span clock.  Every span and event reads time through this one
+#: name, so a test can replace it with a fake.
+clock = time.perf_counter
 
-    __slots__ = ()
 
-    def __enter__(self):
+class _Timed:
+    """A span while tracing is off: it adds its duration to one
+    ``STATS`` timer and retains nothing else."""
+
+    __slots__ = ("timer", "start", "duration")
+
+    def __init__(self, timer: str):
+        self.timer = timer
+
+    def __enter__(self) -> "_Timed":
+        self.start = clock()
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, *exc) -> bool:
+        self.duration = clock() - self.start
+        STATS.add_time(self.timer, self.duration)
         return False
 
-    def set(self, **attrs):
+    def set(self, **attrs) -> "_Timed":
         return self
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class _SpanContext:
-    """Context manager that opens a real span on the tracer."""
+    """A span while tracing: timed like :class:`_Timed`, and kept on
+    the tracer as a :class:`Span`."""
 
-    __slots__ = ("_tracer", "_span")
+    __slots__ = ("_tracer", "_span", "_timer")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict):
+    def __init__(self, tracer: "Tracer", name: str, timer: str,
+                 attrs: dict):
         self._tracer = tracer
+        self._timer = timer
         self._span = Span(name=name, span_id=next(tracer._ids),
                           parent_id=None, pid=os.getpid(),
                           start=0.0, attrs=attrs)
@@ -130,12 +144,13 @@ class _SpanContext:
         if stack:
             sp.parent_id = stack[-1].span_id
         stack.append(sp)
-        sp.start = time.perf_counter()
+        sp.start = clock()
         return sp
 
     def __exit__(self, *exc) -> bool:
         sp = self._span
-        sp.duration = time.perf_counter() - sp.start
+        sp.duration = clock() - sp.start
+        STATS.add_time(self._timer, sp.duration)
         tracer = self._tracer
         if tracer._stack and tracer._stack[-1] is sp:
             tracer._stack.pop()
@@ -167,8 +182,9 @@ class Tracer:
 
     # -- probes --------------------------------------------------------
 
-    def span(self, name: str, **attrs) -> _SpanContext:
-        return _SpanContext(self, name, attrs)
+    def span(self, name: str, timer: str | None = None,
+             **attrs) -> _SpanContext:
+        return _SpanContext(self, name, timer or name, attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Record an instant (zero-duration) event at the current
@@ -176,7 +192,7 @@ class Tracer:
         parent = self._stack[-1].span_id if self._stack else None
         self._record(Span(name=name, span_id=next(self._ids),
                           parent_id=parent, pid=os.getpid(),
-                          start=time.perf_counter(), duration=0.0,
+                          start=clock(), duration=0.0,
                           kind="instant", attrs=attrs))
 
     def _record(self, sp: Span) -> None:
@@ -254,39 +270,40 @@ def is_enabled() -> bool:
 
 def enable() -> Tracer:
     """Turn tracing on and hook the tracer into the stats channel."""
-    from ..runtime import stats
     _TRACER.enabled = True
-    stats.set_trace_channel(_TRACER)
+    set_trace_channel(_TRACER)
     return _TRACER
 
 
 def disable() -> None:
     """Turn tracing off and unhook the stats channel (spans already
     collected stay on the tracer until :meth:`Tracer.clear`)."""
-    from ..runtime import stats
     _TRACER.enabled = False
     _TRACER.set_sink(None)
-    stats.set_trace_channel(None)
+    set_trace_channel(None)
 
 
-def span(name: str, **attrs):
-    """Open a span around a ``with`` body — or do nothing, cheaply.
-
-    This is the probe the instrumented call sites use::
+def span(name: str, *, timer: str | None = None, **attrs):
+    """Time a ``with`` body into the ``STATS`` timer ``timer`` (default
+    ``name``), and keep it as a span while tracing::
 
         with span("artifact.hazard", year=2019) as sp:
             ...
             sp.set(rows=len(out))
 
-    When tracing is disabled (the default) it returns a shared no-op
-    context manager: one branch, zero allocation.
+    After the body, ``sp.duration`` holds its seconds either way.
     """
     if not _TRACER.enabled:
-        return _NULL_SPAN
-    return _TRACER.span(name, **attrs)
+        return _Timed(timer or name)
+    return _TRACER.span(name, timer, **attrs)
 
 
 def event(name: str, **attrs) -> None:
     """Record an instant event (cache hit, pool reuse, fallback)."""
     if _TRACER.enabled:
         _TRACER.event(name, **attrs)
+
+
+# Bound last: ``repro.runtime`` imports this module's probes, so the
+# registry can only be imported once they are defined.
+from ..runtime.stats import STATS, set_trace_channel  # noqa: E402

@@ -13,10 +13,12 @@ as fast as the machine allows without changing a single result bit:
   machine's core count, so parallel never loses to serial;
 * :mod:`.cache` — a content-addressed in-memory + on-disk result cache
   keyed by the inputs' bytes, so identical joins are computed once;
-* :mod:`.stats` — per-stage wall times and candidate/hit/cache counters
-  behind the CLI ``--stats`` report, plus the *trace channel* that lets
-  :mod:`repro.obs` ship hierarchical spans from worker processes back
-  to the parent through the same snapshot/merge path;
+* :mod:`.stats` — the timers and candidate/hit/cache counters behind
+  ``--stats``, Prometheus and ledger manifests; every timer is the
+  total of the :func:`repro.obs.span` of the same name, so a worker's
+  timers come home through the same snapshot/merge path as its
+  counters, and its hierarchical spans ride the *trace channel* there
+  too;
 * :mod:`.config` — the process-global knobs wiring it together.
 
 The differential suite in ``tests/runtime/`` proves parallel == serial

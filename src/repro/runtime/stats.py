@@ -1,19 +1,19 @@
 """Lightweight perf instrumentation for the spatial-join runtime.
 
 A process-global :class:`PerfRegistry` accumulates wall-time per named
-stage and monotonic counters (index candidates/hits, raster samples,
-cache hits/misses).  The hot paths pay one dict update per event; the
-registry renders to a human-readable report (``--stats``) and to a
-machine-readable snapshot (``BENCH_runtime.json``).
+timer and monotonic counters (index candidates/hits, raster samples,
+cache hits/misses).  Timers are filled by one writer: closing a
+:func:`repro.obs.span` adds its duration under the span's name, so
+every timer is a span total.  The hot paths pay one dict update per
+event; ``report.render_stats`` renders a :meth:`PerfRegistry.snapshot`
+for ``--stats``, and the snapshot is what ledger manifests and
+``BENCH_runtime.json`` record.
 
 This module must stay import-light (stdlib only): it is imported by the
 innermost geometry loops and by worker processes.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
 
 __all__ = ["PerfRegistry", "STATS", "set_trace_channel", "trace_channel"]
 
@@ -50,17 +50,6 @@ class PerfRegistry:
 
     # -- timers --------------------------------------------------------
 
-    @contextmanager
-    def timer(self, stage: str):
-        """Accumulate wall-clock seconds spent in the ``with`` body."""
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            elapsed = time.perf_counter() - start
-            self._timers[stage] = self._timers.get(stage, 0.0) + elapsed
-            self._timer_calls[stage] = self._timer_calls.get(stage, 0) + 1
-
     def add_time(self, stage: str, seconds: float, calls: int = 1) -> None:
         self._timers[stage] = self._timers.get(stage, 0.0) + float(seconds)
         self._timer_calls[stage] = self._timer_calls.get(stage, 0) + calls
@@ -82,7 +71,9 @@ class PerfRegistry:
         """Fold a :meth:`snapshot` from another registry (e.g. a worker
         process) into this one.  When a trace channel is installed,
         spans riding the snapshot are adopted into the local tracer,
-        re-parented under whatever span is open at this merge site."""
+        re-parented under whatever span is open at this merge site;
+        their time already rides the snapshot's timers, so adopting
+        them adds none."""
         for stage, secs in snapshot.get("timers", {}).items():
             self.add_time(stage, secs,
                           snapshot.get("timer_calls", {}).get(stage, 1))
@@ -145,48 +136,6 @@ class PerfRegistry:
         self._timers.clear()
         self._timer_calls.clear()
         self._counters.clear()
-
-    # -- reporting -----------------------------------------------------
-
-    def render(self) -> str:
-        """Human-readable report for the CLI ``--stats`` flag.
-
-        Column widths are measured from the content (with the historic
-        32/12 minimums), so stage names longer than 32 characters and
-        counters past 999,999,999,999 stay aligned instead of
-        overflowing their columns.
-        """
-        lines = ["perf: stage wall times"]
-        if not self._timers:
-            lines.append("  (no stages timed)")
-        stage_w = max([32] + [len(s) for s in self._timers])
-        secs_w = max([9] + [len(f"{v:.3f}") for v in
-                            self._timers.values()])
-        for stage in sorted(self._timers):
-            calls = self._timer_calls.get(stage, 1)
-            lines.append(f"  {stage:<{stage_w}s} "
-                         f"{self._timers[stage]:>{secs_w}.3f}s"
-                         f"  ({calls} call{'s' if calls != 1 else ''})")
-        lines.append("perf: counters")
-        if not self._counters:
-            lines.append("  (no counters)")
-        name_w = max([32] + [len(n) for n in self._counters])
-        val_w = max([12] + [len(f"{v:,d}") for v in
-                            self._counters.values()])
-        for name in sorted(self._counters):
-            lines.append(f"  {name:<{name_w}s} "
-                         f"{self._counters[name]:>{val_w},d}")
-        hits = self.get("cache.hits")
-        misses = self.get("cache.misses")
-        if hits + misses:
-            lines.append(f"  {'cache hit rate':<{name_w}s} "
-                         f"{hits / (hits + misses):>{val_w}.1%}")
-        cand = self.get("index.candidates")
-        kept = self.get("index.hits")
-        if cand:
-            lines.append(f"  {'index selectivity':<{name_w}s} "
-                         f"{kept / cand:>{val_w}.1%}")
-        return "\n".join(lines)
 
 
 #: Process-global registry used by the package's hot paths.

@@ -19,10 +19,11 @@ Tables 1–3 and Figures 5–12.  This module makes that DAG explicit:
   subcommands, ``repro all`` ordering, ``repro list``, and the JSON
   export document are all generated by iterating these registrations.
 
-Artifact builds run under :data:`repro.runtime.stats.STATS`: each
-compute is timed as ``artifact.<name>`` and counted as
-``session.miss.<name>``; memo reuses count as ``session.hit.<name>``.
-``repro <cmd> --stats`` renders the per-artifact table from these.
+Each artifact compute is a span ``artifact.<name>`` — so its time
+lands in the :data:`repro.runtime.stats.STATS` timer of that name — and
+counts as ``session.miss.<name>``; memo reuses count as
+``session.hit.<name>``.  ``repro <cmd> --stats`` renders the
+per-artifact table from these.
 
 Core analyses keep their public functional API
 (``hazard_analysis(universe)`` …) and route through the ambient session
@@ -34,7 +35,6 @@ the memo lives on the session, which is keyed to one universe object.
 from __future__ import annotations
 
 import inspect
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 from weakref import WeakKeyDictionary
@@ -67,7 +67,8 @@ __all__ = [
 
 #: Optional per-build observer installed by the run ledger
 #: (:mod:`repro.obs.ledger` via the CLI): called after every artifact
-#: *build* (memo miss) as ``observer(name, key, seconds, value)``.
+#: *build* (memo miss) as ``observer(name, key, seconds, value)``,
+#: ``seconds`` being the build span's duration.
 #: ``None`` — the default — keeps builds observer-free; the only cost
 #: is one None-check per build (dozens per run, never per point).
 _ARTIFACT_OBSERVER: Callable[[str, tuple, float, Any], None] | None = None
@@ -426,19 +427,16 @@ class AnalysisSession:
         STATS.count("session.misses")
         STATS.count(f"session.miss.{name}")
         self._building.append(key)
-        t0 = time.perf_counter()
         try:
             with trace_span(f"artifact.{name}", artifact=name,
-                            **{k: repr(v) for k, v in key[1]}) as sp:
-                with memory_probe(sp):
-                    with STATS.timer(f"artifact.{name}"):
-                        value = spec.build(self, **params)
+                            **{k: repr(v) for k, v in key[1]}) as sp, \
+                    memory_probe(sp):
+                value = spec.build(self, **params)
         finally:
             self._building.pop()
         self._memo[key] = value
         if _ARTIFACT_OBSERVER is not None:
-            _ARTIFACT_OBSERVER(name, key,
-                               time.perf_counter() - t0, value)
+            _ARTIFACT_OBSERVER(name, key, sp.duration, value)
         return value
 
     def run(self, stage_name: str, args: Any = None) -> str:

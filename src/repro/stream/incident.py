@@ -157,10 +157,8 @@ class IncidentState:
         its previous one.
         """
         tick = len(self.events)
-        with trace_span("stream.tick", tick=tick,
-                        n_fires=len(fires)):
-            with STATS.timer("stream.tick"):
-                event = self._ingest(tick, fires)
+        with trace_span("stream.tick", tick=tick, n_fires=len(fires)):
+            event = self._ingest(tick, fires)
         self.events.append(event)
         return event
 
@@ -180,10 +178,12 @@ class IncidentState:
             self._tokens[fire.name] = token
 
         prev = self.result
-        before = STATS.snapshot()
+        dirty = STATS.get("index.dirty_buckets")
+        skipped = STATS.get("index.skipped_buckets")
         cur = update_overlay(self.cells, prev, deltas,
                              workers=self.workers)
-        counters = STATS.delta_since(before).get("counters", {})
+        dirty = STATS.get("index.dirty_buckets") - dirty
+        skipped = STATS.get("index.skipped_buckets") - skipped
         self.result = cur
 
         per_fire_new = {
@@ -212,9 +212,8 @@ class IncidentState:
             new_population=new_population,
             cum_population=self._cum_population,
             per_fire_new=per_fire_new,
-            dirty_buckets=int(counters.get("index.dirty_buckets", 0)),
-            skipped_buckets=int(
-                counters.get("index.skipped_buckets", 0)),
+            dirty_buckets=dirty,
+            skipped_buckets=skipped,
         )
 
 

@@ -5,8 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.obs.trace import Span, Tracer, _NULL_SPAN
-from repro.runtime import PerfRegistry, set_trace_channel, shutdown_pools
+from repro.obs.trace import Span, Tracer
+from repro.runtime import (
+    STATS,
+    PerfRegistry,
+    set_trace_channel,
+    shutdown_pools,
+)
 from repro.runtime import config as runtime_config
 from repro.runtime import dispatch as runtime_dispatch
 
@@ -23,12 +28,16 @@ def _clean_tracer():
 
 
 class TestSpanBasics:
-    def test_disabled_probe_is_shared_noop(self):
-        assert obs.span("anything") is _NULL_SPAN
-        assert obs.span("other", k=1) is _NULL_SPAN
-        with obs.span("ignored") as sp:
+    def test_disabled_probe_times_but_retains_nothing(self):
+        """With tracing off a span is still a timer: its duration
+        lands in STATS under its name, and the tracer keeps nothing."""
+        before = STATS.snapshot()
+        with obs.span("ignored", k=1) as sp:
             sp.set(attr=1)          # must not raise
         assert obs.get_tracer().finished == []
+        delta = STATS.delta_since(before)
+        assert delta["timer_calls"] == {"ignored": 1}
+        assert delta["timers"]["ignored"] == pytest.approx(sp.duration)
 
     def test_disabled_event_records_nothing(self):
         obs.event("cache.hit", key="x")
@@ -153,11 +162,15 @@ class TestStatsChannel:
         delta = {"timers": {}, "timer_calls": {}, "counters": {},
                  "spans": worker.export_spans()}
         reg = PerfRegistry()
+        chunk_s = STATS.seconds("overlay.chunk")
         with tracer.span("overlay_fires") as join:
             reg.merge(delta)
         chunk = next(sp for sp in tracer.finished
                      if sp.name == "overlay.chunk")
         assert chunk.parent_id == join.span_id
+        # the worker's time rides its delta's timers; adoption adds none
+        assert STATS.seconds("overlay.chunk") == chunk_s
+        assert reg.snapshot()["timers"] == {}
 
     def test_no_channel_no_span_keys(self):
         reg = PerfRegistry()
@@ -188,8 +201,10 @@ class TestParallelEndToEnd:
         cells = random_universe(0, 3_000)
         fires = random_fires(0, 6)
         from repro.core.overlay import overlay_fires
+        before = STATS.snapshot()
         overlay_fires(cells, fires, year=2018, workers=4,
                       use_cache=False)
+        delta = STATS.delta_since(before)
 
         join = next(sp for sp in tracer.finished
                     if sp.name == "overlay_fires")
@@ -206,3 +221,8 @@ class TestParallelEndToEnd:
         # per-fire hit counts survive the wire
         total_hits = sum(sp.attrs.get("hits", 0) for sp in chunks)
         assert total_hits > 0
+        # worker timers arrive once, through the merge: the chunk timer
+        # is the sum of the adopted chunk spans, one call each
+        assert delta["timer_calls"]["overlay.chunk"] == len(chunks)
+        assert delta["timers"]["overlay.chunk"] == pytest.approx(
+            sum(sp.duration for sp in chunks), abs=1e-9)

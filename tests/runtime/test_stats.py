@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from repro.core.report import render_stats
+from repro.obs import span
 from repro.runtime import (
     STATS,
     PerfRegistry,
@@ -18,13 +20,18 @@ from repro.runtime import (
 
 class TestPerfRegistry:
     def test_timer_accumulates_and_counts_calls(self):
-        reg = PerfRegistry()
+        """A timer is fed by closing spans of its name: one call per
+        span, their durations summed."""
+        before = STATS.snapshot()
+        durations = []
         for _ in range(3):
-            with reg.timer("stage"):
+            with span("test.stage") as sp:
                 pass
-        snap = reg.snapshot()
-        assert snap["timer_calls"]["stage"] == 3
-        assert snap["timers"]["stage"] >= 0.0
+            durations.append(sp.duration)
+        delta = STATS.delta_since(before)
+        assert delta["timer_calls"]["test.stage"] == 3
+        assert delta["timers"]["test.stage"] == pytest.approx(
+            sum(durations))
 
     def test_counter_accumulates(self):
         reg = PerfRegistry()
@@ -75,8 +82,7 @@ class TestPerfRegistry:
     def test_reset(self):
         reg = PerfRegistry()
         reg.count("x")
-        with reg.timer("t"):
-            pass
+        reg.add_time("t", 0.5)
         reg.reset()
         assert reg.snapshot() == {"timers": {}, "timer_calls": {},
                                   "counters": {}}
@@ -84,8 +90,7 @@ class TestPerfRegistry:
     def test_snapshot_is_json_serializable(self):
         reg = PerfRegistry()
         reg.count("x", 3)
-        with reg.timer("t"):
-            pass
+        reg.add_time("t", 0.5)
         json.dumps(reg.snapshot())
 
     def test_snapshot_key_order_ignores_insertion_order(self):
@@ -108,49 +113,6 @@ class TestPerfRegistry:
         delta = a.delta_since(PerfRegistry().snapshot())
         assert list(delta["timers"]) == ["alpha", "zeta"]
 
-    def test_render_mentions_stages_and_counters(self):
-        reg = PerfRegistry()
-        reg.add_time("overlay_fires", 0.25)
-        reg.count("cache.hits", 3)
-        reg.count("cache.misses", 1)
-        reg.count("index.candidates", 100)
-        reg.count("index.hits", 25)
-        text = reg.render()
-        assert "overlay_fires" in text
-        assert "cache.hits" in text
-        assert "75.0%" in text       # cache hit rate
-        assert "25.0%" in text       # index selectivity
-
-    def test_render_aligns_long_stage_names(self):
-        """Stage names past the historic 32-char column keep the
-        seconds column aligned (widths grow with the content)."""
-        long_name = "artifact.season_overlay.year_2018_with_validation"
-        assert len(long_name) > 32
-        reg = PerfRegistry()
-        reg.add_time(long_name, 1.5)
-        reg.add_time("short", 0.25)
-        lines = reg.render().splitlines()
-        stage_lines = [ln for ln in lines if "call" in ln]
-        # the seconds field ends at the same character on every row
-        ends = {ln.index("s  (") for ln in stage_lines}
-        assert len(ends) == 1
-        assert min(len(ln) for ln in stage_lines) > len(long_name)
-
-    def test_render_aligns_enormous_counters(self):
-        """Counters past 999,999,999,999 widen the value column for
-        every row instead of overflowing their own."""
-        reg = PerfRegistry()
-        reg.count("index.candidates", 7_500_000_000_000_123)
-        reg.count("index.hits", 42)
-        lines = reg.render().splitlines()
-        big = next(ln for ln in lines if "candidates" in ln)
-        small = next(ln for ln in lines if "index.hits" in ln)
-        assert "7,500,000,000,000,123" in big
-        # right-aligned in a shared column: both rows end together
-        assert len(big) == len(small)
-        sel = next(ln for ln in lines if "selectivity" in ln)
-        assert len(sel) == len(big)
-
 
 class TestRenderStats:
     def test_renders_tables(self):
@@ -166,6 +128,48 @@ class TestRenderStats:
     def test_empty_snapshot(self):
         text = render_stats({})
         assert "none timed" in text
+
+    def test_render_mentions_stages_and_counters(self):
+        """A live registry's snapshot renders its stages, counters and
+        the derived cache hit rate and index selectivity."""
+        reg = PerfRegistry()
+        reg.add_time("overlay_fires", 0.25)
+        reg.count("cache.hits", 3)
+        reg.count("cache.misses", 1)
+        reg.count("index.candidates", 100)
+        reg.count("index.hits", 25)
+        text = render_stats(reg.snapshot())
+        assert "overlay_fires" in text
+        assert "cache.hits" in text
+        assert "75.0%" in text       # cache hit rate
+        assert "25.0%" in text       # index selectivity
+
+    def test_render_aligns_long_stage_names(self):
+        """Stage names past any fixed column width keep the seconds
+        column aligned (widths grow with the content)."""
+        long_name = "artifact.season_overlay.year_2018_with_validation"
+        snap = {"timers": {long_name: 1.5, "short": 0.25},
+                "timer_calls": {long_name: 1, "short": 1}}
+        lines = render_stats(snap).splitlines()
+        long_row = next(ln for ln in lines if long_name in ln)
+        short_row = next(ln for ln in lines if "short" in ln)
+        # the seconds field sits at the same character on both rows
+        assert long_row.index("1.500") == short_row.index("0.250")
+        assert len(long_row) == len(short_row) > len(long_name)
+
+    def test_render_aligns_enormous_counters(self):
+        """Counters past 999,999,999,999 widen the value column for
+        every row instead of overflowing their own."""
+        snap = {"counters": {"index.candidates": 7_500_000_000_000_123,
+                             "index.hits": 42}}
+        lines = render_stats(snap).splitlines()
+        big = next(ln for ln in lines if "candidates" in ln)
+        small = next(ln for ln in lines if "index.hits" in ln)
+        assert "7,500,000,000,000,123" in big
+        # right-aligned in a shared column: both rows end together
+        assert len(big) == len(small)
+        sel = next(ln for ln in lines if "selectivity" in ln)
+        assert len(sel) == len(big)
 
 
 class TestInstrumentationHooks:

@@ -16,6 +16,30 @@ def _run(*argv: str) -> str:
     return buffer.getvalue()
 
 
+class _FakeClock:
+    """A span clock that advances one millisecond per read, so a run's
+    timers follow its span structure instead of the host's speed."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1e-3
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture()
+def fake_clock(monkeypatch) -> _FakeClock:
+    from repro.obs import trace
+
+    clock = _FakeClock()
+    monkeypatch.setattr(trace, "clock", clock)
+    return clock
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -175,13 +199,12 @@ class TestLedgerCLI:
         assert "no ledger found" in buffer.getvalue()
 
     def test_gate_flags_injected_slowdown_as_regression(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, fake_clock):
         """The acceptance scenario: a 2x slowdown injected into an
         artifact build must trip the gate, while the healthy baseline
         passes it."""
         import dataclasses
         import statistics
-        import time as time_mod
 
         from repro import session as session_mod
         from repro.obs import Ledger
@@ -197,7 +220,7 @@ class TestLedgerCLI:
         spec = session_mod.get_artifact_spec("hazard")
 
         def slow_build(session, **params):
-            time_mod.sleep(max(median, 0.1))
+            fake_clock.advance(max(median, 0.1))
             return spec.build(session, **params)
 
         monkeypatch.setitem(
@@ -212,6 +235,7 @@ class TestLedgerCLI:
         assert "cli.fig7" in out or "artifact.hazard" in out
         assert "drift" not in out.lower()
 
+    @pytest.mark.usefixtures("fake_clock")
     def test_gate_flags_changed_seed_as_drift_not_regression(
             self, tmp_path):
         """The other acceptance half: different results at healthy
@@ -350,7 +374,48 @@ class TestObservabilityFlags:
         assert any("rss_kb_after" in e["args"] for e in arts)
 
     def test_tracing_off_leaves_no_spans(self):
-        from repro import obs
+        from repro import obs, runtime
 
+        obs.get_tracer().clear()
+        before = runtime.STATS.snapshot()
         _run("fig7")
         assert not obs.is_enabled()
+        assert obs.get_tracer().finished == []
+        # ... while every span still feeds its timer
+        delta = runtime.STATS.delta_since(before)
+        assert delta["timer_calls"]["cli.fig7"] == 1
+        assert delta["timers"]["cli.fig7"] > 0.0
+
+    def test_timers_are_span_totals(self, tmp_path):
+        """In a traced, ledgered `repro all`, every manifest timer is
+        the sum of its spans' durations with one call per span (the
+        stage span `stage.X` fills the timer `cli.X`), and the data
+        layer and index builds have rows."""
+        from collections import defaultdict
+
+        from repro import obs
+        from repro.obs import Ledger
+
+        code = main(["-n", "2000",
+                     "--ledger-dir", str(tmp_path / "led"),
+                     "--trace", str(tmp_path / "all.json"), "all"],
+                    stream=io.StringIO())
+        assert code == 0
+        totals: dict = defaultdict(float)
+        calls: dict = defaultdict(int)
+        for sp in obs.get_tracer().finished:
+            if sp.kind != "span":
+                continue
+            name = sp.name.replace("stage.", "cli.", 1) \
+                if sp.name.startswith("stage.") else sp.name
+            totals[name] += sp.duration
+            calls[name] += 1
+        (run,) = Ledger(tmp_path / "led").runs()
+        assert set(run.timers) == set(totals)
+        for name, seconds in totals.items():
+            assert run.timers[name] == pytest.approx(seconds, abs=1e-6)
+            assert run.timer_calls[name] == calls[name]
+        assert {"data.population", "data.whp", "data.cells",
+                "data.counties", "data.fire_seasons",
+                "data.validation_cells", "data.dirs",
+                "geo.index"} <= set(run.timers)
