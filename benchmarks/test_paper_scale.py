@@ -152,7 +152,7 @@ def test_paper_scale_stream_tick():
     assert deltas
 
     prev = overlay_fires(cells, fires_prev, year=2019, workers=workers,
-                         use_cache=False, keep_hits=True)
+                         use_cache=False)
     rebuild, rebuild_s = _timed(
         overlay_fires, cells, season, year=2019, workers=workers,
         use_cache=False)

@@ -43,7 +43,7 @@ def _fell_back(before: dict) -> bool:
         "parallel.fallbacks", 0) > 0
 
 
-def test_runtime_overlay_modes(universe):
+def test_runtime_overlay_modes(universe, tmp_path):
     """Serial cold vs parallel cold vs warm cache on one season."""
     fires = universe.fire_season(2017).fires
     cells = universe.cells
@@ -56,10 +56,10 @@ def test_runtime_overlay_modes(universe):
     before = STATS.snapshot()
     parallel, parallel_s = _timed(
         overlay_fires, cells, fires, year=2017, workers=workers,
-        chunk_size=32_768, use_cache=False)
+        use_cache=False)
     fell_back = _fell_back(before)
 
-    set_cache(ResultCache(max_entries=64))
+    set_cache(ResultCache(tmp_path))
     try:
         _, cold_cache_s = _timed(
             overlay_fires, cells, fires, year=2017, workers=1,
@@ -108,7 +108,7 @@ def test_runtime_overlay_modes(universe):
             "requesting workers must not lose to serial"
 
 
-def test_runtime_classify_modes(universe):
+def test_runtime_classify_modes(universe, tmp_path):
     """The WHP raster-sampling join across the same three modes."""
     cells = universe.cells
     workers = int(os.environ.get("REPRO_WORKERS", "4"))
@@ -120,7 +120,7 @@ def test_runtime_classify_modes(universe):
         classify_cells, cells, universe.whp, workers=workers,
         chunk_size=32_768, use_cache=False)
     fell_back = _fell_back(before)
-    set_cache(ResultCache(max_entries=64))
+    set_cache(ResultCache(tmp_path))
     try:
         classify_cells(cells, universe.whp, workers=1, use_cache=True)
         warm, warm_s = _timed(
@@ -309,7 +309,7 @@ def test_runtime_stream_tick(universe):
     assert deltas, "the final growth tick must move at least one fire"
 
     prev = overlay_fires(cells, fires_prev, year=2019, workers=workers,
-                         use_cache=False, keep_hits=True)
+                         use_cache=False)
 
     rebuild, rebuild_s = _timed(
         overlay_fires, cells, season, year=2019, workers=workers,

@@ -19,9 +19,9 @@ Counts are printed both raw and rescaled to the paper's 5,364,949-
 transceiver universe; every command prints the paper's number alongside.
 
 Runtime knobs (see docs/runtime.md): ``--workers`` shards the spatial
-joins across processes (or set ``REPRO_WORKERS``), ``--no-cache``
-disables result memoization, ``--cache-dir`` adds an on-disk cache tier
-that survives runs, and ``--stats`` prints per-stage wall times,
+joins across processes (or set ``REPRO_WORKERS``), ``--cache-dir``
+keeps join results on disk across runs (``--no-cache`` turns that
+cache off), and ``--stats`` prints per-stage wall times,
 per-artifact session hit/miss counts, and index/cache counters after
 the command.
 
@@ -119,6 +119,18 @@ register_stage("map", help="ASCII map of a figure",
                         StageOption("--width", type=int, default=100)))
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -143,13 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for spatial joins "
                              "(default: $REPRO_WORKERS or 1 = serial)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="points per parallel work unit")
+    parser.add_argument("--chunk-size", type=_positive_int, default=None,
+                        help="points per parallel classify task")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the spatial-join result cache")
+                        help="neither read nor write the --cache-dir "
+                             "result cache")
     parser.add_argument("--cache-dir", default=None,
                         help="directory for the on-disk result cache "
-                             "(default: memory-only; $REPRO_CACHE_DIR)")
+                             "(default: $REPRO_CACHE_DIR, else no cache)")
     parser.add_argument("--stats", action="store_true",
                         help="print runtime perf counters after the run")
     parser.add_argument("--trace", metavar="FILE", default=None,

@@ -29,8 +29,9 @@ Execution is delegated to :mod:`repro.runtime`:
   plus global hit indices.  Every pooled join — batch overlay, delta
   tick, classify, scenario ensemble — fans out through one helper,
   :func:`fan_out`, and runs the same per-item loop, :func:`join_items`;
-* results are memoized in a content-addressed cache keyed by the
-  inputs' bytes.
+* with a cache directory configured, results are read from and
+  written to the content-addressed disk cache, keyed by the inputs'
+  bytes.
 
 Every path is bit-identical to the serial join: each fire is evaluated
 by exactly one worker running the same full-universe index query the
@@ -86,20 +87,18 @@ _FIRE_SLICES_PER_WORKER = 4
 class FireOverlayResult:
     """Result of joining a transceiver universe with fire perimeters.
 
-    ``per_fire_hits`` (populated by ``keep_hits=True``) carries each
-    fire's exact hit indices — the *answered footprint* the incremental
-    engine hands back to :meth:`UniformGridIndex.query_polygon_delta`
-    so a later tick re-tests only dirty buckets.  ``None`` means the
-    footprints were not retained; :func:`update_overlay` then falls
-    back to full queries for the affected fires (still bit-identical,
-    just without the skip).
+    ``per_fire_hits`` carries each fire's exact hit indices: the
+    *answered footprint* the incremental engine hands back to
+    :meth:`UniformGridIndex.query_polygon_delta` so a later tick
+    re-tests only dirty buckets, and the per-fire hit set a stage reads
+    instead of joining a fire again.
     """
 
     year: int
     n_fires: int
     in_perimeter_mask: np.ndarray       # bool per transceiver
     per_fire_counts: dict[str, int]     # fire name -> transceivers inside
-    per_fire_hits: dict[str, np.ndarray] | None = None
+    per_fire_hits: dict[str, np.ndarray]    # fire name -> hit indices
 
     @property
     def n_in_perimeter(self) -> int:
@@ -315,20 +314,32 @@ def _join_fires(kind: str, cells: CellUniverse, items: list,
     return parts
 
 
+def _split(hits: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """``hits`` cut into consecutive pieces of ``counts`` lengths."""
+    ends = list(accumulate(counts.tolist()))
+    return [hits[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
 def _fold(result: FireOverlayResult, fires: list, parts: list) \
         -> FireOverlayResult:
     """Fold join parts into ``result``: mask union, per-fire counts and
-    (when retained) footprints, in fire order."""
+    footprints, in fire order."""
     pieces: list[np.ndarray] = []
     for counts, hits in parts:
         result.in_perimeter_mask[hits] = True
-        ends = list(accumulate(counts.tolist()))
-        pieces += [hits[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        pieces += _split(hits, counts)
     names = [fire.name for fire in fires]
     result.per_fire_counts.update(zip(names, map(len, pieces)))
-    if result.per_fire_hits is not None:
-        result.per_fire_hits.update(zip(names, pieces))
+    result.per_fire_hits.update(zip(names, pieces))
     return result
+
+
+def _result_cache(use_cache: bool | None):
+    """The result cache a join reads and writes: None when caching is
+    off for this call or no cache directory is configured."""
+    if use_cache is None:
+        use_cache = get_config().cache_enabled
+    return get_cache() if use_cache else None
 
 
 # ----------------------------------------------------------------------
@@ -338,42 +349,30 @@ def _fold(result: FireOverlayResult, fires: list, parts: list) \
 def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
                   year: int | None = None, *,
                   workers: int | None = None,
-                  chunk_size: int | None = None,
-                  use_cache: bool | None = None,
-                  keep_hits: bool = False) -> FireOverlayResult:
+                  use_cache: bool | None = None) -> FireOverlayResult:
     """Join transceivers against fire perimeters using the grid index.
 
     A transceiver inside any perimeter counts once in the mask; per-fire
     counts can overlap (two fires covering one transceiver both count it,
-    exactly as a per-fire tally would).
+    exactly as a per-fire tally would).  Each fire's exact hit indices
+    are kept in ``per_fire_hits``.
 
-    ``workers``/``chunk_size``/``use_cache`` override the global
+    ``workers``/``use_cache`` override the global
     :class:`repro.runtime.RuntimeConfig` for this call.  ``workers`` is
     a *request*: the adaptive dispatcher resolves it against the
     estimated work and the machine's core budget, and falls back to the
     strictly-serial path whenever parallelism could not win.
-
-    ``keep_hits=True`` additionally retains each fire's exact hit
-    indices (``per_fire_hits``), the answered footprints
-    :func:`update_overlay` needs to run incremental ticks.  Masks and
-    counts are unaffected; cached entries are keyed separately because
-    the payload differs.
     """
-    cfg = get_config()
     if workers is None:
-        workers = cfg.workers
-    if use_cache is None:
-        use_cache = cfg.cache_enabled
+        workers = get_config().workers
     resolved_year = year if year is not None else (
         fires[0].year if fires else 0)
 
-    key = None
-    if use_cache:
-        version = b"overlay_fires/v2+hits" if keep_hits \
-            else b"overlay_fires/v1"
-        key = cache_key(version, cells.content_token(),
+    cache = _result_cache(use_cache)
+    if cache is not None:
+        key = cache_key(b"overlay_fires/v2+hits", cells.content_token(),
                         fires_token(fires), resolved_year)
-        entry = get_cache().get(key)
+        entry = cache.get(key)
         if entry is not None:
             return _decode_overlay(entry)
 
@@ -382,30 +381,26 @@ def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
         parts = _join_fires("overlay", cells,
                             [(fire, None) for fire in fires],
                             workers, sp)
-        result = empty_overlay(cells, resolved_year,
-                               keep_hits=keep_hits)
+        result = empty_overlay(cells, resolved_year)
         result.n_fires = len(fires)
         _fold(result, fires, parts)
 
-    if use_cache and key is not None:
-        get_cache().put(key, _encode_overlay(result))
+    if cache is not None:
+        cache.put(key, _encode_overlay(result))
     return result
 
 
-def empty_overlay(cells: CellUniverse, year: int, *,
-                  keep_hits: bool = False) -> FireOverlayResult:
+def empty_overlay(cells: CellUniverse, year: int) -> FireOverlayResult:
     """A no-fires overlay — the tick-zero state of an incident fold."""
     return FireOverlayResult(
         year=year, n_fires=0,
         in_perimeter_mask=np.zeros(len(cells), dtype=bool),
-        per_fire_counts={},
-        per_fire_hits={} if keep_hits else None)
+        per_fire_counts={}, per_fire_hits={})
 
 
 def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
                    deltas: list[FireDelta], *,
-                   workers: int | None = None,
-                   keep_hits: bool = True) -> FireOverlayResult:
+                   workers: int | None = None) -> FireOverlayResult:
     """Advance an overlay by one tick of fire-front deltas.
 
     Produces the exact result a from-scratch :func:`overlay_fires`
@@ -414,11 +409,10 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
     differential suite in ``tests/stream/`` — while touching only the
     *dirty* grid buckets of the changed fires:
 
-    * a grown fire with an answered footprint in ``prev.per_fire_hits``
+    * a grown fire (its answered footprint in ``prev.per_fire_hits``)
       runs :meth:`UniformGridIndex.query_polygon_delta`, skipping every
       fully-answered bucket and every already-answered candidate;
-    * an ignition (or a fire whose footprint was not retained) runs the
-      ordinary full polygon query;
+    * an ignition runs the ordinary full polygon query;
     * unchanged fires are not touched at all — their counts, hit
       footprints, and mask contribution carry over.
 
@@ -427,26 +421,24 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
     dirty sets dispatch through the persistent pool/shm machinery
     (the ``delta`` plan); small ticks run serially.
     """
-    cfg = get_config()
     if workers is None:
-        workers = cfg.workers
+        workers = get_config().workers
     if not deltas:
         return prev
-    prev_hits_map = prev.per_fire_hits or {}
     fires = [d.fire for d in deltas]
 
     with trace_span("update_overlay", year=prev.year,
                     n_points=len(cells), n_deltas=len(deltas)) as sp:
         parts = _join_fires(
             "delta", cells,
-            [(fire, prev_hits_map.get(fire.name)) for fire in fires],
+            [(fire, prev.per_fire_hits.get(fire.name)) for fire in fires],
             workers, sp)
 
     result = FireOverlayResult(
         year=prev.year, n_fires=prev.n_fires,
         in_perimeter_mask=prev.in_perimeter_mask.copy(),
         per_fire_counts=dict(prev.per_fire_counts),
-        per_fire_hits=dict(prev_hits_map) if keep_hits else None)
+        per_fire_hits=dict(prev.per_fire_hits))
     _fold(result, fires, parts)
     # Ignitions — names new to the season — join it.
     result.n_fires += len(result.per_fire_counts) \
@@ -456,9 +448,7 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
 
 def overlay_fires_bruteforce(cells: CellUniverse,
                              fires: list[HazardEvent],
-                             year: int | None = None, *,
-                             keep_hits: bool = False) \
-        -> FireOverlayResult:
+                             year: int | None = None) -> FireOverlayResult:
     """Reference implementation without the spatial index.
 
     Used by tests (equivalence oracle) and by the ablation benchmark that
@@ -466,12 +456,11 @@ def overlay_fires_bruteforce(cells: CellUniverse,
     """
     mask = np.zeros(len(cells), dtype=bool)
     per_fire: dict[str, int] = {}
-    hits_map: dict[str, np.ndarray] | None = {} if keep_hits else None
+    hits_map: dict[str, np.ndarray] = {}
     for fire in fires:
         inside = fire.polygon.contains_many(cells.lons, cells.lats)
         per_fire[fire.name] = int(inside.sum())
-        if hits_map is not None:
-            hits_map[fire.name] = np.nonzero(inside)[0]
+        hits_map[fire.name] = np.nonzero(inside)[0]
         mask |= inside
     return FireOverlayResult(
         year=year if year is not None else (fires[0].year if fires else 0),
@@ -497,14 +486,12 @@ def classify_cells(cells: CellUniverse, whp: IntensitySurface, *,
         workers = cfg.workers
     if chunk_size is None:
         chunk_size = cfg.chunk_size
-    if use_cache is None:
-        use_cache = cfg.cache_enabled
 
-    key = None
-    if use_cache:
+    cache = _result_cache(use_cache)
+    if cache is not None:
         key = cache_key(b"classify_cells/v1", cells.content_token(),
                         whp.content_token())
-        entry = get_cache().get(key)
+        entry = cache.get(key)
         if entry is not None:
             return entry["classes"]
 
@@ -517,8 +504,8 @@ def classify_cells(cells: CellUniverse, whp: IntensitySurface, *,
         classes = np.concatenate(parts) if parts is not None \
             else whp.classify(cells.lons, cells.lats)
 
-    if use_cache and key is not None:
-        get_cache().put(key, {"classes": classes})
+    if cache is not None:
+        cache.put(key, {"classes": classes})
     return classes
 
 
@@ -592,34 +579,28 @@ register_stage("season_overlay",
 
 def _encode_overlay(result: FireOverlayResult) -> dict:
     names = list(result.per_fire_counts)
-    entry = {
+    # Footprints concatenated in name order; the counts array is the
+    # split table (each fire's hit count == its footprint length).
+    hits = [result.per_fire_hits[n] for n in names]
+    return {
         "mask": result.in_perimeter_mask,
         "counts": np.array([result.per_fire_counts[n] for n in names],
                            dtype=np.int64),
         "names": np.array(names, dtype=np.str_),
         "meta": np.array([result.year, result.n_fires], dtype=np.int64),
+        "hits": np.concatenate(hits) if hits
+        else np.empty(0, dtype=np.int64),
     }
-    if result.per_fire_hits is not None:
-        # Footprints concatenated in name order; the counts array is
-        # the split table (each fire's hit count == its footprint len).
-        hits = [result.per_fire_hits[n] for n in names]
-        entry["hits"] = np.concatenate(hits) if hits \
-            else np.empty(0, dtype=np.int64)
-    return entry
 
 
 def _decode_overlay(entry: dict) -> FireOverlayResult:
     names = [str(n) for n in entry["names"]]
     counts = entry["counts"]
-    hits_map = None
-    if "hits" in entry:
-        pieces = np.split(np.asarray(entry["hits"], dtype=np.int64),
-                          np.cumsum(counts)[:-1])
-        hits_map = dict(zip(names, pieces))
+    pieces = _split(np.asarray(entry["hits"], dtype=np.int64), counts)
     return FireOverlayResult(
         year=int(entry["meta"][0]),
         n_fires=int(entry["meta"][1]),
         in_perimeter_mask=np.asarray(entry["mask"], dtype=bool),
-        per_fire_counts={n: int(c) for n, c in zip(names, counts)},
-        per_fire_hits=hits_map,
+        per_fire_counts=dict(zip(names, counts.tolist())),
+        per_fire_hits=dict(zip(names, pieces)),
     )

@@ -77,15 +77,11 @@ def _compute_power_impact(session, year: int,
     season = universe.fire_season(year)
 
     # Direct: sites with any transceiver inside a perimeter.
-    index = cells.index()
-    direct_tx = np.zeros(len(cells), dtype=bool)
-    dead_subs: set[int] = set()
-    for fire in season.fires:
-        hits = index.query_polygon(fire.polygon)
-        direct_tx[hits] = True
-        dead_subs.update(
-            int(s) for s in grid.substations_in_polygon(fire.polygon))
+    direct_tx = session.artifact("season_overlay",
+                                 year=year).in_perimeter_mask
     direct_sites = set(np.unique(cells.site_ids[direct_tx]).tolist())
+    dead_subs = {int(s) for fire in season.fires
+                 for s in grid.substations_in_polygon(fire.polygon)}
 
     # PSPS: de-energize lines crossing at-risk cells that burned.
     whp = universe.whp
@@ -177,7 +173,7 @@ def _power_grid_artifact(session, n_substations: int = 400) -> PowerGrid:
         seed=universe.config.seed + 5)
 
 
-@artifact("power_impact", deps=("power_grid",))
+@artifact("power_impact", deps=("power_grid", "season_overlay"))
 def _power_impact_artifact(session, year: int = 2019) -> PowerImpact:
     """Direct vs power-mediated site outages for one fire season."""
     return _compute_power_impact(session, year,

@@ -24,7 +24,7 @@ from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
 from ..data.wildfires import SCRIPTED_LA_FIRES_2019
 from ..session import StageOption, artifact, register_stage, session_of
-from .overlay import overlay_fires
+from .overlay import classify_cells, overlay_fires
 
 __all__ = ["ValidationResult", "validate_whp_2019"]
 
@@ -86,7 +86,6 @@ def _compute_validation(session, at_risk_floor: WHPClass,
                         oversample: int) -> ValidationResult:
     universe = session.universe
     cells = universe.validation_cells(oversample)
-    season = universe.fire_season(2019)
     overlay = session.artifact("validation_overlay",
                                oversample=oversample)
     in_fire = overlay.in_perimeter_mask
@@ -99,14 +98,12 @@ def _compute_validation(session, at_risk_floor: WHPClass,
         predicted = np.zeros(len(cells), dtype=bool)
         predicted[ok] = at_risk_mask_override[rows[ok], cols[ok]]
     else:
-        classes = whp.classify(cells.lons, cells.lats)
-        predicted = classes >= int(at_risk_floor)
+        predicted = classify_cells(cells, whp) >= int(at_risk_floor)
 
-    la_fires = [f for f in season.fires
-                if f.name in SCRIPTED_LA_FIRES_2019]
     in_la = np.zeros(len(cells), dtype=bool)
-    for fire in la_fires:
-        in_la |= fire.polygon.contains_many(cells.lons, cells.lats)
+    for name, hits in overlay.per_fire_hits.items():
+        if name in SCRIPTED_LA_FIRES_2019:
+            in_la[hits] = True
 
     hits = in_fire & predicted
     misses = in_fire & ~predicted

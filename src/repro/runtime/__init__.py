@@ -11,8 +11,9 @@ as fast as the machine allows without changing a single result bit:
   fan-out goes through: estimated work (points × events, raster
   samples) against a measured crossover per kind, capped by the
   machine's core count, so parallel never loses to serial;
-* :mod:`.cache` — a content-addressed in-memory + on-disk result cache
-  keyed by the inputs' bytes, so identical joins are computed once;
+* :mod:`.cache` — a content-addressed on-disk result cache keyed by the
+  inputs' bytes, so a join computed by one run is read back by the
+  next (reuse inside a process is the session memo's job);
 * :mod:`.stats` — the timers and candidate/hit/cache counters behind
   ``--stats``, Prometheus and ledger manifests; every timer is the
   total of the :func:`repro.obs.span` of the same name, so a worker's
@@ -26,13 +27,7 @@ The differential suite in ``tests/runtime/`` proves parallel == serial
 """
 
 from .cache import ResultCache, array_token, cache_key, get_cache, set_cache
-from .config import (
-    RuntimeConfig,
-    configure,
-    default_cache_dir,
-    get_config,
-    set_config,
-)
+from .config import RuntimeConfig, configure, get_config, set_config
 from .dispatch import cpu_budget, plan, use_shared_memory
 from .pool import (
     active_pools,
@@ -53,7 +48,6 @@ from .stats import STATS, PerfRegistry, set_trace_channel, trace_channel
 
 __all__ = [
     "RuntimeConfig", "get_config", "set_config", "configure",
-    "default_cache_dir",
     "ResultCache", "cache_key", "array_token", "get_cache", "set_cache",
     "chunk_spans", "active_pools", "get_pool", "run_tasks",
     "shutdown_pools", "cpu_budget", "plan", "use_shared_memory",

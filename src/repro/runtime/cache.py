@@ -4,24 +4,23 @@ Join results are keyed by a SHA-256 digest over the *content* of their
 inputs — the point universe's coordinate bytes, every fire perimeter's
 ring bytes, the raster payload, and the analysis parameters — so any
 change to seed, size, resolution or parameters produces a different key
-while re-running the identical configuration is a hit.  ``python -m
-repro all`` recomputes each distinct join once instead of once per
-figure.
+while re-running the identical configuration is a hit.
 
-Two tiers:
-
-* an in-memory LRU (payloads kept as-is, zero deserialization cost),
-* an optional on-disk tier (``.npz`` per entry) surviving processes, so
-  a warm cache accelerates fresh CLI runs.
+The cache is one directory of ``.npz`` entries (``--cache-dir``) that
+survives processes, so a warm cache serves a fresh CLI run's joins
+from disk.  Reuse inside one process is the session memo's job
+(:mod:`repro.session`); without a cache directory there is no cache
+object at all and joins compute no key.
 
 Hits and misses are counted in :data:`repro.runtime.stats.STATS` under
-``cache.hits`` / ``cache.misses`` (and ``cache.disk_hits``).  A disk
-entry that cannot be decoded (truncated, CRC-corrupt, foreign bytes) is
-a miss counted under ``cache.corrupt``.  Each write goes to its own
-uniquely named temporary file, created with the umask's mode like any
-plain file, and is renamed into place, so processes sharing a cache
-directory never read a half-written entry.  A write killed mid-way
-leaves its ``*.tmp.npz`` behind; ``clear(disk=True)`` removes it.
+``cache.hits`` / ``cache.misses`` (every hit is also a
+``cache.disk_hits``).  An entry that cannot be decoded (truncated,
+CRC-corrupt, foreign bytes) is a miss counted under ``cache.corrupt``.
+Each write goes to its own uniquely named temporary file, created with
+the umask's mode like any plain file, and is renamed into place, so
+processes sharing a cache directory never read a half-written entry.
+A write killed mid-way leaves its ``*.tmp.npz`` behind; ``clear()``
+removes it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import hashlib
 import os
 import uuid
 import zipfile
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -84,46 +82,32 @@ def cache_key(*parts) -> str:
 
 
 class ResultCache:
-    """Two-tier (memory LRU + optional disk) store of array payloads.
+    """Directory of ``.npz`` array payloads, one file per key.
 
     Payloads are flat ``dict[str, np.ndarray]`` — the caller owns the
     encoding of richer result objects into arrays and back.
     """
 
-    def __init__(self, max_entries: int = 128,
-                 disk_dir: str | Path | None = None):
-        self.max_entries = max_entries
-        self.disk_dir = Path(disk_dir) if disk_dir else None
-        self._memory: OrderedDict[str, dict] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._memory)
+    def __init__(self, disk_dir: str | Path):
+        self.disk_dir = Path(disk_dir)
 
     def _disk_path(self, key: str) -> Path:
         return self.disk_dir / f"{key}.npz"
 
     def get(self, key: str) -> dict | None:
         """Payload for ``key`` or None; counts a hit/miss either way."""
-        entry = self._memory.get(key)
+        entry = self._load(key)
         if entry is not None:
-            self._memory.move_to_end(key)
             STATS.count("cache.hits")
-            trace_event("cache.hit", key=key[:12], tier="memory")
+            STATS.count("cache.disk_hits")
+            trace_event("cache.hit", key=key[:12], tier="disk")
             return entry
-        if self.disk_dir is not None:
-            entry = self._load(key)
-            if entry is not None:
-                self._remember(key, entry)
-                STATS.count("cache.hits")
-                STATS.count("cache.disk_hits")
-                trace_event("cache.hit", key=key[:12], tier="disk")
-                return entry
         STATS.count("cache.misses")
         trace_event("cache.miss", key=key[:12])
         return None
 
     def _load(self, key: str) -> dict | None:
-        """The disk entry for ``key``, or None if absent, unreadable or
+        """The entry for ``key``, or None if absent, unreadable or
         undecodable; only the last counts under ``cache.corrupt``."""
         try:
             with np.load(self._disk_path(key), allow_pickle=False) as npz:
@@ -135,10 +119,7 @@ class ResultCache:
             return None
 
     def put(self, key: str, payload: dict) -> None:
-        """Store a payload under ``key`` in both tiers."""
-        self._remember(key, payload)
-        if self.disk_dir is None:
-            return
+        """Write a payload under ``key`` (temp file, then rename)."""
         tmp = self.disk_dir / f"{key}.{uuid.uuid4().hex}.tmp.npz"
         try:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
@@ -152,37 +133,25 @@ class ResultCache:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
 
-    def _remember(self, key: str, payload: dict) -> None:
-        if self.max_entries == 0:
-            return
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
-            STATS.count("cache.evictions")
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory tier (and optionally the disk tier)."""
-        self._memory.clear()
-        if disk and self.disk_dir is not None and self.disk_dir.exists():
-            for path in self.disk_dir.glob("*.npz"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+    def clear(self) -> None:
+        """Delete every entry (and leftover temp file)."""
+        for path in self.disk_dir.glob("*.npz"):
+            with contextlib.suppress(OSError):
+                path.unlink()
 
 
 _cache: ResultCache | None = None
 
 
-def get_cache() -> ResultCache:
-    """The process-global cache, built lazily from the runtime config."""
+def get_cache() -> ResultCache | None:
+    """The process-global cache, built lazily from the runtime config;
+    None while the config names no cache directory."""
     global _cache
     if _cache is None:
         from .config import get_config
-        cfg = get_config()
-        _cache = ResultCache(max_entries=cfg.memory_cache_entries,
-                             disk_dir=cfg.cache_dir)
+        cache_dir = get_config().cache_dir
+        if cache_dir is not None:
+            _cache = ResultCache(cache_dir)
     return _cache
 
 

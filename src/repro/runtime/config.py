@@ -20,31 +20,23 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-__all__ = ["RuntimeConfig", "get_config", "set_config", "configure",
-           "default_cache_dir"]
+__all__ = ["RuntimeConfig", "get_config", "set_config", "configure"]
 
 #: Minimum universe size before the parallel path is worth the fork cost.
 MIN_PARALLEL_POINTS = 8_192
 
 
-def default_cache_dir() -> Path:
-    """On-disk cache location (override with ``REPRO_CACHE_DIR``)."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro-spatial"
-
-
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int, minimum: int | None = None) -> int:
+    """``int($name)``, or ``default`` when unset, unparseable or below
+    ``minimum``."""
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         return default
+    return default if minimum is not None and value < minimum else value
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -59,17 +51,14 @@ class RuntimeConfig:
     """Execution-layer knobs for the spatial-join runtime."""
 
     workers: int = 1            # processes; <=1 means strictly serial
-    chunk_size: int = 65_536    # points per parallel work unit
-    cache_enabled: bool = True  # memoize join results
-    cache_dir: Path | None = None   # None -> memory-only cache
-    memory_cache_entries: int = 128
+    chunk_size: int = 65_536    # points per parallel classify task
+    cache_enabled: bool = True  # read and write the result cache
+    cache_dir: Path | None = None   # None -> no result cache
     shm_enabled: bool = True    # zero-copy worker state via shared memory
 
     def __post_init__(self):
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.memory_cache_entries < 0:
-            raise ValueError("memory_cache_entries must be >= 0")
 
     @classmethod
     def from_env(cls) -> "RuntimeConfig":
@@ -77,7 +66,7 @@ class RuntimeConfig:
         cache_dir = os.environ.get("REPRO_CACHE_DIR")
         return cls(
             workers=_env_int("REPRO_WORKERS", 1),
-            chunk_size=_env_int("REPRO_CHUNK", 65_536),
+            chunk_size=_env_int("REPRO_CHUNK", 65_536, minimum=1),
             cache_enabled=_env_flag("REPRO_CACHE", True),
             cache_dir=Path(cache_dir) if cache_dir else None,
             shm_enabled=_env_flag("REPRO_SHM", True),

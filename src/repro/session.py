@@ -10,9 +10,9 @@ Tables 1–3 and Figures 5–12.  This module makes that DAG explicit:
 * an :class:`AnalysisSession` owns one :class:`~repro.data.SyntheticUS`
   and memoizes every artifact it materializes, so each shared artifact
   is computed **exactly once per session** no matter how many analyses
-  consume it.  The content-addressed runtime cache
-  (:mod:`repro.runtime.cache`) remains the *cross-process* tier; the
-  session memo is the *intra-process* tier that makes it a cold-start
+  consume it.  The memo is the only *intra-process* reuse; the
+  content-addressed disk cache (:mod:`repro.runtime.cache`, under
+  ``--cache-dir``) is the *cross-process* tier, a cold-start
   optimization instead of an intra-run crutch;
 * a **stage registry** lets every analysis in :mod:`repro.core` declare
   itself as ``name → deps → compute → render → export``.  The CLI's
@@ -454,9 +454,9 @@ class AnalysisSession:
 
     def invalidate(self, name: str | None = None) -> int:
         """Drop memo entries (all, or one artifact's every
-        parameterization); returns the number dropped.  The
-        content-addressed runtime cache is unaffected — a rebuilt
-        artifact whose inputs did not change will hit that tier."""
+        parameterization); returns the number dropped.  A dropped
+        artifact is recomputed on next use unless the ``--cache-dir``
+        disk cache holds its join results."""
         if name is None:
             dropped = len(self._memo)
             self._memo.clear()

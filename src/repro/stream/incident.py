@@ -139,8 +139,7 @@ class IncidentState:
         self.year = year
         self.population = population
         self.workers = workers
-        self.result: FireOverlayResult = empty_overlay(
-            cells, year, keep_hits=True)
+        self.result: FireOverlayResult = empty_overlay(cells, year)
         self.events: list[TickEvent] = []
         self._tokens: dict[str, bytes] = {}
         self._pop: dict[str, float] = {}

@@ -13,6 +13,7 @@ from repro.core.power import (
     psps_exposure,
 )
 from repro.data.whp import WHPClass
+from repro.session import session_of
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,23 @@ class TestPowerImpact:
         assert impact.sites_direct >= 0
         assert impact.lines_cut >= 0
         assert impact.substations_hit >= 0
+
+    @pytest.mark.parametrize("year", [2017, 2019])
+    def test_direct_sites_equal_per_fire_query_loop(self, universe, grid,
+                                                    year):
+        """The per-fire index loop `power` ran before it read the
+        season overlay finds the same direct sites."""
+        cells = universe.cells
+        index = cells.index()
+        direct_tx = np.zeros(len(cells), dtype=bool)
+        for fire in universe.fire_season(year).fires:
+            direct_tx[index.query_polygon(fire.polygon)] = True
+        overlay = session_of(universe).artifact("season_overlay",
+                                                year=year)
+        assert np.array_equal(overlay.in_perimeter_mask, direct_tx)
+        expected = set(np.unique(cells.site_ids[direct_tx]).tolist())
+        impact = fire_power_impact(universe, year, grid=grid)
+        assert impact.sites_direct == len(expected)
 
 
 class TestPspsExposure:

@@ -164,6 +164,7 @@ class TestComputeOnceAcrossRepr0All:
             return real_hazard(session, *args, **kwargs)
 
         mp.setattr(overlay_mod, "classify_cells", classify_spy)
+        mp.setattr(validation_mod, "classify_cells", classify_spy)
         mp.setattr(overlay_mod, "overlay_fires", overlay_spy)
         mp.setattr(validation_mod, "overlay_fires", overlay_spy)
         mp.setattr(hazard_mod, "_compute_hazard", hazard_spy)
@@ -176,7 +177,10 @@ class TestComputeOnceAcrossRepr0All:
         return log
 
     def test_classify_cells_runs_exactly_once(self, spy_log):
-        assert len(spy_log["classify"]) == 1
+        """Once per universe: the study universe (whp_classes) and the
+        oversampled validation universe (validate)."""
+        calls = spy_log["classify"]
+        assert len(calls) == len(set(calls)) == 2
 
     def test_each_season_overlay_runs_exactly_once(self, spy_log):
         calls = spy_log["overlay"]

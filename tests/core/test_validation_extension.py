@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.extension import extend_very_high
+from repro.core.overlay import classify_cells
 from repro.core.validation import ValidationResult, validate_whp_2019
+from repro.data.wildfires import SCRIPTED_LA_FIRES_2019
+from repro.session import session_of
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +72,37 @@ class TestValidation:
     def test_zero_denominator_nan(self):
         r = ValidationResult(0, 0, 0, 0, 0, 1.0)
         assert np.isnan(r.accuracy)
+
+
+class TestValidationReadsSessionProducts:
+    """`validate` reads the LA fires' footprints from the validation
+    overlay and classifies through ``classify_cells``; the direct
+    computations it replaced are the oracles."""
+
+    def test_la_footprints_equal_contains_many(self, universe, result):
+        cells = universe.validation_cells(24)
+        overlay = session_of(universe).artifact("validation_overlay",
+                                                oversample=24)
+        expected = np.zeros(len(cells), dtype=bool)
+        for fire in universe.fire_season(2019).fires:
+            if fire.name in SCRIPTED_LA_FIRES_2019:
+                expected |= fire.polygon.contains_many(cells.lons,
+                                                       cells.lats)
+        assert expected.any()
+        union = np.zeros(len(cells), dtype=bool)
+        for name in SCRIPTED_LA_FIRES_2019:
+            union[overlay.per_fire_hits[name]] = True
+        assert np.array_equal(union, expected)
+        assert result.in_la_fires_total \
+            == int((overlay.in_perimeter_mask & expected).sum())
+
+    def test_classify_cells_equals_whp_classify(self, universe):
+        cells = universe.validation_cells(24)
+        expected = universe.whp.classify(cells.lons, cells.lats)
+        got = classify_cells(cells, universe.whp, workers=1,
+                             use_cache=False)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 class TestExtension:

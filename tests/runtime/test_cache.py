@@ -65,7 +65,7 @@ class TestKeys:
 
 def _entry_bytes(tmp_path) -> bytes:
     """The on-disk bytes of a freshly written multi-array entry."""
-    ResultCache(max_entries=0, disk_dir=tmp_path).put("entry", {
+    ResultCache(tmp_path).put("entry", {
         "mask": np.arange(5000) % 3 == 0,
         "hits": np.arange(2000, dtype=np.int64),
         "names": np.array(["Kincade", "Tick"])})
@@ -81,7 +81,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.stats import STATS
 role, path = sys.argv[1], sys.argv[2]
 payload = {"a": np.arange(50_000, dtype=np.int64), "b": np.ones(20_000)}
-cache = ResultCache(max_entries=0, disk_dir=path)
+cache = ResultCache(path)
 if role == "read":
     cache.put("key", payload)
 report = {"puts": 0, "hits": 0, "errors": {}}
@@ -107,52 +107,27 @@ print(json.dumps(report))
 
 
 class TestResultCache:
-    def test_memory_round_trip(self):
-        cache = ResultCache(max_entries=8)
-        payload = {"mask": np.array([True, False]),
-                   "counts": np.array([4], dtype=np.int64)}
-        cache.put("k", payload)
-        got = cache.get("k")
-        assert got is not None
-        assert (got["mask"] == payload["mask"]).all()
-        assert (got["counts"] == payload["counts"]).all()
-
-    def test_miss_returns_none_and_counts(self):
-        cache = ResultCache(max_entries=8)
+    def test_miss_returns_none_and_counts(self, tmp_path):
+        cache = ResultCache(tmp_path)
         before = STATS.get("cache.misses")
         assert cache.get("absent") is None
         assert STATS.get("cache.misses") == before + 1
 
-    def test_lru_eviction(self):
-        cache = ResultCache(max_entries=2)
-        for name in ("a", "b", "c"):
-            cache.put(name, {"x": np.array([1])})
-        assert cache.get("a") is None       # evicted, oldest
-        assert cache.get("b") is not None
-        assert cache.get("c") is not None
-
-    def test_get_refreshes_recency(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("a", {"x": np.array([1])})
-        cache.put("b", {"x": np.array([2])})
-        cache.get("a")                       # 'a' is now most recent
-        cache.put("c", {"x": np.array([3])})
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-
     def test_disk_round_trip_across_instances(self, tmp_path):
         payload = {"mask": np.arange(32) % 3 == 0,
                    "names": np.array(["Kincade", "Tick"], dtype=np.str_)}
-        ResultCache(max_entries=4, disk_dir=tmp_path).put("k", payload)
-        fresh = ResultCache(max_entries=4, disk_dir=tmp_path)
-        got = fresh.get("k")
+        ResultCache(tmp_path).put("k", payload)
+        hits = STATS.get("cache.hits"), STATS.get("cache.disk_hits")
+        got = ResultCache(tmp_path).get("k")
         assert got is not None
         assert (got["mask"] == payload["mask"]).all()
         assert list(got["names"]) == ["Kincade", "Tick"]
+        assert (STATS.get("cache.hits"), STATS.get("cache.disk_hits")) \
+            == (hits[0] + 1, hits[1] + 1)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         (tmp_path / "bad.npz").write_bytes(b"not a zipfile")
-        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
+        cache = ResultCache(tmp_path)
         assert cache.get("bad") is None
 
     @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.9, -1])
@@ -161,7 +136,7 @@ class TestResultCache:
         cut = len(raw) - 1 if keep == -1 else int(len(raw) * keep)
         (tmp_path / "cut.npz").write_bytes(raw[:cut])
         before = STATS.get("cache.corrupt")
-        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
+        cache = ResultCache(tmp_path)
         assert cache.get("cut") is None
         assert STATS.get("cache.corrupt") == before + 1
 
@@ -172,7 +147,7 @@ class TestResultCache:
         raw[at:at + 4] = bytes(b ^ 0xFF for b in raw[at:at + 4])
         (tmp_path / "crc.npz").write_bytes(bytes(raw))
         before = STATS.get("cache.corrupt")
-        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
+        cache = ResultCache(tmp_path)
         assert cache.get("crc") is None
         assert STATS.get("cache.corrupt") == before + 1
 
@@ -235,26 +210,23 @@ class TestResultCache:
         assert list(tmp_path.glob("*.tmp.npz")) == []
 
     def test_clear_disk(self, tmp_path):
-        cache = ResultCache(max_entries=4, disk_dir=tmp_path)
+        cache = ResultCache(tmp_path)
         cache.put("k", {"x": np.array([1])})
+        (tmp_path / "k.dead.tmp.npz").write_bytes(b"half a write")
         assert list(tmp_path.glob("*.npz"))
-        cache.clear(disk=True)
+        cache.clear()
         assert not list(tmp_path.glob("*.npz"))
         assert cache.get("k") is None
-
-    def test_zero_entries_disables_memory_tier(self):
-        cache = ResultCache(max_entries=0)
-        cache.put("k", {"x": np.array([1])})
-        assert len(cache) == 0
 
 
 class TestGlobalWiring:
     def test_get_cache_built_from_config(self, tmp_path):
-        configure(cache_dir=tmp_path, memory_cache_entries=5)
+        configure(cache_dir=tmp_path)
         set_cache(None)
-        cache = get_cache()
-        assert cache.disk_dir == tmp_path
-        assert cache.max_entries == 5
+        assert get_cache().disk_dir == tmp_path
+        configure(cache_dir=None)
+        set_cache(None)
+        assert get_cache() is None
 
     def test_config_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "6")
@@ -269,22 +241,47 @@ class TestGlobalWiring:
         monkeypatch.setenv("REPRO_WORKERS", "lots")
         assert RuntimeConfig.from_env().workers == 1
 
+    @pytest.mark.parametrize("raw", ["0", "-4096"])
+    def test_config_env_nonpositive_chunk_falls_back(self, monkeypatch,
+                                                     raw):
+        monkeypatch.setenv("REPRO_CHUNK", raw)
+        assert RuntimeConfig.from_env().chunk_size \
+            == RuntimeConfig().chunk_size
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             RuntimeConfig(chunk_size=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(memory_cache_entries=-1)
 
 
 class TestOverlayCacheSemantics:
-    def test_disabled_cache_never_stores(self, universe):
+    def test_disabled_cache_never_stores(self, universe, tmp_path):
         from repro.core.overlay import overlay_fires
 
-        set_cache(ResultCache(max_entries=8))
+        set_cache(ResultCache(tmp_path))
         fires = universe.fire_season(2018).fires
         overlay_fires(universe.cells, fires, year=2018, workers=1,
                       use_cache=False)
-        assert len(get_cache()) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_cache_dir_means_no_cache_calls(self, universe, tmp_path,
+                                               monkeypatch):
+        """Caching on but no directory: the joins make no cache call,
+        so no ``cache.*`` counter moves and no file is written."""
+        from repro.core.overlay import classify_cells, overlay_fires
+
+        monkeypatch.chdir(tmp_path)
+        configure(cache_enabled=True, cache_dir=None)
+        set_cache(None)
+        before = {k: v for k, v in STATS.snapshot()["counters"].items()
+                  if k.startswith("cache.")}
+        overlay_fires(universe.cells, universe.fire_season(2018).fires,
+                      year=2018, workers=1)
+        classify_cells(universe.cells, universe.whp, workers=1)
+        after = {k: v for k, v in STATS.snapshot()["counters"].items()
+                 if k.startswith("cache.")}
+        assert after == before
+        assert get_cache() is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_key_distinguishes_universes(self):
         from repro.core.overlay import fires_token
@@ -294,13 +291,13 @@ class TestOverlayCacheSemantics:
         )
 
         fires = random_fires(0, 2)
-        k1 = cache_key(b"overlay_fires/v1",
+        k1 = cache_key(b"overlay_fires/v2+hits",
                        random_universe(0, 500).content_token(),
                        fires_token(fires), 2018)
-        k2 = cache_key(b"overlay_fires/v1",
+        k2 = cache_key(b"overlay_fires/v2+hits",
                        random_universe(1, 500).content_token(),
                        fires_token(fires), 2018)
-        k3 = cache_key(b"overlay_fires/v1",
+        k3 = cache_key(b"overlay_fires/v2+hits",
                        random_universe(0, 501).content_token(),
                        fires_token(fires), 2018)
         assert len({k1, k2, k3}) == 3

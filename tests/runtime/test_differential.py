@@ -3,9 +3,11 @@
 The runtime's optimization contract is that the sharded/parallel and
 cached paths are *bit-identical* to the serial bruteforce reference on
 any input.  These tests enforce it on randomized universes across
-seeds × worker counts × chunk sizes, including the degenerate inputs
-(empty fire list, single-point universe) where chunking logic usually
-breaks.
+seeds × worker counts × universe sizes (× chunk sizes for the
+point-chunked classify),
+including the degenerate inputs (empty fire list, single-point
+universe, fewer points than fires can be sliced over) where sharding
+logic usually breaks.
 """
 
 from __future__ import annotations
@@ -84,14 +86,25 @@ def assert_identical(a, b):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("chunk_size", [333, 1024, 10_000])
-def test_overlay_matches_bruteforce(seed, workers, chunk_size):
-    cells = random_universe(seed, 3_000)
+@pytest.mark.parametrize("n_points", [333, 1024, 10_000])
+def test_overlay_matches_bruteforce(seed, workers, n_points):
+    cells = random_universe(seed, n_points)
     fires = random_fires(seed, 5)
     reference = overlay_fires_bruteforce(cells, fires, year=2018)
     assert reference.n_in_perimeter > 0, "fires must actually hit points"
     result = overlay_fires(cells, fires, year=2018, workers=workers,
-                           chunk_size=chunk_size, use_cache=False)
+                           use_cache=False)
+    assert_identical(result, reference)
+
+
+def test_overlay_chunk_boundaries_do_not_leak():
+    """A universe smaller than any useful shard still matches."""
+    cells = random_universe(11, 150)
+    fires = random_fires(11, 3)
+    reference = overlay_fires_bruteforce(cells, fires, year=2018)
+    assert reference.n_in_perimeter > 0, "fires must actually hit points"
+    result = overlay_fires(cells, fires, year=2018, workers=2,
+                           use_cache=False)
     assert_identical(result, reference)
 
 
@@ -99,7 +112,7 @@ def test_overlay_matches_bruteforce(seed, workers, chunk_size):
 def test_overlay_empty_fire_list(workers):
     cells = random_universe(7, 500)
     result = overlay_fires(cells, [], year=2001, workers=workers,
-                           chunk_size=128, use_cache=False)
+                           use_cache=False)
     reference = overlay_fires_bruteforce(cells, [], year=2001)
     assert_identical(result, reference)
     assert result.n_in_perimeter == 0
@@ -119,45 +132,39 @@ def test_overlay_single_point(workers):
         cells.lats[:] = lat
         reference = overlay_fires_bruteforce(cells, fires, year=2018)
         result = overlay_fires(cells, fires, year=2018, workers=workers,
-                               chunk_size=64, use_cache=False)
+                               use_cache=False)
         assert_identical(result, reference)
         if expect is not None:
             assert result.n_in_perimeter == expect
 
 
-def test_overlay_chunk_boundaries_do_not_leak():
-    """Chunk size 1 (every point its own work unit) still matches."""
-    cells = random_universe(11, 150)
-    fires = random_fires(11, 3)
-    reference = overlay_fires_bruteforce(cells, fires, year=2018)
-    result = overlay_fires(cells, fires, year=2018, workers=2,
-                           chunk_size=1, use_cache=False)
-    assert_identical(result, reference)
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_cached_result_identical(seed, workers, tmp_path):
-    """Cold compute, memory hit, and disk hit all return the same bits."""
+    """Cold compute and disk hits (same and fresh cache object) all
+    return the same bits, footprints included."""
     from repro.runtime import ResultCache, set_cache
 
     cells = random_universe(seed, 2_000)
     fires = random_fires(seed, 4)
     reference = overlay_fires_bruteforce(cells, fires, year=2018)
 
-    set_cache(ResultCache(max_entries=32, disk_dir=tmp_path))
+    set_cache(ResultCache(tmp_path))
     try:
         cold = overlay_fires(cells, fires, year=2018, workers=workers,
-                             chunk_size=512, use_cache=True)
+                             use_cache=True)
         warm = overlay_fires(cells, fires, year=2018, workers=workers,
-                             chunk_size=512, use_cache=True)
-        assert_identical(cold, reference)
-        assert_identical(warm, reference)
-        # Fresh memory tier forces the disk tier to serve the hit.
-        set_cache(ResultCache(max_entries=32, disk_dir=tmp_path))
-        disk = overlay_fires(cells, fires, year=2018, workers=workers,
-                             chunk_size=512, use_cache=True)
-        assert_identical(disk, reference)
+                             use_cache=True)
+        set_cache(ResultCache(tmp_path))
+        fresh = overlay_fires(cells, fires, year=2018, workers=workers,
+                              use_cache=True)
+        for name, hits in reference.per_fire_hits.items():
+            assert np.array_equal(np.sort(cold.per_fire_hits[name]), hits)
+        for result in (cold, warm, fresh):
+            assert_identical(result, reference)
+            assert result.per_fire_hits.keys() == cold.per_fire_hits.keys()
+            for name, hits in cold.per_fire_hits.items():
+                assert np.array_equal(result.per_fire_hits[name], hits)
     finally:
         set_cache(None)
 
@@ -183,7 +190,7 @@ def test_overlay_on_real_universe_seasons(universe):
         serial = overlay_fires(cells, fires, year=year, workers=1,
                                use_cache=False)
         parallel = overlay_fires(cells, fires, year=year, workers=4,
-                                 chunk_size=4_096, use_cache=False)
+                                 use_cache=False)
         assert_identical(serial, reference)
         assert_identical(parallel, reference)
 
@@ -265,7 +272,7 @@ def test_update_counter_totals_delta_vs_full():
     cells.index()
 
     prev = overlay_fires(cells, prev_fires, year=2018, workers=1,
-                         use_cache=False, keep_hits=True)
+                         use_cache=False)
 
     before = STATS.snapshot()
     full = overlay_fires(cells, grown, year=2018, workers=1,
@@ -300,7 +307,7 @@ def test_update_counter_totals_serial_vs_parallel():
     prev_fires, grown = growth_pair(9, 8)
     cells.index()
     prev = overlay_fires(cells, prev_fires, year=2018, workers=1,
-                         use_cache=False, keep_hits=True)
+                         use_cache=False)
     deltas = [FireDelta(fire=f) for f in grown]
 
     before = STATS.snapshot()

@@ -183,7 +183,7 @@ class TestDispatchEndToEnd:
 
         before = STATS.snapshot()
         prev = overlay_fires(cells, fires[:-2], year=2018, workers=8,
-                             use_cache=False, keep_hits=True)
+                             use_cache=False)
         update_overlay(cells, prev,
                        [FireDelta(fire=f) for f in fires[-2:]],
                        workers=8)

@@ -149,7 +149,7 @@ def test_overlay_parallel_serial_bruteforce_identical(
         serial = overlay_fires(cells, fires, year=year, workers=1,
                                use_cache=False)
         parallel = overlay_fires(cells, fires, year=year, workers=4,
-                                 chunk_size=4_096, use_cache=False)
+                                 use_cache=False)
         assert_identical(serial, reference)
         assert_identical(parallel, reference)
         oracle = np.zeros(len(cells), dtype=bool)

@@ -82,7 +82,7 @@ def growth_snapshots(seed: int, k: int, n_ticks: int = 4):
 
 def fold(cells, snapshots, workers):
     """Fold the snapshots through update_overlay, tick by tick."""
-    state = empty_overlay(cells, 2018, keep_hits=True)
+    state = empty_overlay(cells, 2018)
     tokens = {}
     per_tick = []
     for snap in snapshots:
@@ -131,7 +131,7 @@ def test_fold_per_fire_hits_match_batch(workers):
     snapshots = growth_snapshots(5, 4, n_ticks=3)
     final = fold(cells, snapshots, workers)[-1]
     batch = overlay_fires(cells, snapshots[-1], year=2018, workers=1,
-                          use_cache=False, keep_hits=True)
+                          use_cache=False)
     assert set(final.per_fire_hits) == set(batch.per_fire_hits)
     for name, hits in batch.per_fire_hits.items():
         got = final.per_fire_hits[name]
@@ -196,7 +196,7 @@ def test_unknown_fire_name_treated_as_ignition():
     cells = random_universe(10, 1_500)
     fires = random_fires(10, 3)
     prev = overlay_fires(cells, fires[:2], year=2018, workers=1,
-                         use_cache=False, keep_hits=True)
+                         use_cache=False)
     updated = update_overlay(cells, prev,
                              [FireDelta(fire=fires[2])], workers=1)
     batch = overlay_fires(cells, fires, year=2018, workers=1,
@@ -211,5 +211,5 @@ def test_empty_delta_list_returns_prev_object():
     cells = random_universe(11, 500)
     fires = random_fires(11, 2)
     prev = overlay_fires(cells, fires, year=2018, workers=1,
-                         use_cache=False, keep_hits=True)
+                         use_cache=False)
     assert update_overlay(cells, prev, [], workers=4) is prev

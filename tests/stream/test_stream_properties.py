@@ -90,7 +90,7 @@ def build_incident(spec):
 
 
 def fold(cells, snapshots, workers):
-    state = empty_overlay(cells, 2018, keep_hits=True)
+    state = empty_overlay(cells, 2018)
     tokens = {}
     for snap in snapshots:
         deltas = []

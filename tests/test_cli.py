@@ -54,6 +54,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("raw", ["0", "-8", "lots"])
+    def test_chunk_size_below_one_is_a_usage_error(self, raw, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--chunk-size", raw, "list"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro: error: argument --chunk-size: expected an integer "
+            f">= 1, got {raw!r}")
+
 
 class TestCommands:
     def test_table1(self):
@@ -190,6 +199,39 @@ class TestLedgerCLI:
         assert "ledger: unwritable" in out
         assert "run not recorded" in out
 
+    def test_warm_all_joins_nothing(self, tmp_path):
+        """A second `repro all` on the first one's --cache-dir prints
+        the same bytes and serves every join from disk: no cache miss,
+        no index query and no index build."""
+        from repro import runtime
+        from repro.obs import Ledger
+
+        argv = ["-n", "2000", "--cache-dir", str(tmp_path / "cache"),
+                "--ledger-dir", str(tmp_path / "led"), "all"]
+        outs = []
+        saved = runtime.get_config()
+        try:
+            # Earlier --no-cache runs leave the cache switched off.
+            runtime.configure(cache_enabled=True)
+            for _ in range(2):
+                buffer = io.StringIO()
+                assert main(argv, stream=buffer) == 0
+                # Drop the ledger line: it names the (random) run id.
+                outs.append("".join(
+                    line for line in
+                    buffer.getvalue().splitlines(keepends=True)
+                    if not line.startswith("ledger: run ")))
+        finally:
+            runtime.set_config(saved)
+            runtime.set_cache(None)
+        assert outs[0] == outs[1]
+        cold, warm = Ledger(tmp_path / "led").runs()
+        assert cold.counters["cache.misses"] > 0
+        assert warm.counters.get("cache.misses", 0) == 0
+        assert warm.counters["cache.hits"] == cold.counters["cache.misses"]
+        assert [k for k in warm.counters if k.startswith("index.")] == []
+        assert "geo.index" not in warm.timers
+
     def test_missing_ledger_is_a_clean_error(self, tmp_path,
                                              monkeypatch):
         monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
@@ -274,7 +316,7 @@ class TestObservabilityFlags:
         saved = runtime.get_config()
         try:
             # --no-cache so the join bodies (and their spans) actually
-            # run even when earlier tests warmed the global cache
+            # run even under a warm $REPRO_CACHE_DIR
             out = _run("--no-cache", "--trace", str(path), "fig7")
         finally:
             runtime.set_config(saved)
