@@ -39,7 +39,7 @@ def estimate_site_radii_m(universe: SyntheticUS,
     scale-invariant: sites cover roughly their Voronoi neighborhoods at
     any ``n_transceivers``, with urban macro cells clamped near
     ``min_radius_m`` and remote sites reaching ``max_radius_m``.
-    Returns radii aligned with ``np.unique(cells.site_ids)`` order.
+    Returns radii aligned with ``cells.sites()``.
     """
     return session_of(universe).artifact("site_radii",
                                          min_radius_m=min_radius_m,
@@ -51,15 +51,12 @@ def _compute_site_radii(session, min_radius_m: float,
     from scipy import ndimage
 
     universe = session.universe
-    cells = universe.cells
-    site_ids, first = np.unique(cells.site_ids, return_index=True)
-    lons = cells.lons[first]
-    lats = cells.lats[first]
+    sites = universe.cells.sites()
     pop = universe.population
     grid = pop.grid
 
     counts = np.zeros(grid.shape)
-    rows, cols = grid.rowcol(lons, lats)
+    rows, cols = grid.rowcol(sites.lons, sites.lats)
     ok = grid.inside(rows, cols)
     np.add.at(counts, (rows[ok], cols[ok]), 1.0)
     smoothed = ndimage.gaussian_filter(counts, sigma=2.0)
@@ -113,24 +110,18 @@ def _compute_coverage(session, hazard_floor: WHPClass) -> CoverageResult:
     pop = universe.population
     classes = session.artifact("whp_classes")
 
-    site_ids, first = np.unique(cells.site_ids, return_index=True)
-    site_lons = cells.lons[first]
-    site_lats = cells.lats[first]
+    sites = cells.sites()
     radii = session.artifact("site_radii")
 
-    # Site hazard: max class over the site's transceivers.
-    order = np.argsort(cells.site_ids, kind="stable")
-    sid_sorted = cells.site_ids[order]
-    cls_sorted = classes[order]
-    boundaries = np.nonzero(np.diff(sid_sorted))[0] + 1
-    site_class = np.array([g.max() for g in
-                           np.split(cls_sorted, boundaries)])
-    at_risk_site = site_class >= int(hazard_floor)
-
-    covered_before = _coverage_mask(pop, site_lons, site_lats, radii)
-    covered_after = _coverage_mask(pop, site_lons[~at_risk_site],
-                                   site_lats[~at_risk_site],
-                                   radii[~at_risk_site])
+    # Site hazard: max class over the site's transceivers.  Each site
+    # is stamped once: OR is order-free, so the surviving sites' mask
+    # plus the at-risk stamps is the mask over every site.
+    at_risk = sites.max(classes) >= int(hazard_floor)
+    safe = ~at_risk
+    covered_after = _coverage_mask(pop, sites.lons[safe], sites.lats[safe],
+                                   radii[safe])
+    covered_before = covered_after | _coverage_mask(
+        pop, sites.lons[at_risk], sites.lats[at_risk], radii[at_risk])
 
     weights = pop.raster.data
     total = float(weights.sum())
@@ -144,8 +135,8 @@ def _compute_coverage(session, hazard_floor: WHPClass) -> CoverageResult:
         population_covered_after=after,
         population_lost=lost,
         population_only_at_risk=lost,
-        sites_total=len(site_ids),
-        sites_lost=int(at_risk_site.sum()),
+        sites_total=len(sites),
+        sites_lost=int(at_risk.sum()),
     )
 
 
@@ -168,25 +159,22 @@ def _coverage_mask(pop, site_lons, site_lats, radii_m) -> np.ndarray:
     rlats = radii_m / m_lat
     rows0, cols0 = grid.rowcol(site_lons - rlons, site_lats + rlats)
     rows1, cols1 = grid.rowcol(site_lons + rlons, site_lats - rlats)
+    rows0 = np.maximum(rows0, 0)
+    cols0 = np.maximum(cols0, 0)
+    rows1 = np.minimum(rows1, grid.height - 1)
+    cols1 = np.minimum(cols1, grid.width - 1)
+    # The grid is separable (lon depends on col only, lat on row only),
+    # so the ellipse test is an outer sum of two 1-D terms over slices
+    # of the cell-center axes — no meshgrid, no 2-D center arrays.
+    center_lons, center_lats = grid.axes()
     for lon, lat, rlon, rlat, row0, col0, row1, col1 in zip(
             site_lons.tolist(), site_lats.tolist(), rlons.tolist(),
             rlats.tolist(), rows0.tolist(), cols0.tolist(),
             rows1.tolist(), cols1.tolist()):
-        row0 = max(row0, 0)
-        col0 = max(col0, 0)
-        row1 = min(row1, grid.height - 1)
-        col1 = min(col1, grid.width - 1)
         if row0 > row1 or col0 > col1:
             continue
-        rows = np.arange(row0, row1 + 1)
-        cols = np.arange(col0, col1 + 1)
-        # The grid is separable (lon depends on col only, lat on row
-        # only), so the ellipse test is an outer sum of two 1-D terms —
-        # no meshgrid, no 2-D center arrays.
-        clons, _ = grid.cell_center(0, cols)
-        _, clats = grid.cell_center(rows, 0)
-        u = ((clons - lon) / rlon) ** 2
-        v = ((clats - lat) / rlat) ** 2
+        u = ((center_lons[col0:col1 + 1] - lon) / rlon) ** 2
+        v = ((center_lats[row0:row1 + 1] - lat) / rlat) ** 2
         inside = (u[None, :] + v[:, None]) <= 1.0
         covered[row0:row1 + 1, col0:col1 + 1] |= inside
     return covered

@@ -60,6 +60,7 @@ class SiteRisk:
     whp_class: int
     n_transceivers: int
     n_providers: int
+    county: int                # county index, -1 when the site has none
     county_population: int
     score: float
 
@@ -84,28 +85,32 @@ def _compute_site_ranking(session) -> list[SiteRisk]:
     county_idx = session.artifact("county_assignment")
     county_pops = counties.populations()
 
-    order = np.argsort(cells.site_ids, kind="stable")
+    table = cells.sites()
+    site_class = table.max(classes)
+    n_transceivers = np.diff(np.append(table.starts, len(cells)))
+    n_providers = sum(table.any(cells.provider_group == g)
+                      for g in np.unique(cells.provider_group))
+    # Hazard weights rise with the class, so the moderate-or-worse
+    # sites are the ones scored.
+    keep = np.flatnonzero(site_class >= int(WHPClass.MODERATE))
     sites: list[SiteRisk] = []
-    sid_sorted = cells.site_ids[order]
-    boundaries = np.nonzero(np.diff(sid_sorted))[0] + 1
-    groups = np.split(order, boundaries)
-    for group in groups:
-        whp_class = int(classes[group].max())
+    for site_id, lon, lat, whp_class, n_tx, n_prov, ci in zip(
+            table.ids[keep].tolist(), table.lons[keep].tolist(),
+            table.lats[keep].tolist(), site_class[keep].tolist(),
+            n_transceivers[keep].tolist(), n_providers[keep].tolist(),
+            county_idx[table.order[table.starts[keep]]].tolist()):
         hazard = _HAZARD_WEIGHT[whp_class]
-        if hazard < _HAZARD_WEIGHT[int(WHPClass.MODERATE)]:
-            continue
-        ci = county_idx[group[0]]
         pop = int(county_pops[ci]) if ci >= 0 else 10_000
-        n_providers = len(np.unique(cells.provider_group[group]))
-        tenancy = 1.0 + 0.25 * (n_providers - 1)
+        tenancy = 1.0 + 0.25 * (n_prov - 1)
         score = hazard * np.log10(max(pop, 10)) * tenancy
         sites.append(SiteRisk(
-            site_id=int(cells.site_ids[group[0]]),
-            lon=float(cells.lons[group[0]]),
-            lat=float(cells.lats[group[0]]),
+            site_id=site_id,
+            lon=lon,
+            lat=lat,
             whp_class=whp_class,
-            n_transceivers=len(group),
-            n_providers=n_providers,
+            n_transceivers=n_tx,
+            n_providers=n_prov,
+            county=ci,
             county_population=pop,
             score=float(score),
         ))
@@ -148,10 +153,9 @@ def mitigation_plan(universe: SyntheticUS,
             acts.append(MitigationAction.BACKHAUL_REDUNDANCY)
         actions[site.site_id] = acts
         covered_tx += site.n_transceivers
-        key = site.county_population
-        if key not in seen_counties:
+        if site.county not in seen_counties:
             covered_pop += site.county_population
-            seen_counties.add(key)
+            seen_counties.add(site.county)
     return MitigationPlan(
         budget_sites=budget_sites,
         hardened=ranked,

@@ -79,7 +79,7 @@ def _compute_power_impact(session, year: int,
     # Direct: sites with any transceiver inside a perimeter.
     direct_tx = session.artifact("season_overlay",
                                  year=year).in_perimeter_mask
-    direct_sites = set(np.unique(cells.site_ids[direct_tx]).tolist())
+    direct = cells.sites().any(direct_tx)
     dead_subs = {int(s) for fire in season.fires
                  for s in grid.substations_in_polygon(fire.polygon)}
 
@@ -95,23 +95,23 @@ def _compute_power_impact(session, year: int,
     cut_lines = set(int(i) for i in
                     grid.lines_crossing_mask(whp, burned_at_risk))
 
-    dead_sites = grid.dead_sites(dead_subs, cut_lines)
+    dead = grid.dead_sites(dead_subs, cut_lines)
     # Distribution feeders crossing burned hazard cells also cut power
     # (the dominant §3.2 channel: sites far from the fire lose their
     # feed when it runs through de-energized or burned terrain).
-    dead_sites |= grid.feeder_cut_sites(cells, whp, burned_at_risk)
-    indirect_sites = dead_sites - direct_sites
-    total = len(dead_sites | direct_sites)
+    dead |= grid.feeder_cut_sites(cells, whp, burned_at_risk)
+    n_direct = int(direct.sum())
+    n_indirect = int((dead & ~direct).sum())
 
     return PowerImpact(
         year=year,
-        sites_direct=len(direct_sites),
-        sites_indirect=len(indirect_sites),
-        sites_total_affected=total,
+        sites_direct=n_direct,
+        sites_indirect=n_indirect,
+        sites_total_affected=int((dead | direct).sum()),
         substations_hit=len(dead_subs),
         lines_cut=len(cut_lines),
-        indirect_ratio=(len(indirect_sites) / len(direct_sites)
-                        if direct_sites else float("inf")),
+        indirect_ratio=(n_indirect / n_direct
+                        if n_direct else float("inf")),
     )
 
 
@@ -149,13 +149,14 @@ def _compute_psps(session, grid: PowerGrid,
     candidates = set(int(i) for i in grid.lines_crossing_mask(whp, mask))
     dead = grid.dead_sites(set(), candidates)
     dead |= grid.feeder_cut_sites(universe.cells, whp, mask)
+    n_dead = int(dead.sum())
     n_sites = len(grid.site_substation)
     return PspsExposure(
         n_lines_at_risk=len(candidates),
         n_lines_total=grid.n_lines,
-        sites_exposed=len(dead),
+        sites_exposed=n_dead,
         sites_total=n_sites,
-        exposed_share=len(dead) / max(n_sites, 1),
+        exposed_share=n_dead / max(n_sites, 1),
     )
 
 

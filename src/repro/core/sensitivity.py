@@ -54,10 +54,6 @@ class SensitivityReport:
     metrics: dict[str, MetricDistribution]
     top_state_per_seed: tuple[str, ...] = field(default_factory=tuple)
 
-    @property
-    def top_state_stable(self) -> bool:
-        return len(set(self.top_state_per_seed)) == 1
-
     def render(self) -> str:
         lines = [f"seeds: {list(self.seeds)}"]
         lines.extend(d.summary() for d in self.metrics.values())

@@ -39,8 +39,8 @@ from .providers import (
 )
 from .radios import RadioType, _draw_radio_types_by_code
 
-__all__ = ["CellUniverse", "generate_cells", "PROVIDER_GROUPS",
-           "PAPER_TRANSCEIVER_COUNT"]
+__all__ = ["CellUniverse", "SiteTable", "generate_cells",
+           "PROVIDER_GROUPS", "PAPER_TRANSCEIVER_COUNT"]
 
 #: The paper's OpenCelliD CONUS snapshot size (2019-10-22).
 PAPER_TRANSCEIVER_COUNT = 5_364_949
@@ -50,6 +50,35 @@ PROVIDER_GROUPS = (*MAJOR_PROVIDERS, "Others")
 
 #: Transceivers per site are drawn in ``[1, MAX_PER_SITE]``.
 MAX_PER_SITE = 12
+
+
+@dataclass(frozen=True)
+class SiteTable:
+    """One row per cell site, in ascending site-id order.
+
+    Transceivers sharing a ``site_id`` form one site; ``order`` is the
+    stable argsort of the universe's ``site_ids`` and ``starts`` each
+    site's first position in it, so ``order[starts]`` is every site's
+    first transceiver (what ``np.unique(..., return_index=True)``
+    returns) and a per-site reduction is one ``reduceat``.
+    """
+
+    ids: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    lons: np.ndarray
+    lats: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """Per-site maximum of a per-transceiver array."""
+        return np.maximum.reduceat(values[self.order], self.starts)
+
+    def any(self, mask: np.ndarray) -> np.ndarray:
+        """Per-site OR of a per-transceiver boolean mask."""
+        return np.logical_or.reduceat(mask[self.order], self.starts)
 
 
 @dataclass
@@ -66,6 +95,7 @@ class CellUniverse:
     _index: UniformGridIndex | None = field(default=None, repr=False)
     _token: bytes | None = field(default=None, repr=False)
     _packed: object | None = field(default=None, repr=False)
+    _sites: SiteTable | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.lons)
@@ -156,8 +186,22 @@ class CellUniverse:
             radio=self.radio[mask_or_idx],
         )
 
+    def sites(self) -> SiteTable:
+        """The per-site table (computed once, cached)."""
+        if self._sites is None:
+            order = np.argsort(self.site_ids, kind="stable")
+            sorted_ids = self.site_ids[order]
+            new_site = np.ones(len(order), dtype=bool)
+            new_site[1:] = sorted_ids[1:] != sorted_ids[:-1]
+            starts = np.flatnonzero(new_site)
+            first = order[starts]
+            self._sites = SiteTable(ids=sorted_ids[starts], order=order,
+                                    starts=starts, lons=self.lons[first],
+                                    lats=self.lats[first])
+        return self._sites
+
     def n_sites(self) -> int:
-        return len(np.unique(self.site_ids))
+        return len(self.sites())
 
     # ------------------------------------------------------------------
     # OpenCelliD-style CSV I/O

@@ -25,17 +25,16 @@ taken out*, which a dependency graph answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from ..geo.geometry import LineString
 from .cells import CellUniverse
 from .population import PopulationSurface
+from .roads import dense_mst
 from .whp import WhpModel
 
-__all__ = ["PowerGrid", "build_power_grid", "dense_mst"]
+__all__ = ["PowerGrid", "build_power_grid"]
 
 
 @dataclass
@@ -44,12 +43,10 @@ class PowerGrid:
 
     substation_lons: np.ndarray
     substation_lats: np.ndarray
-    #: (n_lines, 2) array of substation indices
+    #: (n_lines, 2) array of substation indices, rows sorted
     lines: np.ndarray
-    #: substation index per cell site id (dict: site_id -> substation)
-    site_substation: dict[int, int]
-    graph: "nx.Graph" = field(repr=False, default=None,
-                              metadata={"fingerprint": False})
+    #: substation index per row of the universe's ``cells.sites()``
+    site_substation: np.ndarray
 
     @property
     def n_substations(self) -> int:
@@ -58,20 +55,6 @@ class PowerGrid:
     @property
     def n_lines(self) -> int:
         return len(self.lines)
-
-    def line_segments(self) -> list[LineString]:
-        """Transmission lines as LineStrings."""
-        out = []
-        for a, b in self.lines:
-            out.append(LineString([
-                (self.substation_lons[a], self.substation_lats[a]),
-                (self.substation_lons[b], self.substation_lats[b])]))
-        return out
-
-    def sites_of_substation(self, substation: int) -> list[int]:
-        """Site ids fed by a substation."""
-        return [site for site, sub in self.site_substation.items()
-                if sub == substation]
 
     def substations_in_polygon(self, polygon) -> np.ndarray:
         """Indices of substations inside a polygon."""
@@ -88,92 +71,91 @@ class PowerGrid:
         the PSPS-candidate test: utilities de-energize lines that
         traverse high-hazard terrain.
         """
-        grid = whp.grid
-        hits = []
-        for i, (a, b) in enumerate(self.lines):
-            x1, y1 = self.substation_lons[a], self.substation_lats[a]
-            x2, y2 = self.substation_lons[b], self.substation_lats[b]
-            length = float(np.hypot(x2 - x1, y2 - y1))
-            n = max(2, int(length / step_deg))
-            ts = np.linspace(0.0, 1.0, n)
-            lons = x1 + ts * (x2 - x1)
-            lats = y1 + ts * (y2 - y1)
-            rows, cols = grid.rowcol(lons, lats)
-            ok = grid.inside(rows, cols)
-            if ok.any() and mask[rows[ok], cols[ok]].any():
-                hits.append(i)
-        return np.asarray(hits, dtype=np.int64)
+        a, b = self.lines.T
+        return np.flatnonzero(_segments_cross(
+            whp.grid, mask, self.substation_lons[a],
+            self.substation_lats[a], self.substation_lons[b],
+            self.substation_lats[b], step_deg))
 
     def feeder_cut_sites(self, cells: CellUniverse, whp: WhpModel,
                          mask: np.ndarray,
-                         step_deg: float = 0.04) -> set[int]:
-        """Site ids whose distribution feeder crosses True mask cells.
+                         step_deg: float = 0.04) -> np.ndarray:
+        """Mask over ``cells.sites()``: feeders crossing True mask cells.
 
         The feeder is modeled as the straight run from the site to its
         substation; fires or shutoffs anywhere along it cut the site's
         power — the §3.2 mechanism by which sites far outside a
         perimeter go dark.
         """
-        grid = whp.grid
-        site_ids, first = np.unique(cells.site_ids, return_index=True)
-        site_lons = cells.lons[first]
-        site_lats = cells.lats[first]
-        # Sample every feeder, then do one batched grid lookup for all
-        # samples; the per-site verdict is a segmented any().
-        sids: list[int] = []
-        counts: list[int] = []
-        lon_chunks: list[np.ndarray] = []
-        lat_chunks: list[np.ndarray] = []
-        for sid, lon, lat in zip(site_ids.tolist(), site_lons,
-                                 site_lats):
-            sub = self.site_substation.get(int(sid))
-            if sub is None:
-                continue
-            x2 = self.substation_lons[sub]
-            y2 = self.substation_lats[sub]
-            length = float(np.hypot(x2 - lon, y2 - lat))
-            n = max(2, int(length / step_deg))
-            ts = np.linspace(0.0, 1.0, n)
-            lon_chunks.append(lon + ts * (x2 - lon))
-            lat_chunks.append(lat + ts * (y2 - lat))
-            sids.append(int(sid))
-            counts.append(n)
-        if not sids:
-            return set()
-        rows, cols = grid.rowcol(np.concatenate(lon_chunks),
-                                 np.concatenate(lat_chunks))
-        ok = grid.inside(rows, cols)
-        hit = np.zeros(len(rows), dtype=bool)
-        hit[ok] = mask[rows[ok], cols[ok]]
-        offsets = np.cumsum([0] + counts[:-1])
-        crossed = np.logical_or.reduceat(hit, offsets)
-        return {sid for sid, c in zip(sids, crossed.tolist()) if c}
+        sites = cells.sites()
+        if len(sites) != len(self.site_substation):
+            raise ValueError(
+                f"grid was built on {len(self.site_substation)} sites, "
+                f"the universe has {len(sites)}")
+        sub = self.site_substation
+        return _segments_cross(whp.grid, mask, sites.lons, sites.lats,
+                               self.substation_lons[sub],
+                               self.substation_lats[sub], step_deg)
 
     def dead_sites(self, dead_substations: set[int],
-                   cut_lines: set[int]) -> set[int]:
-        """Site ids without power given failed substations/cut lines.
+                   cut_lines: set[int]) -> np.ndarray:
+        """Mask over the site table: sites without power given failed
+        substations/cut lines.
 
         A site is dead when its substation is dead, or its substation is
         disconnected from every live generation-bearing component.  We
         treat the largest connected component of the surviving line
-        graph as energized (bulk grid), matching how islanding plays out
-        in a radial simplification.
+        graph as energized (bulk grid; a tie goes to the component
+        holding the lowest substation index), matching how islanding
+        plays out in a radial simplification.
         """
-        g = self.graph.copy()
-        g.remove_nodes_from(dead_substations)
-        g.remove_edges_from(
-            tuple(self.lines[i]) for i in cut_lines
-            if self.lines[i][0] in g and self.lines[i][1] in g)
-        if len(g) == 0:
-            energized: set[int] = set()
-        else:
-            components = list(nx.connected_components(g))
-            energized = max(components, key=len)
-        dead = set()
-        for site, sub in self.site_substation.items():
-            if sub in dead_substations or sub not in energized:
-                dead.add(site)
-        return dead
+        alive = np.ones(self.n_substations, dtype=bool)
+        alive[list(dead_substations)] = False
+        kept = np.ones(self.n_lines, dtype=bool)
+        kept[list(cut_lines)] = False
+        a, b = self.lines[kept].T
+        live = alive[a] & alive[b]
+        a, b = a[live], b[live]
+        # Min-label propagation: at the fixpoint every substation holds
+        # the lowest index of its component.
+        label = np.arange(self.n_substations)
+        while True:
+            before = label.copy()
+            np.minimum.at(label, a, label[b])
+            np.minimum.at(label, b, label[a])
+            if np.array_equal(label, before):
+                break
+        sizes = np.bincount(label[alive], minlength=self.n_substations)
+        sub = self.site_substation
+        return ~alive[sub] | (label[sub] != np.argmax(sizes))
+
+
+def _segments_cross(grid, mask: np.ndarray, x1: np.ndarray,
+                    y1: np.ndarray, x2: np.ndarray, y2: np.ndarray,
+                    step_deg: float) -> np.ndarray:
+    """Which straight segments pass over a True cell of a grid mask.
+
+    Segment ``i`` runs from ``(x1[i], y1[i])`` to ``(x2[i], y2[i])`` and
+    is sampled at numpy's ``linspace(0, 1, n)`` with ``n = max(2,
+    int(length / step_deg))``.  That is ``arange(n) * (1 / (n - 1))``
+    with the last sample set to exactly 1.0; replaying it for every
+    segment at once gives the same sample bits, then one grid lookup and
+    one segmented OR give the verdicts.
+    """
+    dx = x2 - x1
+    dy = y2 - y1
+    n = np.maximum(2, (np.hypot(dx, dy) / step_deg).astype(np.int64))
+    ends = np.cumsum(n)
+    starts = ends - n
+    seg = np.repeat(np.arange(len(n)), n)
+    ts = (np.arange(n.sum()) - starts[seg]) * (1.0 / (n - 1))[seg]
+    ts[ends - 1] = 1.0
+    rows, cols = grid.rowcol(x1[seg] + ts * dx[seg],
+                             y1[seg] + ts * dy[seg])
+    ok = grid.inside(rows, cols)
+    hit = np.zeros(len(ts), dtype=bool)
+    hit[ok] = mask[rows[ok], cols[ok]]
+    return np.logical_or.reduceat(hit, starts)
 
 
 def build_power_grid(pop: PopulationSurface, cells: CellUniverse,
@@ -194,66 +176,27 @@ def build_power_grid(pop: PopulationSurface, cells: CellUniverse,
 
     # MST + k nearest neighbors over substations.  The full pairwise
     # distance matrix is small (n^2 floats); the MST comes from a dense
-    # vectorized Prim instead of a quadratic Python loop feeding
-    # Kruskal — identical tree, since the continuous sampled distances
-    # are pairwise distinct.
+    # vectorized Prim — the Kruskal tree, since the continuous sampled
+    # distances are pairwise distinct.
     d = np.hypot(sub_lons[:, None] - sub_lons[None, :],
                  sub_lats[:, None] - sub_lats[None, :])
     order = np.argsort(d, axis=1)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_substations))
-    mst = dense_mst(d)
-    graph.add_edges_from(zip(*np.nonzero(mst)))
-    for col in range(1, k_neighbors + 1):
-        graph.add_edges_from(enumerate(order[:, col].tolist()))
-
-    lines = np.asarray(sorted(tuple(sorted(e)) for e in graph.edges()),
-                       dtype=np.int64)
+    edges = [np.argwhere(dense_mst(d))]
+    edges += [np.column_stack((np.arange(n_substations), order[:, col]))
+              for col in range(1, k_neighbors + 1)]
+    lines = np.unique(np.sort(np.concatenate(edges), axis=1), axis=0)
 
     # Site -> nearest substation (one representative location per site).
-    site_ids, first = np.unique(cells.site_ids, return_index=True)
-    site_lons = cells.lons[first]
-    site_lats = cells.lats[first]
+    sites = cells.sites()
     nearest_chunks = []
     chunk = 4096
-    for start in range(0, len(site_ids), chunk):
-        sl = site_lons[start:start + chunk][:, None]
-        sa = site_lats[start:start + chunk][:, None]
+    for start in range(0, len(sites), chunk):
+        sl = sites.lons[start:start + chunk][:, None]
+        sa = sites.lats[start:start + chunk][:, None]
         d2 = (sl - sub_lons[None, :]) ** 2 + (sa - sub_lats[None, :]) ** 2
         nearest_chunks.append(np.argmin(d2, axis=1))
     nearest = np.concatenate(nearest_chunks) if nearest_chunks \
         else np.empty(0, dtype=np.int64)
-    assignment = {int(sid): int(sub)
-                  for sid, sub in zip(site_ids.tolist(), nearest.tolist())}
 
     return PowerGrid(substation_lons=sub_lons, substation_lats=sub_lats,
-                     lines=lines, site_substation=assignment,
-                     graph=graph)
-
-
-def dense_mst(d: np.ndarray) -> np.ndarray:
-    """Minimum spanning tree edges of a dense distance matrix.
-
-    Dense Prim's algorithm, O(n^2) with one vectorized relaxation per
-    added node.  Returns a boolean (n, n) matrix marking tree edges
-    (parent -> child as discovered).  The MST is unique — hence equal to
-    the Kruskal tree of the complete graph — whenever the off-diagonal
-    distances are distinct, the generic case for continuously sampled
-    points.
-    """
-    n = d.shape[0]
-    mst = np.zeros((n, n), dtype=bool)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = d[0].astype(float, copy=True)
-    best[0] = np.inf
-    parent = np.zeros(n, dtype=np.int64)
-    for _ in range(n - 1):
-        j = int(np.argmin(best))
-        in_tree[j] = True
-        mst[parent[j], j] = True
-        best[j] = np.inf
-        better = (d[j] < best) & ~in_tree
-        parent[better] = j
-        best[better] = d[j][better]
-    return mst
+                     lines=lines, site_substation=nearest)

@@ -16,69 +16,79 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import networkx as nx
 import numpy as np
 
 from ..geo.geometry import LineString
 from ..geo.projection import haversine_m
 from .cities import conus_cities
 
-__all__ = ["road_graph", "road_segments", "distance_to_roads_deg"]
+__all__ = ["road_edges", "road_segments", "distance_to_roads_deg",
+           "dense_mst"]
 
 
 @lru_cache(maxsize=1)
-def road_graph(k_neighbors: int = 3) -> "nx.Graph":
-    """Highway graph over metro anchors.
+def road_edges(k_neighbors: int = 3) -> np.ndarray:
+    """Highway edges as an ``(n_edges, 2)`` array of city indices.
 
-    Nodes are city names with ``lon``/``lat``/``city`` attributes; edges
-    carry great-circle ``length_m``.
+    Indices point into :func:`conus_cities`; each row is ``(u, v)`` with
+    ``u < v``.  Rows are grouped by ``u`` in city order and, within a
+    city, ordered by insertion: tree edges by ascending length
+    (Kruskal's order), then the k-nearest-neighbor edges.  The town
+    sampler draws its random numbers segment by segment in this order.
     """
     cities = conus_cities()
-    g = nx.Graph()
-    for c in cities:
-        g.add_node(c.name, lon=c.lon, lat=c.lat, city=c)
-
     lons = np.array([c.lon for c in cities])
     lats = np.array([c.lat for c in cities])
-
-    # Complete graph distances (70 cities -> trivial).
-    full = nx.Graph()
-    for i, a in enumerate(cities):
-        d = haversine_m(lons[i], lats[i], lons, lats)
-        for j in range(i + 1, len(cities)):
-            full.add_edge(a.name, cities[j].name, length_m=float(d[j]))
-
-    mst = nx.minimum_spanning_tree(full, weight="length_m")
-    g.add_edges_from(mst.edges(data=True))
-
-    # k nearest neighbors per city for redundancy.
-    for i, a in enumerate(cities):
-        d = haversine_m(lons[i], lats[i], lons, lats)
-        order = np.argsort(d)
-        added = 0
-        for j in order:
-            if j == i:
-                continue
-            b = cities[int(j)]
-            if not g.has_edge(a.name, b.name):
-                g.add_edge(a.name, b.name, length_m=float(d[j]))
-            added += 1
-            if added >= k_neighbors:
-                break
-    return g
+    d = np.array([haversine_m(lons[i], lats[i], lons, lats)
+                  for i in range(len(cities))])
+    tree = np.argwhere(dense_mst(d))
+    tree = tree[np.argsort(d[tree[:, 0], tree[:, 1]], kind="stable")]
+    near = np.argsort(d, axis=1)[:, 1:k_neighbors + 1]
+    knn = np.column_stack((np.repeat(np.arange(len(cities)), k_neighbors),
+                           near.ravel()))
+    edges = np.sort(np.concatenate((tree, knn)), axis=1)
+    _, first = np.unique(edges, axis=0, return_index=True)
+    edges = edges[np.sort(first)]
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    edges.setflags(write=False)  # cached and shared by every caller
+    return edges
 
 
 @lru_cache(maxsize=1)
 def road_segments() -> tuple[LineString, ...]:
     """All highway edges as 2-vertex LineStrings (lon/lat)."""
-    g = road_graph()
-    segs = []
-    for u, v in g.edges():
-        segs.append(LineString([
-            (g.nodes[u]["lon"], g.nodes[u]["lat"]),
-            (g.nodes[v]["lon"], g.nodes[v]["lat"]),
-        ]))
-    return tuple(segs)
+    cities = conus_cities()
+    return tuple(LineString([(cities[u].lon, cities[u].lat),
+                             (cities[v].lon, cities[v].lat)])
+                 for u, v in road_edges().tolist())
+
+
+def dense_mst(d: np.ndarray) -> np.ndarray:
+    """Minimum spanning tree edges of a dense distance matrix.
+
+    Dense Prim's algorithm, O(n^2) with one vectorized relaxation per
+    added node.  Returns a boolean (n, n) matrix marking tree edges
+    (parent -> child as discovered).  The MST is unique — hence equal to
+    the Kruskal tree of the complete graph — whenever the off-diagonal
+    distances are distinct, the generic case for continuously sampled
+    points.
+    """
+    n = d.shape[0]
+    mst = np.zeros((n, n), dtype=bool)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = d[0].astype(float, copy=True)
+    best[0] = np.inf
+    parent = np.zeros(n, dtype=np.int64)
+    for _ in range(n - 1):
+        j = int(np.argmin(best))
+        in_tree[j] = True
+        mst[parent[j], j] = True
+        best[j] = np.inf
+        better = (d[j] < best) & ~in_tree
+        parent[better] = j
+        best[better] = d[j][better]
+    return mst
 
 
 def distance_to_roads_deg(lons, lats, chunk: int = 512) -> np.ndarray:
@@ -142,11 +152,12 @@ def distance_to_roads_deg(lons, lats, chunk: int = 512) -> np.ndarray:
         if len(keep) == 0:
             best[idx] = np.inf
             continue
-        # One broadcast evaluation over (kept segments, chunk points);
-        # the per-element arithmetic matches _point_segment_distance_vec
-        # (including its zero-length-segment fallback via the where'd
-        # denominator), and an axis-min of the same floats equals the
-        # running-minimum loop exactly.
+        # One broadcast evaluation over (kept segments, chunk points):
+        # each element is the distance from the point to its projection
+        # clamped onto the segment, t = clip(((p - a) . d) / |d|^2, 0, 1)
+        # (|d|^2 := 1 for a zero-length segment, so t = 0 and the
+        # distance is to its endpoint), and an axis-min of the same
+        # floats equals the running-minimum loop exactly.
         x1 = segs[keep, 0][:, None]
         y1 = segs[keep, 1][:, None]
         dxk = dx[keep][:, None]
@@ -159,12 +170,3 @@ def distance_to_roads_deg(lons, lats, chunk: int = 512) -> np.ndarray:
         best[idx] = d.min(axis=0)
     return best.reshape(lons.shape)
 
-
-def _point_segment_distance_vec(px, py, x1, y1, x2, y2) -> np.ndarray:
-    dx = x2 - x1
-    dy = y2 - y1
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0.0:
-        return np.hypot(px - x1, py - y1)
-    t = np.clip(((px - x1) * dx + (py - y1) * dy) / seg_len2, 0.0, 1.0)
-    return np.hypot(px - (x1 + t * dx), py - (y1 + t * dy))

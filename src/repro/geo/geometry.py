@@ -44,9 +44,6 @@ class Point:
     lon: float
     lat: float
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lon, self.lat)
-
 
 @dataclass(frozen=True)
 class BBox:

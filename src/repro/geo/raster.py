@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import ndimage
 
 from ..runtime.stats import STATS
 from .geometry import BBox, Polygon
-from .projection import meters_per_degree, sqmeters_to_acres
+from .projection import meters_per_degree
 
 __all__ = ["GridSpec", "Raster", "rasterize_polygon", "disk_footprint"]
 
@@ -197,19 +196,11 @@ class Raster:
         out[np.ix_(in_rows, in_cols)] = block
         return out
 
-    def mask_where(self, predicate: Callable[[np.ndarray], np.ndarray]) \
-            -> np.ndarray:
-        """Boolean mask of cells where ``predicate(data)`` holds."""
-        return predicate(self.data)
-
     def class_area_sqm(self, value) -> float:
         """True area covered by cells equal to ``value``."""
         mask = self.data == value
         per_row = mask.sum(axis=1).astype(float)
         return float((per_row * self.grid.cell_areas_sqm()).sum())
-
-    def class_area_acres(self, value) -> float:
-        return sqmeters_to_acres(self.class_area_sqm(value))
 
     def dilate_mask(self, mask: np.ndarray, radius_m: float) -> np.ndarray:
         """Morphologically dilate a boolean mask by a metric radius.

@@ -16,8 +16,6 @@ memoized one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..data.historical_stats import year_stats
 from ..data.wildfires import generate_fire_season, scripted_2019_growth
 from .base import EventSet, Hazard
@@ -94,10 +92,3 @@ class WildfireHazard(Hazard):
         background = [f for f in season.fires
                       if f.name not in scripted_names]
         return season.year, background, growth
-
-    # ------------------------------------------------------------------
-
-    def intensity_histogram(self, universe) -> np.ndarray:
-        """Cell counts per WHP class (diagnostic helper)."""
-        data = universe.whp.raster.data
-        return np.bincount(data.ravel().astype(np.int64), minlength=6)

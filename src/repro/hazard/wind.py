@@ -46,9 +46,6 @@ class WindFieldSurface:
             self._token = self.raster.content_token()
         return self._token
 
-    def severe_mask(self) -> np.ndarray:
-        return self.raster.data >= 3
-
 
 class WindFootprintHazard(Hazard):
     """Severe-wind swaths over a synthetic storm-climatology field."""

@@ -130,10 +130,8 @@ def fingerprint(value) -> str:
 
     Stable across processes and machines for the types artifacts are
     made of: primitives, strings, numpy arrays (dtype + shape + bytes,
-    duck-typed), dataclasses (per field; fields opting out via
-    ``metadata={"fingerprint": False}`` are skipped), dicts (sorted by
-    key repr), and sequences.  Unknown objects fall back to ``repr``,
-    which is
+    duck-typed), dataclasses (per field), dicts (sorted by key repr),
+    and sequences.  Unknown objects fall back to ``repr``, which is
     only stable when the repr is — artifact dataclasses bottom out in
     the stable branches, so this is a corner, not the common path.
     """
@@ -172,12 +170,6 @@ def _feed(h, value) -> None:
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         h.update(f"dc:{type(value).__name__}(".encode())
         for f in dataclasses.fields(value):
-            # Fields marked fingerprint=False hold derived handles
-            # (e.g. a networkx graph) whose repr embeds a memory
-            # address — unstable across processes, and fully
-            # determined by the content-bearing fields anyway.
-            if not f.metadata.get("fingerprint", True):
-                continue
             h.update(f"{f.name}=".encode())
             _feed(h, getattr(value, f.name))
         h.update(b")")

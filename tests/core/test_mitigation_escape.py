@@ -10,6 +10,7 @@ from repro.core.mitigation import (
     rank_sites,
 )
 from repro.data.whp import WHPClass
+from repro.session import session_of
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +59,59 @@ class TestRankSites:
             assert vh_big[0].score > m_small[0].score
 
 
+def _ranking_loop(universe):
+    """The ``np.split`` grouping site ranking once ran, as
+    ``(site_id, lon, lat, whp_class, n_tx, n_providers, county,
+    county_pop, score)`` rows in rank order."""
+    session = session_of(universe)
+    cells = universe.cells
+    classes = session.artifact("whp_classes")
+    county_idx = session.artifact("county_assignment")
+    county_pops = universe.counties.populations()
+    weight = {3: 0.40, 4: 0.70, 5: 1.00}
+    order = np.argsort(cells.site_ids, kind="stable")
+    bounds = np.nonzero(np.diff(cells.site_ids[order]))[0] + 1
+    rows = []
+    for group in np.split(order, bounds):
+        whp_class = int(classes[group].max())
+        if whp_class not in weight:
+            continue
+        ci = county_idx[group[0]]
+        pop = int(county_pops[ci]) if ci >= 0 else 10_000
+        n_providers = len(np.unique(cells.provider_group[group]))
+        score = weight[whp_class] * np.log10(max(pop, 10)) \
+            * (1.0 + 0.25 * (n_providers - 1))
+        rows.append((int(cells.site_ids[group[0]]),
+                     float(cells.lons[group[0]]),
+                     float(cells.lats[group[0]]), whp_class, len(group),
+                     n_providers, int(ci), pop, float(score)))
+    rows.sort(key=lambda r: r[-1], reverse=True)
+    return rows
+
+
+class TestRankingLoop:
+    def test_matches_split_loop(self, universe, ranked):
+        got = [(s.site_id, s.lon, s.lat, s.whp_class, s.n_transceivers,
+                s.n_providers, s.county, s.county_population, s.score)
+               for s in ranked]
+        assert got == _ranking_loop(universe)
+
+
 class TestMitigationPlan:
+    def test_covered_population_counts_each_county_once(self, universe):
+        """Distinct counties that share a population value each count:
+        de-duplication is by county, not by population figure."""
+        plan = mitigation_plan(universe, budget_sites=100)
+        county_idx = session_of(universe).artifact("county_assignment")
+        pops = universe.counties.populations()
+        ids, idx = np.unique(universe.cells.site_ids, return_index=True)
+        first = dict(zip(ids.tolist(), idx.tolist()))
+        counties = {int(county_idx[first[s.site_id]])
+                    for s in plan.hardened}
+        expected = sum(int(pops[c]) if c >= 0 else 10_000
+                       for c in counties)
+        assert plan.covered_population == expected
+
     def test_budget_respected(self, universe):
         plan = mitigation_plan(universe, budget_sites=25)
         assert len(plan.hardened) <= 25

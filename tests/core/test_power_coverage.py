@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.coverage import (
+    _coverage_mask,
     coverage_loss_analysis,
     estimate_site_radii_m,
 )
@@ -13,7 +14,38 @@ from repro.core.power import (
     psps_exposure,
 )
 from repro.data.whp import WHPClass
+from repro.geo.projection import meters_per_degree
 from repro.session import session_of
+
+
+def _coverage_mask_loop(pop, site_lons, site_lats, radii_m):
+    """The per-site stamp loop coverage once ran: windows clamped per
+    site and cell centers from ``cell_center`` per site."""
+    grid = pop.grid
+    covered = np.zeros(grid.shape, dtype=bool)
+    _, m_lat = meters_per_degree(0.0)
+    m_lon = m_lat * np.cos(np.radians(site_lats))
+    rlons = radii_m / m_lon
+    rlats = radii_m / m_lat
+    rows0, cols0 = grid.rowcol(site_lons - rlons, site_lats + rlats)
+    rows1, cols1 = grid.rowcol(site_lons + rlons, site_lats - rlats)
+    for lon, lat, rlon, rlat, row0, col0, row1, col1 in zip(
+            site_lons.tolist(), site_lats.tolist(), rlons.tolist(),
+            rlats.tolist(), rows0.tolist(), cols0.tolist(),
+            rows1.tolist(), cols1.tolist()):
+        row0 = max(row0, 0)
+        col0 = max(col0, 0)
+        row1 = min(row1, grid.height - 1)
+        col1 = min(col1, grid.width - 1)
+        if row0 > row1 or col0 > col1:
+            continue
+        clons, _ = grid.cell_center(0, np.arange(col0, col1 + 1))
+        _, clats = grid.cell_center(np.arange(row0, row1 + 1), 0)
+        u = ((clons - lon) / rlon) ** 2
+        v = ((clats - lat) / rlat) ** 2
+        covered[row0:row1 + 1, col0:col1 + 1] |= (u[None, :]
+                                                  + v[:, None]) <= 1.0
+    return covered
 
 
 @pytest.fixture(scope="session")
@@ -124,6 +156,39 @@ class TestCoverage:
         redundant urban coverage absorbs most of it (the paper's point
         that rural/WUI users bear the coverage risk)."""
         assert 0.0 < result.lost_share < 0.25
+
+    @pytest.mark.parametrize("floor", [WHPClass.MODERATE, WHPClass.HIGH],
+                             ids=["moderate", "high"])
+    def test_matches_two_pass_loop(self, universe, floor):
+        """The one-pass stamps equal the two passes (every site, then the
+        safe ones) of the per-site ``cell_center`` loop, with site
+        classes from the ``np.split`` grouping."""
+        cells = universe.cells
+        pop = universe.population
+        classes = session_of(universe).artifact("whp_classes")
+        ids, first = np.unique(cells.site_ids, return_index=True)
+        order = np.argsort(cells.site_ids, kind="stable")
+        bounds = np.nonzero(np.diff(cells.site_ids[order]))[0] + 1
+        site_class = np.array([g.max() for g in
+                               np.split(classes[order], bounds)])
+        safe = site_class < int(floor)
+        lons, lats = cells.lons[first], cells.lats[first]
+        radii = estimate_site_radii_m(universe)
+        before = _coverage_mask_loop(pop, lons, lats, radii)
+        after = _coverage_mask_loop(pop, lons[safe], lats[safe],
+                                    radii[safe])
+        assert np.array_equal(_coverage_mask(pop, lons, lats, radii),
+                              before)
+        weights = pop.raster.data
+        result = coverage_loss_analysis(universe, hazard_floor=floor)
+        assert result.sites_total == len(ids)
+        assert result.sites_lost == int((~safe).sum())
+        assert result.population_covered_before \
+            == float(weights[before].sum())
+        assert result.population_covered_after \
+            == float(weights[after].sum())
+        assert result.population_lost \
+            == float(weights[before & ~after].sum())
 
     def test_higher_floor_less_loss(self, universe, result):
         vh_only = coverage_loss_analysis(universe,

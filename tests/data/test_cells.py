@@ -111,6 +111,42 @@ class TestContainer:
         assert set(np.unique(names)) <= set(PROVIDER_GROUPS)
 
 
+class TestSiteTable:
+    """The one site grouping against np.unique and the np.split
+    groupings it replaced."""
+
+    @pytest.fixture(scope="class", params=["universe", "shuffled"])
+    def some_cells(self, request, cells):
+        if request.param == "universe":
+            return cells
+        # A permuted subset: site ids arrive unsorted and interleaved.
+        return cells.subset(np.random.default_rng(5).permutation(len(cells)))
+
+    def test_matches_np_unique(self, some_cells):
+        sites = some_cells.sites()
+        ids, first = np.unique(some_cells.site_ids, return_index=True)
+        assert np.array_equal(sites.ids, ids)
+        assert np.array_equal(sites.order[sites.starts], first)
+        assert np.array_equal(sites.lons, some_cells.lons[first])
+        assert np.array_equal(sites.lats, some_cells.lats[first])
+        assert len(sites) == some_cells.n_sites() == len(ids)
+
+    def test_cached(self, some_cells):
+        assert some_cells.sites() is some_cells.sites()
+
+    def test_reductions_match_split(self, some_cells):
+        sites = some_cells.sites()
+        order = np.argsort(some_cells.site_ids, kind="stable")
+        bounds = np.nonzero(np.diff(some_cells.site_ids[order]))[0] + 1
+        groups = np.split(order, bounds)
+        radio = some_cells.radio
+        assert np.array_equal(sites.max(radio),
+                              [radio[g].max() for g in groups])
+        mask = np.random.default_rng(6).random(len(some_cells)) < 0.1
+        assert np.array_equal(sites.any(mask),
+                              [mask[g].any() for g in groups])
+
+
 class TestCsvIO:
     def test_roundtrip(self, universe, tmp_path):
         small = generate_cells(universe.population, 500, seed=3)

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,16 @@ def _run(*argv: str) -> str:
     code = main([*ARGS, *argv], stream=buffer)
     assert code == 0
     return buffer.getvalue()
+
+
+def test_imports_without_networkx():
+    """networkx is no dependency: the CLI imports with it blocked."""
+    code = "import sys; sys.modules['networkx'] = None; import repro.cli"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
 
 
 class _FakeClock:
