@@ -10,7 +10,7 @@ Run with::
 
 Every benchmark session also updates ``BENCH_runtime.json`` at the repo
 root: per-stage wall times, index/cache counters, the runtime config
-(workers, chunk size, cache state), and any named measurements recorded
+(workers, cache state), and any named measurements recorded
 via :func:`record_timing` — the perf trajectory future PRs diff against.
 Sections merge into the file, so a partial run (or ``e2ebench/run.py
 --bench-json``) never erases what other sessions recorded.
@@ -141,7 +141,6 @@ def pytest_sessionfinish(session, exitstatus) -> None:
         "machine": platform.machine(),
         "config": {
             "workers": cfg.workers,
-            "chunk_size": cfg.chunk_size,
             "cache_enabled": cfg.cache_enabled,
             "cache_dir": str(cfg.cache_dir) if cfg.cache_dir else None,
         },

@@ -118,7 +118,7 @@ def test_runtime_classify_modes(universe, tmp_path):
     before = STATS.snapshot()
     parallel, parallel_s = _timed(
         classify_cells, cells, universe.whp, workers=workers,
-        chunk_size=32_768, use_cache=False)
+        use_cache=False)
     fell_back = _fell_back(before)
     set_cache(ResultCache(tmp_path))
     try:
@@ -132,7 +132,7 @@ def test_runtime_classify_modes(universe, tmp_path):
     assert (serial == parallel).all()
     assert (serial == warm).all()
     resolved = dispatch.plan("classify", workers, len(cells),
-                             len(cells), -(-len(cells) // 32_768))
+                             len(cells), len(cells))
     if resolved == 1:
         serial_s = parallel_s = min(serial_s, parallel_s)
     skipped = skipped_asserts("classify parallel <= 1.5x serial",

@@ -119,18 +119,6 @@ register_stage("map", help="ASCII map of a figure",
                         StageOption("--width", type=int, default=100)))
 
 
-def _positive_int(raw: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {raw!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -155,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for spatial joins "
                              "(default: $REPRO_WORKERS or 1 = serial)")
-    parser.add_argument("--chunk-size", type=_positive_int, default=None,
-                        help="points per parallel classify task")
     parser.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the --cache-dir "
                              "result cache")
@@ -288,8 +274,6 @@ def _configure_runtime(args: argparse.Namespace) -> None:
     overrides = {}
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.chunk_size is not None:
-        overrides["chunk_size"] = args.chunk_size
     if args.no_cache:
         overrides["cache_enabled"] = False
     if args.cache_dir is not None:
@@ -303,7 +287,6 @@ def _runtime_config_dict() -> dict:
     cfg = runtime.get_config()
     return {
         "workers": cfg.workers,
-        "chunk_size": cfg.chunk_size,
         "cache_enabled": cfg.cache_enabled,
         "cache_dir": str(cfg.cache_dir) if cfg.cache_dir else None,
     }

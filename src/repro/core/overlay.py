@@ -22,13 +22,14 @@ Execution is delegated to :mod:`repro.runtime`:
   work of each join and stays serial below the measured crossover, so
   requesting workers can never make a join slower;
 * above the crossover, the perimeter overlay shards **by fire** over a
-  persistent worker pool (:mod:`repro.runtime.pool`).  Workers hold the
-  full point universe and build the grid index **once**, on first use,
-  then reuse it for every fire of every season of a 19-year sweep; a
-  task ships only a slice of the fire list and returns per-fire counts
-  plus global hit indices.  Every pooled join — batch overlay, delta
-  tick, classify, scenario ensemble — fans out through one helper,
-  :func:`fan_out`, and runs the same per-item loop, :func:`join_items`;
+  persistent worker pool (:mod:`repro.runtime.pool`).  The parent
+  builds the grid index before the pool starts, so forked workers
+  inherit the universe and its index copy-on-write and reuse them for
+  every fire of every season of a 19-year sweep; a task ships only a
+  slice of the fire list and returns per-fire counts plus global hit
+  indices.  Every pooled join — batch overlay, delta tick, classify,
+  scenario ensemble — fans out through one helper, :func:`fan_out`;
+  the joins run the same per-item loop, :func:`join_items`;
 * with a cache directory configured, results are read from and
   written to the content-addressed disk cache, keyed by the inputs'
   bytes.
@@ -52,7 +53,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from ..data.cells import CellUniverse
-from ..data.packed import unpack_index
 from ..geo.index import UniformGridIndex
 from ..runtime import (
     cache_key,
@@ -61,9 +61,7 @@ from ..runtime import (
     get_config,
     plan,
     run_tasks,
-    use_shared_memory,
 )
-from ..runtime import shm as _shm
 from ..obs.trace import span as trace_span
 from ..runtime.stats import STATS
 from ..session import StageOption, artifact, register_stage
@@ -75,12 +73,9 @@ __all__ = ["FireOverlayResult", "FireDelta", "overlay_fires",
            "overlay_fires_bruteforce", "update_overlay", "empty_overlay",
            "classify_cells", "fires_token", "join_items", "fan_out"]
 
-#: Default grid-index bucket size, matching :meth:`CellUniverse.index`.
-_INDEX_CELL_DEG = 0.25
-
-#: Fire-slices per worker and pool run.  More slices than workers keeps
+#: Task slices per worker and pool run.  More slices than workers keeps
 #: the pool load-balanced when perimeter sizes vary wildly (they do).
-_FIRE_SLICES_PER_WORKER = 4
+_SLICES_PER_WORKER = 4
 
 
 @dataclass
@@ -155,68 +150,21 @@ def fires_token(fires: list[HazardEvent]) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing.  One pool initializer installs the point
-# universe once per worker (a shared-memory handle, or the coordinate
-# arrays, inherited copy-on-write under fork) plus, for a classify
-# pool, the intensity surface.  The grid index is built lazily on the
-# first task and reused for every subsequent task of every subsequent
-# call — the pool itself persists across joins (see
-# repro.runtime.pool).
+# Worker-process plumbing.  One pool initializer stores the point
+# universe plus, for a classify pool, the intensity surface.  Under fork
+# both are the parent's own objects, inherited copy-on-write together
+# with the grid index fan_out built before the pool started; where the
+# pool has to pickle them instead, the universe carries its built index.
+# The pool itself persists across joins (see repro.runtime.pool).
 # ----------------------------------------------------------------------
 
-_WORKER_STATE: dict | None = None
+_WORKER_STATE: tuple | None = None
 
 
-def _init_worker(handle, lons, lats, surface) -> None:
-    """Store the universe (``handle`` or ``lons``/``lats``) and surface.
-
-    A shared-memory handle is attached lazily on the first task: an
-    initializer that raises would put the pool into a silent respawn
-    loop, whereas a task failure propagates through ``pool.map`` into
-    the runtime's serial fallback.
-    """
+def _init_worker(cells: CellUniverse, surface) -> None:
+    """Store the universe and the intensity surface (or ``None``)."""
     global _WORKER_STATE
-    _WORKER_STATE = {"handle": handle, "lons": lons, "lats": lats,
-                     "surface": surface, "index": None}
-
-
-def _worker_arrays() -> dict:
-    """The worker's universe columns: zero-copy views of the parent's
-    pack (attached on first use), or the initializer's arrays."""
-    state = _WORKER_STATE
-    if state["handle"] is None:
-        return state
-    if "arrays" not in state:
-        state["arrays"] = _shm.attach_arrays(state["handle"])
-    return state["arrays"]
-
-
-def _worker_index() -> UniformGridIndex:
-    state = _WORKER_STATE
-    if state["index"] is None:
-        if state["handle"] is not None:
-            # Adopt the parent's pre-built CSR index zero-copy: no
-            # coordinate hashing, no argsort, no bucket rebuild.
-            state["index"] = unpack_index(_worker_arrays())
-            STATS.count("pool.worker_index_attach")
-        else:
-            state["index"] = UniformGridIndex(
-                state["lons"], state["lats"], _INDEX_CELL_DEG)
-            STATS.count("pool.worker_index_builds")
-    return state["index"]
-
-
-def _shared_handle(cells: CellUniverse):
-    """Shared-memory handle for the universe's pack, or ``None``.
-
-    ``None`` (segment creation failed, or the universe refuses to pack)
-    sends the caller down the classic initializer-pickle path.
-    """
-    try:
-        pack = cells.packed(_INDEX_CELL_DEG)
-    except ValueError:
-        return None
-    return _shm.share_arrays(pack.token, pack.arrays)
+    _WORKER_STATE = (cells, surface)
 
 
 def join_items(index: UniformGridIndex, items: list) \
@@ -240,20 +188,21 @@ def join_items(index: UniformGridIndex, items: list) \
 def _join_task(items: list):
     """Pool task: :func:`join_items` against the worker-resident index,
     plus the worker's stats delta."""
+    cells, _ = _WORKER_STATE
     before = STATS.snapshot()
     with trace_span("overlay.chunk", n_fires=len(items)) as sp:
-        counts, hits = join_items(_worker_index(), items)
+        counts, hits = join_items(cells.index(), items)
         sp.set(hits=int(counts.sum()))
     return (counts, hits), STATS.delta_since(before)
 
 
 def _classify_task(span: tuple[int, int]):
     start, stop = span
-    arrays = _worker_arrays()
+    cells, surface = _WORKER_STATE
     before = STATS.snapshot()
     with trace_span("classify.chunk", start=start, stop=stop):
-        classes = _WORKER_STATE["surface"].classify(
-            arrays["lons"][start:stop], arrays["lats"][start:stop])
+        classes = surface.classify(cells.lons[start:stop],
+                                   cells.lats[start:stop])
     return classes, STATS.delta_since(before)
 
 
@@ -264,32 +213,32 @@ def fan_out(kind: str, cells: CellUniverse, requested: int, work: int,
     """Run one join over the persistent universe pool.
 
     Plans the workers for ``kind`` (:func:`repro.runtime.plan`),
-    builds the task list with ``tasks(workers)``, ships the universe to
-    new workers through shared memory (or the initializer pickle), runs
-    the tasks and merges the workers' stats deltas.  Returns the task
-    payloads in task order, or ``None`` when the caller should run its
-    serial loop: below the crossover, or after a pool failure.
+    builds the task list with ``tasks(workers)``, runs the tasks on a
+    pool whose workers hold ``cells`` (and ``surface``), and merges the
+    workers' stats deltas.  Returns the task payloads in task order, or
+    ``None`` when the caller should run its serial loop: below the
+    crossover, or after a pool failure.
 
     ``classify`` tasks are point spans sampling ``surface`` on a pool
     of their own; every other kind's tasks are :func:`join_items` item
-    lists on the shared ``overlay`` pool.  ``span`` (the caller's join
-    span) records the planned workers.
+    lists on the shared ``overlay`` pool, whose workers join against
+    the index built here, before a new pool forks.  ``span`` (the
+    caller's join span) records the planned workers.
     """
     workers = plan(kind, requested, len(cells), work, units)
     if span is not None:
         span.set(workers=workers)
     if workers <= 1:
         return None
-    handle = _shared_handle(cells) if use_shared_memory(len(cells)) \
-        else None
-    coords = (cells.lons, cells.lats) if handle is None else (None, None)
     name, fn, token = "overlay", _join_task, cells.content_token()
     if kind == "classify":
         name, fn = "classify", _classify_task
         token += surface.content_token()
+    else:
+        cells.index()
     results = run_tasks(name, workers, token, fn, tasks(workers),
                         initializer=_init_worker,
-                        initargs=(handle, *coords, surface))
+                        initargs=(cells, surface))
     if results is None:
         return None
     for _, delta in results:
@@ -297,10 +246,15 @@ def fan_out(kind: str, cells: CellUniverse, requested: int, work: int,
     return [payload for payload, _ in results]
 
 
+def _slices(n: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``[start, stop)`` spans of ``range(n)``, several per
+    worker."""
+    return chunk_spans(n, -(-n // (workers * _SLICES_PER_WORKER)))
+
+
 def _fire_slices(items: list, workers: int) -> list[list]:
     """Contiguous slices of ``items``, several per worker."""
-    size = -(-len(items) // (workers * _FIRE_SLICES_PER_WORKER))
-    return [items[lo:hi] for lo, hi in chunk_spans(len(items), size)]
+    return [items[lo:hi] for lo, hi in _slices(len(items), workers)]
 
 
 def _join_fires(kind: str, cells: CellUniverse, items: list,
@@ -418,8 +372,8 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
 
     The mask update relies on monotone growth (``prev`` hits stay
     hits), the same contract ``query_polygon_delta`` documents.  Large
-    dirty sets dispatch through the persistent pool/shm machinery
-    (the ``delta`` plan); small ticks run serially.
+    dirty sets dispatch through the persistent worker pool (the
+    ``delta`` plan); small ticks run serially.
     """
     if workers is None:
         workers = get_config().workers
@@ -473,19 +427,16 @@ def overlay_fires_bruteforce(cells: CellUniverse,
 
 def classify_cells(cells: CellUniverse, whp: IntensitySurface, *,
                    workers: int | None = None,
-                   chunk_size: int | None = None,
                    use_cache: bool | None = None) -> np.ndarray:
     """WHP class code per transceiver (vectorized raster sampling).
 
-    Sharded over the persistent worker pool for very large universes and
-    memoized like :func:`overlay_fires`; the sampling itself is exact
-    per point, so every path returns identical codes.
+    Sharded into contiguous point spans over the persistent worker pool
+    for very large universes and memoized like :func:`overlay_fires`;
+    the sampling itself is exact per point, so every path returns
+    identical codes.
     """
-    cfg = get_config()
     if workers is None:
-        workers = cfg.workers
-    if chunk_size is None:
-        chunk_size = cfg.chunk_size
+        workers = get_config().workers
 
     cache = _result_cache(use_cache)
     if cache is not None:
@@ -497,10 +448,8 @@ def classify_cells(cells: CellUniverse, whp: IntensitySurface, *,
 
     n = len(cells)
     with trace_span("classify_cells", n_points=n) as sp:
-        parts = fan_out("classify", cells, workers, n,
-                        -(-n // chunk_size),
-                        lambda _: chunk_spans(n, chunk_size),
-                        surface=whp, span=sp)
+        parts = fan_out("classify", cells, workers, n, n,
+                        partial(_slices, n), surface=whp, span=sp)
         classes = np.concatenate(parts) if parts is not None \
             else whp.classify(cells.lons, cells.lats)
 

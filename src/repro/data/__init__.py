@@ -28,7 +28,6 @@ from .dirs import (
     DIRS_REPORT_DAYS,
     DirsDailyReport,
     DirsSimulation,
-    OutageCause,
     simulate_dirs,
 )
 from .ecoregions import (
@@ -57,13 +56,6 @@ from .states import (
     StateAssigner,
     conus_bbox,
     conus_states,
-)
-from .packed import (
-    PACK_DTYPES,
-    PackedCells,
-    pack_cells,
-    unpack_cells,
-    unpack_index,
 )
 from .universe import (
     SCALE_PRESETS,
@@ -97,7 +89,7 @@ __all__ = [
     "City", "conus_cities", "city_by_name", "PAPER_METROS",
     "County", "CountyLayer", "PopCategory", "build_counties",
     "categorize_population", "POP_CATEGORY_NAMES",
-    "DirsDailyReport", "DirsSimulation", "OutageCause", "simulate_dirs",
+    "DirsDailyReport", "DirsSimulation", "simulate_dirs",
     "DIRS_REGION", "DIRS_REPORT_DAYS",
     "Ecoregion", "ecoregion_at", "slc_denver_ecoregions",
     "slc_denver_window",
@@ -110,8 +102,6 @@ __all__ = [
     "RadioType", "RADIO_NAMES", "technology_mix", "draw_radio_types",
     "State", "StateAssigner", "conus_states", "conus_bbox",
     "WESTERN_STATES", "SOUTHEASTERN_STATES",
-    "PackedCells", "PACK_DTYPES", "pack_cells", "unpack_cells",
-    "unpack_index",
     "SyntheticUS", "UniverseConfig", "default_universe", "small_universe",
     "SCALE_PRESETS", "scale_config", "universe_for_scale",
     "WhpModel", "WHPClass", "WHP_CLASS_NAMES", "build_whp",

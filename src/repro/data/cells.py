@@ -94,7 +94,6 @@ class CellUniverse:
     radio: np.ndarray         # int8 RadioType code
     _index: UniformGridIndex | None = field(default=None, repr=False)
     _token: bytes | None = field(default=None, repr=False)
-    _packed: object | None = field(default=None, repr=False)
     _sites: SiteTable | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -137,19 +136,6 @@ class CellUniverse:
                 h.update(np.ascontiguousarray(arr).tobytes())
             self._token = h.digest()
         return self._token
-
-    def packed(self, cell_deg: float = 0.25):
-        """Contiguous column pack of this universe (built lazily, cached).
-
-        The pack bundles every column plus the serialized spatial index
-        at pinned dtypes, ready to copy into a shared-memory segment so
-        pool workers adopt state instead of rebuilding it.
-        """
-        from .packed import pack_cells
-
-        if self._packed is None or self._packed.cell_deg != cell_deg:
-            self._packed = pack_cells(self, cell_deg)
-        return self._packed
 
     def stratified_sample(self, fraction: float) -> "CellUniverse":
         """Deterministic stratified subsample of the universe.

@@ -26,7 +26,6 @@ synthetic universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -34,22 +33,14 @@ from ..geo.geometry import BBox
 from .cells import CellUniverse
 from .wildfires import FirePerimeter
 
-__all__ = ["OutageCause", "DirsDailyReport", "DirsSimulation",
-           "simulate_dirs", "DIRS_REPORT_DAYS", "DIRS_REGION"]
+__all__ = ["DirsDailyReport", "DirsSimulation", "simulate_dirs",
+           "DIRS_REPORT_DAYS", "DIRS_REGION"]
 
 #: Reporting days: 25 October .. 1 November 2019 (day-of-year 298..305).
 DIRS_REPORT_DAYS = tuple(range(298, 306))
 
 #: The 37-county DIRS activation region (Northern & Southern CA).
 DIRS_REGION = BBox(-124.4, 32.5, -118.0, 42.0)
-
-
-class OutageCause(IntEnum):
-    """FCC outage categories, §3.2."""
-
-    POWER = 0
-    BACKHAUL = 1
-    DAMAGE = 2
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "MAJOR_PROVIDERS",
     "Provider",
@@ -30,7 +28,6 @@ __all__ = [
     "resolve_provider",
     "provider_market_shares",
     "rural_affinity",
-    "plmn_pool",
 ]
 
 #: Canonical provider groups in the paper's Table 2 order.
@@ -203,21 +200,3 @@ def provider_market_shares() -> dict[str, float]:
 def rural_affinity(group: str) -> float:
     """Rural-footprint bias used by the transceiver sampler."""
     return _RURAL_AFFINITY.get(group, _RURAL_AFFINITY["Others"])
-
-
-def plmn_pool(group: str, rng: np.random.Generator) -> Plmn:
-    """Draw a PLMN for a transceiver operated by ``group``.
-
-    For the majors the draw is skewed toward the flagship ids (the first
-    entries) with a long tail of legacy codes; for "Others" a regional
-    carrier is drawn uniformly first.
-    """
-    registry = provider_registry()
-    if group == "Others":
-        name = _REGIONAL_NAMES[rng.integers(len(_REGIONAL_NAMES))]
-        plmns = registry[name].plmns
-        return plmns[rng.integers(len(plmns))]
-    plmns = registry[group].plmns
-    weights = np.array([1.0 / (i + 1.0) for i in range(len(plmns))])
-    weights /= weights.sum()
-    return plmns[rng.choice(len(plmns), p=weights)]

@@ -87,59 +87,6 @@ class UniformGridIndex:
     def __len__(self) -> int:
         return len(self.lons)
 
-    # ------------------------------------------------------------------
-    # Flat-array snapshot: everything a worker needs to reconstruct the
-    # built index without re-sorting, suitable for zero-copy transport
-    # through multiprocessing.shared_memory (see repro.runtime.shm).
-    # ------------------------------------------------------------------
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat-array snapshot of the built index structure.
-
-        Returns a dict of contiguous numpy arrays (plus a small float
-        ``meta`` header) from which :meth:`from_arrays` reconstructs the
-        index without paying the build-time argsort.
-        """
-        if self.bbox is None:
-            raise ValueError("cannot snapshot an empty index")
-        meta = np.array([self.cell_deg, self._ncols, self._nrows,
-                         self.bbox.min_lon, self.bbox.min_lat,
-                         self.bbox.max_lon, self.bbox.max_lat],
-                        dtype=np.float64)
-        return {
-            "meta": meta,
-            "lons": self.lons, "lats": self.lats,
-            "order": self._order, "uniq_keys": self._uniq_keys,
-            "bucket_ptr": self._bucket_ptr,
-            "slons": self._slons, "slats": self._slats,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) \
-            -> "UniformGridIndex":
-        """Rebuild an index from a :meth:`to_arrays` snapshot.
-
-        The arrays are adopted as-is (they may be views into a shared
-        memory segment); queries on the rebuilt index are bit-identical
-        to queries on the original.
-        """
-        self = cls.__new__(cls)
-        meta = np.asarray(arrays["meta"], dtype=np.float64)
-        self.cell_deg = float(meta[0])
-        self._ncols = int(meta[1])
-        self._nrows = int(meta[2])
-        self.bbox = BBox(float(meta[3]), float(meta[4]),
-                         float(meta[5]), float(meta[6]))
-        self.lons = arrays["lons"]
-        self.lats = arrays["lats"]
-        self._order = arrays["order"]
-        self._uniq_keys = arrays["uniq_keys"]
-        self._bucket_ptr = arrays["bucket_ptr"]
-        self._slons = arrays["slons"]
-        self._slats = arrays["slats"]
-        self._rank_arr = None
-        return self
-
     @property
     def _rank(self) -> np.ndarray:
         """Inverse of ``_order``: original index -> bucket-sorted position.

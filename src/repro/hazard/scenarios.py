@@ -6,7 +6,7 @@ member), a season year, and an ensemble size.  Running one draws N
 independent members (:meth:`Hazard.ensemble_member`), joins each
 member's event list against the transceiver universe, and summarizes
 the impact distribution.  The ensemble fans out through the same
-pool/shm helper and worker plan as the batch overlay: each member is
+pool helper and worker plan as the batch overlay: each member is
 exactly the fire-slice task shape the batch overlay ships to workers,
 so members run concurrently on the persistent universe pool with zero
 new worker code.

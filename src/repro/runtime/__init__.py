@@ -6,7 +6,9 @@ as fast as the machine allows without changing a single result bit:
 
 * :mod:`.pool` — persistent worker pools (``REPRO_WORKERS``), created
   lazily, keyed by dataset content, and reused across every join of a
-  reproduction, with a guaranteed serial fallback;
+  reproduction, with a guaranteed serial fallback; workers start with
+  ``fork``, so they share the parent's universe and its built index
+  copy-on-write;
 * :mod:`.dispatch` — the one adaptive serial/parallel plan every
   fan-out goes through: estimated work (points × events, raster
   samples) against a measured crossover per kind, capped by the
@@ -28,7 +30,7 @@ The differential suite in ``tests/runtime/`` proves parallel == serial
 
 from .cache import ResultCache, array_token, cache_key, get_cache, set_cache
 from .config import RuntimeConfig, configure, get_config, set_config
-from .dispatch import cpu_budget, plan, use_shared_memory
+from .dispatch import cpu_budget, plan
 from .pool import (
     active_pools,
     chunk_spans,
@@ -36,22 +38,12 @@ from .pool import (
     run_tasks,
     shutdown_pools,
 )
-from .shm import (
-    ShmField,
-    ShmHandle,
-    active_segments,
-    attach_arrays,
-    release_segments,
-    share_arrays,
-)
-from .stats import STATS, PerfRegistry, set_trace_channel, trace_channel
+from .stats import STATS, PerfRegistry, set_trace_channel
 
 __all__ = [
     "RuntimeConfig", "get_config", "set_config", "configure",
     "ResultCache", "cache_key", "array_token", "get_cache", "set_cache",
     "chunk_spans", "active_pools", "get_pool", "run_tasks",
-    "shutdown_pools", "cpu_budget", "plan", "use_shared_memory",
-    "ShmField", "ShmHandle", "share_arrays", "attach_arrays",
-    "release_segments", "active_segments",
-    "STATS", "PerfRegistry", "set_trace_channel", "trace_channel",
+    "shutdown_pools", "cpu_budget", "plan",
+    "STATS", "PerfRegistry", "set_trace_channel",
 ]

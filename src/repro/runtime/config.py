@@ -1,17 +1,17 @@
-"""Runtime configuration: worker count, chunking, cache knobs.
+"""Runtime configuration: worker count and cache knobs.
 
 One process-global :class:`RuntimeConfig` governs how the spatial-join
 execution layer behaves.  Everything defaults to the reproducible serial
 path; parallelism and caching are opt-in via environment variables
-(``REPRO_WORKERS``, ``REPRO_CHUNK``, ``REPRO_CACHE``, ``REPRO_CACHE_DIR``)
+(``REPRO_WORKERS``, ``REPRO_CACHE``, ``REPRO_CACHE_DIR``)
 or the CLI flags that shadow them.
 
 The serial fallback guarantee: with ``workers <= 1`` no worker process is
 ever spawned and results are computed exactly as the seed implementation
-did.  The parallel path partitions points into contiguous chunks and is
-bit-identical to serial by construction (exact per-point predicates,
-order-preserving concatenation) — the differential suite in
-``tests/runtime/`` enforces this.
+did.  The parallel path splits a join into fire slices or contiguous
+point spans and is bit-identical to serial by construction (exact
+per-point predicates, order-preserving concatenation) — the
+differential suite in ``tests/runtime/`` enforces this.
 """
 
 from __future__ import annotations
@@ -26,17 +26,15 @@ __all__ = ["RuntimeConfig", "get_config", "set_config", "configure"]
 MIN_PARALLEL_POINTS = 8_192
 
 
-def _env_int(name: str, default: int, minimum: int | None = None) -> int:
-    """``int($name)``, or ``default`` when unset, unparseable or below
-    ``minimum``."""
+def _env_int(name: str, default: int) -> int:
+    """``int($name)``, or ``default`` when unset or unparseable."""
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         return default
-    return default if minimum is not None and value < minimum else value
 
 
 def _env_flag(name: str, default: bool) -> bool:
@@ -51,14 +49,8 @@ class RuntimeConfig:
     """Execution-layer knobs for the spatial-join runtime."""
 
     workers: int = 1            # processes; <=1 means strictly serial
-    chunk_size: int = 65_536    # points per parallel classify task
     cache_enabled: bool = True  # read and write the result cache
     cache_dir: Path | None = None   # None -> no result cache
-    shm_enabled: bool = True    # zero-copy worker state via shared memory
-
-    def __post_init__(self):
-        if self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
 
     @classmethod
     def from_env(cls) -> "RuntimeConfig":
@@ -66,10 +58,8 @@ class RuntimeConfig:
         cache_dir = os.environ.get("REPRO_CACHE_DIR")
         return cls(
             workers=_env_int("REPRO_WORKERS", 1),
-            chunk_size=_env_int("REPRO_CHUNK", 65_536, minimum=1),
             cache_enabled=_env_flag("REPRO_CACHE", True),
             cache_dir=Path(cache_dir) if cache_dir else None,
-            shm_enabled=_env_flag("REPRO_SHM", True),
         )
 
 

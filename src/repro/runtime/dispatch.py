@@ -37,10 +37,8 @@ __all__ = [
     "CLASSIFY_WORK_FACTOR",
     "DELTA_WORK_FACTOR",
     "CPU_COUNT_OVERRIDE",
-    "SHM_MIN_POINTS",
     "cpu_budget",
     "plan",
-    "use_shared_memory",
 ]
 
 #: A fork pays off for the perimeter overlay once ``points × fires``
@@ -66,11 +64,6 @@ DELTA_WORK_FACTOR = 49_152
 #: ``None`` means trust ``os.cpu_count()``.
 CPU_COUNT_OVERRIDE: int | None = None
 
-#: Below this many points, packing columns into a shared-memory segment
-#: costs more than the initializer pickle it replaces; workers then get
-#: the dataset the classic way.
-SHM_MIN_POINTS = 65_536
-
 
 def cpu_budget() -> int:
     """Number of CPU cores parallelism may assume."""
@@ -86,7 +79,7 @@ def plan(kind: str, requested: int, n_points: int, work: int,
     ``kind`` is ``"overlay"``, ``"delta"`` or ``"classify"`` and picks
     the crossover; ``work`` is the estimated join work in that kind's
     units, and ``units`` the most tasks the join can split into (fires,
-    changed perimeters, ensemble members, point chunks).  Returns 1 —
+    changed perimeters, ensemble members, points).  Returns 1 —
     strictly serial, no pool — unless the work clears the crossover
     *and* the machine has cores to spare.
     """
@@ -99,10 +92,3 @@ def plan(kind: str, requested: int, n_points: int, work: int,
     if work < floor * factor:
         return 1
     return min(requested, cpu_budget(), units)
-
-
-def use_shared_memory(n_points: int) -> bool:
-    """Whether a parallel join should ship state via shared memory."""
-    if not _config.get_config().shm_enabled:
-        return False
-    return n_points >= SHM_MIN_POINTS

@@ -1,18 +1,16 @@
 """Persistent worker pools, created lazily and reused across joins.
 
-The PR-1 runtime paid the full ``fork + initializer`` price on every
-parallel join: three pool runs per reproduction meant shipping the whole
-point universe three times and rebuilding every worker-side index from
-scratch.  This module keeps pools alive between calls instead.
+Starting a pool costs a process per worker plus its initializer.  This
+module keeps pools alive between calls instead.
 
 A pool is keyed by ``(name, workers, token)`` where ``token`` digests
 the dataset the workers were initialized with (e.g. the universe's
 coordinate bytes).  The first join for a given dataset creates the pool
 and runs the initializer once per worker; every later join — every fire
 season of a 19-year historical sweep — reuses the warm workers and
-ships only its tiny task list.  Workers keep lazily-built state (their
-spatial index) in a module global, so the index is built once per
-worker *ever*, not once per chunk per call.
+ships only its tiny task list.  Workers start with ``fork`` where the
+platform has it, so the initializer's arguments are the parent's own
+objects, shared copy-on-write rather than copied.
 
 A small LRU bounds resident pools; pools are terminated at eviction and
 at interpreter exit.  Any failure — no ``fork``, sandboxed
@@ -40,12 +38,6 @@ __all__ = ["chunk_spans", "get_pool", "run_tasks", "shutdown_pools",
 #: ``workers`` processes alive; a handful covers a whole reproduction.
 MAX_POOLS = 4
 
-#: Force a specific multiprocessing start method ("fork" / "spawn" /
-#: "forkserver").  ``None`` keeps the fork-preferred default.  The
-#: override participates in the pool key, so flipping it mid-session
-#: creates fresh pools instead of reusing ones started the other way.
-START_METHOD_OVERRIDE: str | None = None
-
 #: Errors that mean "the pool path is unavailable", not "the task is
 #: wrong".  Anything else propagates — a bug in a chunk function must
 #: not be silently retried serially.
@@ -56,11 +48,12 @@ _pools: OrderedDict[tuple, multiprocessing.pool.Pool] = OrderedDict()
 
 
 def _pool_context():
-    """Prefer ``fork`` (cheap, copy-on-write arrays); fall back to the
-    platform default where fork is unavailable."""
-    method = START_METHOD_OVERRIDE or "fork"
+    """Prefer ``fork``: workers inherit the parent's memory, initializer
+    arguments included, copy-on-write.  Fall back to the platform
+    default, which pickles those arguments, where fork is
+    unavailable."""
     try:
-        return multiprocessing.get_context(method)
+        return multiprocessing.get_context("fork")
     except ValueError:
         return multiprocessing.get_context()
 
@@ -78,7 +71,7 @@ def get_pool(name: str, workers: int, token: bytes,
              initargs: tuple = ()):
     """Return a live pool for ``(name, workers, token)``, creating it
     lazily.  Raises on creation failure (callers catch and fall back)."""
-    key = (name, workers, token, START_METHOD_OVERRIDE)
+    key = (name, workers, token)
     pool = _pools.get(key)
     if pool is not None:
         _pools.move_to_end(key)
@@ -102,19 +95,19 @@ def get_pool(name: str, workers: int, token: bytes,
 
 def discard_pool(name: str, workers: int, token: bytes) -> None:
     """Terminate and forget a pool (e.g. after a failed map)."""
-    pool = _pools.pop((name, workers, token, START_METHOD_OVERRIDE), None)
+    pool = _pools.pop((name, workers, token), None)
     if pool is not None:
         _terminate(pool)
 
 
-def chunk_spans(n: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` spans covering ``range(n)``."""
+def chunk_spans(n: int, size: int) -> list[tuple[int, int]]:
+    """Contiguous ``[start, stop)`` spans of ``size`` covering
+    ``range(n)``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    return [(start, min(start + chunk_size, n))
-            for start in range(0, n, chunk_size)]
+    if size <= 0:
+        raise ValueError("size must be positive")
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def run_tasks(name: str, workers: int, token: bytes, fn: Callable,

@@ -15,7 +15,7 @@ innermost geometry loops and by worker processes.
 
 from __future__ import annotations
 
-__all__ = ["PerfRegistry", "STATS", "set_trace_channel", "trace_channel"]
+__all__ = ["PerfRegistry", "STATS", "set_trace_channel"]
 
 
 #: Optional span transport installed by :func:`repro.obs.enable`.
@@ -34,10 +34,6 @@ def set_trace_channel(channel) -> None:
     and ``adopt(serialized)`` — :class:`repro.obs.Tracer` does."""
     global _TRACE_CHANNEL
     _TRACE_CHANNEL = channel
-
-
-def trace_channel():
-    return _TRACE_CHANNEL
 
 
 class PerfRegistry:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.geo import raster as raster_mod
 from repro.geo.geometry import BBox, Polygon
 from repro.geo.raster import GridSpec, Raster, disk_footprint, rasterize_polygon
 from repro.runtime.stats import STATS
@@ -231,3 +232,25 @@ class TestRasterize:
                      (-101.5, 35.5)])
         mask = rasterize_polygon(grid, p)
         assert 0 < mask.sum() < 100
+
+
+def test_tiled_sampling_counter_parity(universe, monkeypatch):
+    cells = universe.cells
+    whp = universe.whp
+
+    before = STATS.snapshot()
+    untiled = whp.classify(cells.lons, cells.lats)
+    base = STATS.delta_since(before)["counters"]
+
+    monkeypatch.setattr(raster_mod, "SAMPLE_TILE_POINTS", 1_024)
+    before = STATS.snapshot()
+    tiled = whp.classify(cells.lons, cells.lats)
+    small = STATS.delta_since(before)["counters"]
+
+    assert (tiled == untiled).all()
+    # identical sample totals, strictly more tiles
+    assert small["raster.samples"] == base["raster.samples"]
+    assert small["raster.samples"] >= len(cells)
+    assert small["raster.tiles"] > base["raster.tiles"]
+    expected_tiles_per_pass = -(-len(cells) // 1_024)
+    assert small["raster.tiles"] % expected_tiles_per_pass == 0

@@ -105,8 +105,7 @@ def _manifest(**overrides) -> RunManifest:
         version="1.0.0", git_sha="f" * 40, python="3.11.1",
         machine="x86_64", cpu_count=8,
         argv=["-n", "2000", "fig7"],
-        config={"workers": 2, "chunk_size": 65536,
-                "cache_enabled": True, "cache_dir": None},
+        config={"workers": 2, "cache_enabled": True, "cache_dir": None},
         universe={"n_transceivers": 2000, "seed": 7,
                   "whp_resolution_deg": 0.1},
         timers={"cli.fig7": 1.2, "artifact.hazard": 1.1},

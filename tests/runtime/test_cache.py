@@ -230,27 +230,14 @@ class TestGlobalWiring:
 
     def test_config_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "6")
-        monkeypatch.setenv("REPRO_CHUNK", "1000")
         monkeypatch.setenv("REPRO_CACHE", "off")
         cfg = RuntimeConfig.from_env()
         assert cfg.workers == 6
-        assert cfg.chunk_size == 1000
         assert cfg.cache_enabled is False
 
     def test_config_env_garbage_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "lots")
         assert RuntimeConfig.from_env().workers == 1
-
-    @pytest.mark.parametrize("raw", ["0", "-4096"])
-    def test_config_env_nonpositive_chunk_falls_back(self, monkeypatch,
-                                                     raw):
-        monkeypatch.setenv("REPRO_CHUNK", raw)
-        assert RuntimeConfig.from_env().chunk_size \
-            == RuntimeConfig().chunk_size
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(chunk_size=0)
 
 
 class TestOverlayCacheSemantics:

@@ -3,10 +3,9 @@
 The runtime's optimization contract is that the sharded/parallel and
 cached paths are *bit-identical* to the serial bruteforce reference on
 any input.  These tests enforce it on randomized universes across
-seeds × worker counts × universe sizes (× chunk sizes for the
-point-chunked classify),
-including the degenerate inputs (empty fire list, single-point
-universe, fewer points than fires can be sliced over) where sharding
+seeds × worker counts × universe sizes, including the degenerate
+inputs (empty fire list, single-point universe, fewer points than fires
+can be sliced over, fewer points than classify slices) where sharding
 logic usually breaks.
 """
 
@@ -170,15 +169,23 @@ def test_cached_result_identical(seed, workers, tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("chunk_size", [200, 4096])
-def test_classify_matches_serial(universe, workers, chunk_size):
-    """Sharded raster sampling equals the plain vectorized sample."""
-    cells = universe.cells
+@pytest.mark.parametrize("n_points", [10, 200, 4096])
+def test_classify_matches_serial(universe, monkeypatch, workers, n_points):
+    """Raster sampling sharded into point spans equals the plain
+    vectorized sample, also when there are fewer points than slices."""
+    from repro.runtime import STATS
+
+    monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 1)
+    cells = universe.cells.subset(np.arange(n_points))
     reference = universe.whp.classify(cells.lons, cells.lats)
+    before = STATS.snapshot()
     got = classify_cells(cells, universe.whp, workers=workers,
-                         chunk_size=chunk_size, use_cache=False)
+                         use_cache=False)
+    counters = STATS.delta_since(before)["counters"]
     assert got.dtype == reference.dtype
     assert (got == reference).all()
+    if workers > 1 and not counters.get("parallel.fallbacks", 0):
+        assert counters.get("pool.tasks", 0) >= 2
 
 
 def test_overlay_on_real_universe_seasons(universe):
@@ -345,7 +352,7 @@ def test_classify_counter_totals_serial_vs_parallel(universe):
     shutdown_pools()
     before = STATS.snapshot()
     parallel = classify_cells(cells, universe.whp, workers=4,
-                              chunk_size=4_096, use_cache=False)
+                              use_cache=False)
     parallel_samples = STATS.delta_since(before)["counters"] \
         .get("raster.samples", 0)
 

@@ -94,7 +94,7 @@ class TestDeltaWorkers(TestOverlayWorkers):
 
 
 class TestClassifyWorkers(_PlanGates):
-    """Raster classify: work is points, units are point chunks."""
+    """Raster classify: work is points, and so are units."""
 
     kind = "classify"
 
@@ -187,8 +187,7 @@ class TestDispatchEndToEnd:
         update_overlay(cells, prev,
                        [FireDelta(fire=f) for f in fires[-2:]],
                        workers=8)
-        classify_cells(cells, universe.whp, workers=8, chunk_size=1024,
-                       use_cache=False)
+        classify_cells(cells, universe.whp, workers=8, use_cache=False)
         ensemble_impacts(universe, members, scenario.year, workers=8)
         run_scenario(universe, "grid-ignition-season", members=2,
                      workers=8)

@@ -139,12 +139,11 @@ def test_fold_per_fire_hits_match_batch(workers):
         assert np.array_equal(got, hits)
 
 
-def test_fold_through_shared_memory(monkeypatch):
-    """Delta ticks shipped via the shm pool still match serial."""
-    monkeypatch.setattr(runtime_dispatch, "SHM_MIN_POINTS", 128)
+def test_fold_through_fresh_pool():
+    """Delta ticks shipped to freshly started workers match serial."""
     cells = random_universe(8, 4_000)
     snapshots = growth_snapshots(8, 6, n_ticks=3)
-    shutdown_pools()                    # force shm-initialized workers
+    shutdown_pools()                    # force freshly started workers
     parallel = fold(cells, snapshots, workers=4)[-1]
     shutdown_pools()
     serial = fold(cells, snapshots, workers=1)[-1]

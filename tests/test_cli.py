@@ -67,15 +67,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    @pytest.mark.parametrize("raw", ["0", "-8", "lots"])
-    def test_chunk_size_below_one_is_a_usage_error(self, raw, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["--chunk-size", raw, "list"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "repro: error: argument --chunk-size: expected an integer "
-            f">= 1, got {raw!r}")
-
 
 class TestCommands:
     def test_table1(self):

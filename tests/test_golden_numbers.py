@@ -164,7 +164,7 @@ class TestGoldenSurvivesRuntimeModes:
         runtime_dispatch.OVERLAY_WORK_FACTOR = 1
         runtime_dispatch.CLASSIFY_WORK_FACTOR = 1
         runtime_dispatch.CPU_COUNT_OVERRIDE = 8
-        configure(workers=4, chunk_size=4_096, cache_enabled=True)
+        configure(workers=4, cache_enabled=True)
         set_cache(ResultCache(tmp_path))
         try:
             for _ in range(2):          # second pass served by the cache
