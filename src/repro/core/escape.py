@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
-from ..geo.projection import acres_to_sqmeters, meters_per_degree
+from ..geo.projection import acres_to_sqmeters
+from ..geo.raster import Raster
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["EscapeModel", "EscapeResult", "escape_adjusted_risk"]
@@ -94,24 +94,14 @@ def _compute_escape(session, model: EscapeModel,
     radius = model.radius_m(s_reach)
 
     at_risk_mask = whp.at_risk_mask()
-    grid = whp.grid
-    lat_mid = (grid.bbox.min_lat + grid.bbox.max_lat) / 2.0
-    mx, my = meters_per_degree(lat_mid)
-    from ..geo.raster import disk_footprint
-    rx = max(radius / (grid.res * mx), 1.0)
-    ry = max(radius / (grid.res * my), 1.0)
-    reachable = ndimage.binary_dilation(at_risk_mask,
-                                        structure=disk_footprint(rx, ry))
+    reachable = whp.raster.dilate_mask(at_risk_mask, radius, min_cells=1.0)
     land = whp.fuel.data > 0
     reachable &= land
 
     classes = session.artifact("whp_classes")
     static = classes >= int(WHPClass.MODERATE)
-
-    rows, cols = grid.rowcol(cells.lons, cells.lats)
-    ok = grid.inside(rows, cols)
-    adjusted = static.copy()
-    adjusted[ok] |= reachable[rows[ok], cols[ok]]
+    adjusted = static | Raster(whp.grid, reachable).sample(cells.lons,
+                                                           cells.lats)
 
     return EscapeResult(
         reach_probability_threshold=reach_probability,

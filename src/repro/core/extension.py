@@ -22,7 +22,7 @@ import numpy as np
 from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
 from ..geo.projection import miles_to_meters
-from ..geo.raster import disk_footprint
+from ..geo.raster import Raster
 from ..session import StageOption, artifact, register_stage, session_of
 from .validation import ValidationResult, _compute_validation
 
@@ -66,17 +66,9 @@ def _dilate_fringe_equivalent(universe: SyntheticUS, mask: np.ndarray,
     fringe-equivalent radius (radius / 0.5 mi × FRINGE_EQUIVALENT_DEG).
     """
     whp = universe.whp
-    from scipy import ndimage
-
-    grid = whp.grid
-    lat_mid = (grid.bbox.min_lat + grid.bbox.max_lat) / 2.0
-    from ..geo.projection import meters_per_degree
-    mx, my = meters_per_degree(lat_mid)
     fringe_cells = (radius_m / _HALF_MILE_M) * FRINGE_EQUIVALENT_DEG \
-        / grid.res
-    rx = max(radius_m / (grid.res * mx), fringe_cells)
-    ry = max(radius_m / (grid.res * my), fringe_cells)
-    return ndimage.binary_dilation(mask, structure=disk_footprint(rx, ry))
+        / whp.grid.res
+    return whp.raster.dilate_mask(mask, radius_m, min_cells=fringe_cells)
 
 
 def extend_very_high(universe: SyntheticUS,
@@ -110,14 +102,9 @@ def _compute_extension(session, radius_miles: float) -> ExtensionResult:
     at_risk_after = at_risk_before | vh_extended
 
     classes = session.artifact("whp_classes")
-    grid = whp.grid
-    rows, cols = grid.rowcol(cells.lons, cells.lats)
-    ok = grid.inside(rows, cols)
-
-    in_vh_ext = np.zeros(len(cells), dtype=bool)
-    in_vh_ext[ok] = vh_extended[rows[ok], cols[ok]]
-    in_at_risk_after = np.zeros(len(cells), dtype=bool)
-    in_at_risk_after[ok] = at_risk_after[rows[ok], cols[ok]]
+    in_vh_ext = Raster(whp.grid, vh_extended).sample(cells.lons, cells.lats)
+    in_at_risk_after = Raster(whp.grid, at_risk_after).sample(cells.lons,
+                                                              cells.lats)
 
     vh_before = int(round((classes == int(WHPClass.VERY_HIGH)).sum()
                           * scale))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.states import StateAssigner, conus_states
+from ..data.states import StateAssigner
 from ..data.universe import SyntheticUS
 from ..data.whp import AT_RISK_CLASSES, WHP_CLASS_NAMES, WHPClass
 from ..obs.trace import span
@@ -107,22 +107,19 @@ def _compute_hazard(session, hazard: str = "wildfire") -> HazardSummary:
         assigner = StateAssigner()
         state_of = assigner.assign_many(cells.lons, cells.lats)
     with span("hazard.state_aggregation"):
-        states = []
-        for abbr, state in conus_states().items():
-            in_state = state_of == abbr
-            if not in_state.any():
-                counts = {c: 0 for c in AT_RISK_CLASSES}
-            else:
-                sub = classes[in_state]
-                counts = {c: int(round((sub == int(c)).sum() * scale))
-                          for c in AT_RISK_CLASSES}
-            states.append(StateHazard(
-                state=abbr,
-                moderate=counts[WHPClass.MODERATE],
-                high=counts[WHPClass.HIGH],
-                very_high=counts[WHPClass.VERY_HIGH],
-                population=state.population,
-            ))
+        # One (state, class) histogram: row = state code, column = class.
+        n_classes = len(WHPClass)
+        counts = np.bincount(
+            state_of * n_classes + classes,
+            minlength=len(assigner.abbrs) * n_classes,
+        ).reshape(-1, n_classes).tolist()
+        states = [StateHazard(
+            state=state.abbr,
+            moderate=int(round(row[WHPClass.MODERATE] * scale)),
+            high=int(round(row[WHPClass.HIGH] * scale)),
+            very_high=int(round(row[WHPClass.VERY_HIGH] * scale)),
+            population=state.population,
+        ) for state, row in zip(assigner.states.values(), counts)]
         states.sort(key=lambda s: s.total, reverse=True)
     return HazardSummary(class_counts=class_counts,
                          class_counts_raw=class_counts_raw,

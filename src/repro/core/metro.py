@@ -11,6 +11,7 @@ do the same via ``CITY_GROUPS``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from ..data.cities import PAPER_METROS, city_by_name
 from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
-from ..geo.projection import haversine_m
+from ..geo.geometry import BBox
+from ..geo.projection import EARTH_RADIUS_M, haversine_m
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["MetroRisk", "metro_risk_analysis", "city_very_high_counts",
@@ -55,18 +57,35 @@ class MetroRisk:
 
 def _assign_metro(universe: SyntheticUS, metro_names: tuple[str, ...],
                   radius_m: float) -> np.ndarray:
-    """Index of the nearest listed metro within radius, else -1."""
-    cells = universe.cells
-    best_idx = np.full(len(cells), -1, dtype=np.int64)
-    best_d = np.full(len(cells), np.inf)
+    """Index of the nearest listed metro within radius, else -1.
+
+    Each metro's haversine runs only on the points inside a box that
+    holds its radius: ``r/R`` of latitude either side, and ``2
+    asin(sin(r/2R) / cos(|lat| + r/R))`` of longitude, the haversine's
+    bound on ``dlon`` for a point within ``r``; both are widened by 1%.
+    Metros run in list order, so ties resolve as in a full scan.
+    """
+    lons, lats = universe.cells.lons, universe.cells.lats
+    best_idx = np.full(len(lons), -1, dtype=np.int64)
+    best_d = np.full(len(lons), np.inf)
+    ang = max(radius_m, 0.0) / EARTH_RADIUS_M
+    half_lat = 1.01 * math.degrees(ang)
     for i, name in enumerate(metro_names):
         city = city_by_name(name)
-        d = haversine_m(cells.lons, cells.lats,
-                        np.full(len(cells), city.lon),
-                        np.full(len(cells), city.lat))
-        closer = (d < best_d) & (d <= radius_m)
-        best_idx[closer] = i
-        best_d[closer] = d[closer]
+        edge = math.radians(abs(city.lat)) + ang
+        ratio = (math.sin(ang / 2.0) / math.cos(edge)
+                 if edge < math.pi / 2.0 else 1.0)
+        half_lon = (1.01 * math.degrees(2.0 * math.asin(ratio))
+                    if ratio < 1.0 else 360.0)
+        box = BBox(city.lon - half_lon, city.lat - half_lat,
+                   city.lon + half_lon, city.lat + half_lat)
+        idx = np.flatnonzero(box.contains_many(lons, lats))
+        d = haversine_m(lons[idx], lats[idx],
+                        np.full(len(idx), city.lon),
+                        np.full(len(idx), city.lat))
+        closer = (d < best_d[idx]) & (d <= radius_m)
+        best_idx[idx[closer]] = i
+        best_d[idx[closer]] = d[closer]
     return best_idx
 
 

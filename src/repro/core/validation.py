@@ -23,6 +23,7 @@ import numpy as np
 from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
 from ..data.wildfires import SCRIPTED_LA_FIRES_2019
+from ..geo.raster import Raster
 from ..session import StageOption, artifact, register_stage, session_of
 from .overlay import classify_cells, overlay_fires
 
@@ -92,11 +93,8 @@ def _compute_validation(session, at_risk_floor: WHPClass,
 
     whp = universe.whp
     if at_risk_mask_override is not None:
-        grid = whp.grid
-        rows, cols = grid.rowcol(cells.lons, cells.lats)
-        ok = grid.inside(rows, cols)
-        predicted = np.zeros(len(cells), dtype=bool)
-        predicted[ok] = at_risk_mask_override[rows[ok], cols[ok]]
+        predicted = Raster(whp.grid, at_risk_mask_override).sample(
+            cells.lons, cells.lats)
     else:
         predicted = classify_cells(cells, whp) >= int(at_risk_floor)
 

@@ -249,7 +249,7 @@ def build_counties(pop: PopulationSurface, tile_deg: float = 0.35,
 
     centers_lon = np.array([t.center.lon for t in tiles])
     centers_lat = np.array([t.center.lat for t in tiles])
-    abbrs = assigner.assign_many(centers_lon, centers_lat)
+    codes = assigner.assign_many(centers_lon, centers_lat)
     # assign_many is total (nearest-centroid fallback), so re-check which
     # tile centers are actually on land via the population surface.
     on_land = pop.density_at(centers_lon, centers_lat) > 0.0
@@ -264,7 +264,7 @@ def build_counties(pop: PopulationSurface, tile_deg: float = 0.35,
                     c.bbox.max_lon, c.bbox.max_lat] for c in named])
 
     counties: list[County] = list(named)
-    for tile, abbr, land, covered in zip(tiles, abbrs, on_land, in_named):
+    for tile, code, land, covered in zip(tiles, codes, on_land, in_named):
         if not land or covered:
             continue
         for quad, population in _subdivide(tile, pop, min_subdivision_deg):
@@ -273,8 +273,9 @@ def build_counties(pop: PopulationSurface, tile_deg: float = 0.35,
                      & (nb[:, 1] <= qc.lat)
                      & (qc.lat <= nb[:, 3])).any()):
                 continue
+            abbr = assigner.abbrs[code]
             name = f"{abbr}-{len(counties):04d}"
-            counties.append(County(name=name, state=str(abbr), bbox=quad,
+            counties.append(County(name=name, state=abbr, bbox=quad,
                                    population=population))
 
     return CountyLayer(counties, tile_deg, bbox, n_named=len(named))

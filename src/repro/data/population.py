@@ -51,7 +51,6 @@ class PopulationSurface:
         self.total_population = int(total_population)
         self.corridor_share = float(corridor_share)
         self.corridor_halfwidth_deg = float(corridor_halfwidth_deg)
-        self._assigner = StateAssigner()
         self.road_distance: Raster | None = None
         self.raster = self._build()
 
@@ -62,7 +61,8 @@ class PopulationSurface:
         col_mesh, row_mesh = np.meshgrid(cols, rows)
         lons, lats = grid.cell_center(row_mesh.ravel(), col_mesh.ravel())
 
-        land = self._land_mask(lons, lats)
+        # Land: cell centers inside some state polygon.
+        land = StateAssigner().containing(lons, lats) >= 0
 
         # The grid is separable (lon depends on col only, lat on row
         # only), so every kernel's squared distance is an outer sum of
@@ -178,17 +178,6 @@ class PopulationSurface:
             if ksum > 0:
                 out[flat] += size * kernel / ksum
         return out
-
-    def _land_mask(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-        """1.0 where the cell center lies inside some state polygon."""
-        mask = np.zeros(lons.shape)
-        for st in self._assigner.states.values():
-            idx = np.nonzero(mask == 0.0)[0]
-            if len(idx) == 0:
-                break
-            hit = st.geometry.contains_many(lons[idx], lats[idx])
-            mask[idx[hit]] = 1.0
-        return mask
 
     def density_at(self, lons, lats) -> np.ndarray:
         """Population per cell at the given points (0 outside CONUS)."""

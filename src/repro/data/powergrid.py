@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geo.raster import Raster
 from .cells import CellUniverse
 from .population import PopulationSurface
 from .roads import dense_mst
@@ -150,11 +151,8 @@ def _segments_cross(grid, mask: np.ndarray, x1: np.ndarray,
     seg = np.repeat(np.arange(len(n)), n)
     ts = (np.arange(n.sum()) - starts[seg]) * (1.0 / (n - 1))[seg]
     ts[ends - 1] = 1.0
-    rows, cols = grid.rowcol(x1[seg] + ts * dx[seg],
-                             y1[seg] + ts * dy[seg])
-    ok = grid.inside(rows, cols)
-    hit = np.zeros(len(ts), dtype=bool)
-    hit[ok] = mask[rows[ok], cols[ok]]
+    hit = Raster(grid, mask).sample(x1[seg] + ts * dx[seg],
+                                    y1[seg] + ts * dy[seg])
     return np.logical_or.reduceat(hit, starts)
 
 

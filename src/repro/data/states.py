@@ -280,16 +280,27 @@ def conus_bbox() -> BBox:
 class StateAssigner:
     """Assigns lon/lat points to states.
 
-    Exact point-in-polygon first (via an STR-tree over state bboxes); any
-    point missed because of border simplification falls back to the state
-    with the nearest polygon centroid among bbox candidates, then to the
-    globally nearest centroid.  Assignment is therefore total over CONUS.
+    The vector paths return integer codes into :attr:`abbrs`, the state
+    abbreviations in table order.  :meth:`containing` tests the states'
+    polygons in that order, so the first state whose polygons hold a
+    point wins (Maryland's ring covers DC and comes first); a point no
+    polygon holds gets -1.  :meth:`assign_many` sends those points to
+    the state with the nearest centroid (the mean of its polygon
+    centroids), so it is total over CONUS.
+
+    The scalar :meth:`assign` is a separate path: it tests STR-tree
+    candidates in tree order, and a point no candidate holds goes to
+    the candidate polygon with the nearest centroid, then to the
+    nearest state centroid.  Where polygons overlap, or a point lies in
+    a sliver between simplified borders, the two paths can disagree.
     """
 
     def __init__(self):
         self.states = conus_states()
+        #: State abbreviations in table order; codes index this tuple.
+        self.abbrs = tuple(self.states)
         items = []
-        self._centroids: dict[str, tuple[float, float]] = {}
+        centroids = []
         for st in self.states.values():
             lon_sum = lat_sum = n = 0.0
             for poly in st.geometry:
@@ -298,10 +309,9 @@ class StateAssigner:
                 lat_sum += c.lat
                 n += 1
                 items.append((poly.bbox, (st.abbr, poly)))
-            self._centroids[st.abbr] = (lon_sum / n, lat_sum / n)
+            centroids.append((lon_sum / n, lat_sum / n))
         self._tree = STRTree(items)
-        self._cent_abbrs = list(self._centroids)
-        self._cent_xy = np.array([self._centroids[a] for a in self._cent_abbrs])
+        self._cent_xy = np.array(centroids)
 
     def assign(self, lon: float, lat: float) -> str:
         """State abbreviation for a single point."""
@@ -316,30 +326,35 @@ class StateAssigner:
             return best[0]
         d2 = ((self._cent_xy[:, 0] - lon) ** 2
               + (self._cent_xy[:, 1] - lat) ** 2)
-        return self._cent_abbrs[int(np.argmin(d2))]
+        return self.abbrs[int(np.argmin(d2))]
 
-    def assign_many(self, lons, lats) -> np.ndarray:
-        """Vectorized assignment; returns an array of abbreviations.
+    def containing(self, lons, lats) -> np.ndarray:
+        """Code of the first state, in table order, whose polygons hold
+        each point; -1 where no polygon does.
 
-        Runs one vectorized containment pass per state polygon, then the
-        centroid fallback only for the leftover sliver points.
+        One vectorized containment pass per state, over the points no
+        earlier state took.
         """
         lons = np.asarray(lons, dtype=float)
         lats = np.asarray(lats, dtype=float)
-        result = np.full(lons.shape, "", dtype="U2")
-        unassigned = np.ones(lons.shape, dtype=bool)
-        for st in self.states.values():
-            if not unassigned.any():
+        codes = np.full(lons.shape, -1, dtype=np.int64)
+        for code, st in enumerate(self.states.values()):
+            idx = np.flatnonzero(codes < 0)
+            if len(idx) == 0:
                 break
-            idx = np.nonzero(unassigned)[0]
             hit = st.geometry.contains_many(lons[idx], lats[idx])
-            hit_idx = idx[hit]
-            result[hit_idx] = st.abbr
-            unassigned[hit_idx] = False
-        leftover = np.nonzero(unassigned)[0]
+            codes[idx[hit]] = code
+        return codes
+
+    def assign_many(self, lons, lats) -> np.ndarray:
+        """State code per point: :meth:`containing`, then the nearest
+        state centroid for the sliver points no polygon holds."""
+        lons = np.asarray(lons, dtype=float)
+        lats = np.asarray(lats, dtype=float)
+        codes = self.containing(lons, lats)
+        leftover = np.flatnonzero(codes < 0)
         if len(leftover):
             d2 = ((lons[leftover, None] - self._cent_xy[None, :, 0]) ** 2
                   + (lats[leftover, None] - self._cent_xy[None, :, 1]) ** 2)
-            nearest = np.argmin(d2, axis=1)
-            result[leftover] = np.array(self._cent_abbrs)[nearest]
-        return result
+            codes[leftover] = np.argmin(d2, axis=1)
+        return codes

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy import ndimage
 
 from ..geo.raster import GridSpec, Raster
 from .population import PopulationSurface
@@ -123,6 +122,8 @@ class WhpModel:
         hundreds — not tens of thousands — of transceivers fall inside
         perimeters each year despite millions of acres burning).
         """
+        from scipy import ndimage
+
         table = np.array([0.0, 0.05, 0.25, 1.0, 2.0, 4.0])
         hazard = table[self.raster.data.astype(np.int64)]
         # Smooth the placement weight so the penalty sees the whole
@@ -178,6 +179,8 @@ def build_whp(pop: PopulationSurface, seed: int = 7,
     ``placement_exponent`` must match the transceiver sampler's exponent
     for the calibration to hold (SyntheticUS wires them together).
     """
+    from scipy import ndimage
+
     rng = np.random.default_rng(seed)
     grid = GridSpec(conus_bbox(), resolution_deg)
 
@@ -300,15 +303,13 @@ def _propensity_field(pop: PopulationSurface, grid: GridSpec,
     cmesh, rmesh = np.meshgrid(pcol, prow)
     plons, plats = pgrid.cell_center(rmesh.ravel(), cmesh.ravel())
     pland = pop.raster.data.ravel() > 0
-    abbrs, state_of = np.unique(
-        assigner.assign_many(plons[pland], plats[pland]),
-        return_inverse=True)
-    states = [assigner.states[a] for a in abbrs]
+    state_of = assigner.assign_many(plons[pland], plats[pland])
 
     fields = []
     for attr in ("whp_propensity", "wui_intermix"):
         vals = np.zeros(plons.shape)
-        vals[pland] = np.array([getattr(st, attr) for st in states])[state_of]
+        vals[pland] = np.array([getattr(st, attr) for st in
+                                assigner.states.values()])[state_of]
         raster = Raster(pgrid, vals.reshape(pgrid.shape))
         out = raster.sample_grid(grid).ravel().astype(float, copy=False)
         # WHP cells on land whose coarse parent was water: median fill.

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..geo.geometry import Polygon
 from ..geo.projection import acres_to_sqmeters, meters_per_degree
@@ -110,6 +109,8 @@ def star_polygon(lon: float, lat: float, acres: float,
         raise ValueError("fire area must be positive")
     if elongation < 1.0:
         raise ValueError("elongation must be >= 1")
+    from scipy import ndimage
+
     noise = rng.standard_normal(n_vertices)
     # Circular smoothing keeps the outline coherent rather than spiky.
     noise = ndimage.uniform_filter1d(noise, size=5, mode="wrap")

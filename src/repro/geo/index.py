@@ -293,28 +293,6 @@ class UniformGridIndex:
         STATS.count("index.pip_hits", len(out))
         return out
 
-    def query_radius(self, lon: float, lat: float, radius_deg: float) \
-            -> np.ndarray:
-        """Indices of points within ``radius_deg`` (planar degrees).
-
-        Runs on the CSR candidate-run fast path: the distance test
-        consumes the contiguous bucket-sorted coordinates the bbox
-        prefilter already gathered, instead of re-gathering the
-        original point arrays candidate by candidate.
-        """
-        bbox = BBox(lon - radius_deg, lat - radius_deg,
-                    lon + radius_deg, lat + radius_deg)
-        STATS.count("index.bbox_queries")
-        runs = self._candidate_runs(bbox)
-        if runs is None:
-            return np.empty(0, dtype=np.int64)
-        starts, ends, _ = runs
-        cand, clons, clats = self._bbox_filtered(bbox, starts, ends)
-        if len(cand) == 0:
-            return cand
-        d = np.hypot(clons - lon, clats - lat)
-        return cand[d <= radius_deg]
-
 
 class STRTree:
     """Sort-Tile-Recursive packed R-tree over bounding boxes.

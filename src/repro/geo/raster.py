@@ -17,7 +17,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..runtime.stats import STATS
 from .geometry import BBox, Polygon
@@ -202,21 +201,26 @@ class Raster:
         per_row = mask.sum(axis=1).astype(float)
         return float((per_row * self.grid.cell_areas_sqm()).sum())
 
-    def dilate_mask(self, mask: np.ndarray, radius_m: float) -> np.ndarray:
+    def dilate_mask(self, mask: np.ndarray, radius_m: float,
+                    min_cells: float = 0.0) -> np.ndarray:
         """Morphologically dilate a boolean mask by a metric radius.
 
         This implements the paper's §3.8 "extend the very-high WHP
         perimeters by half a mile" on the raster itself: every cell within
         ``radius_m`` of a True cell becomes True.  The structuring element
         is an ellipse in grid space accounting for the lon/lat anisotropy
-        at the grid's central latitude.
+        at the grid's central latitude.  ``min_cells`` floors both of its
+        radii, in cells, for callers whose radius must span some cells
+        however coarse the grid.
         """
+        from scipy import ndimage
+
         if mask.shape != self.grid.shape:
             raise ValueError("mask shape mismatch")
         lat_mid = (self.grid.bbox.min_lat + self.grid.bbox.max_lat) / 2.0
         mx, my = meters_per_degree(lat_mid)
-        rx = radius_m / (self.grid.res * mx)   # radius in columns
-        ry = radius_m / (self.grid.res * my)   # radius in rows
+        rx = max(radius_m / (self.grid.res * mx), min_cells)  # columns
+        ry = max(radius_m / (self.grid.res * my), min_cells)  # rows
         footprint = disk_footprint(rx, ry)
         return ndimage.binary_dilation(mask, structure=footprint)
 

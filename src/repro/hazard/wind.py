@@ -23,7 +23,6 @@ protocol carries such a peril end-to-end:
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..data.wildfires import _pareto_sizes, star_polygon
 from .base import EventSet, FootprintEvent, Hazard
@@ -75,6 +74,8 @@ class WindFootprintHazard(Hazard):
 
     def _build_surface(self, universe) -> WindFieldSurface:
         """Severity classes 0-5 on the WHP raster's grid geometry."""
+        from scipy import ndimage
+
         from ..geo.raster import Raster
         grid = universe.whp.grid
         rng = np.random.default_rng(universe.config.seed + 40_961)

@@ -12,11 +12,14 @@ ships only its tiny task list.  Workers start with ``fork`` where the
 platform has it, so the initializer's arguments are the parent's own
 objects, shared copy-on-write rather than copied.
 
-A small LRU bounds resident pools; pools are terminated at eviction and
+A small LRU bounds resident pools; pools are shut down at eviction and
 at interpreter exit.  Any failure — no ``fork``, sandboxed
-``multiprocessing``, unpicklable tasks, a worker crash — discards the
-pool and reports ``None`` so the caller can fall back to the serial
-path; correctness never depends on a pool existing.
+``multiprocessing``, unpicklable tasks, a worker that dies mid-task —
+discards the pool and reports ``None`` so the caller can fall back to
+the serial path; correctness never depends on a pool existing.  Pools
+are :class:`~concurrent.futures.ProcessPoolExecutor` instances, which
+raise :class:`~concurrent.futures.process.BrokenProcessPool` when a
+worker dies instead of waiting forever for its lost task.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
 from typing import Callable, Sequence
 
@@ -42,9 +47,9 @@ MAX_POOLS = 4
 #: wrong".  Anything else propagates — a bug in a chunk function must
 #: not be silently retried serially.
 _POOL_ERRORS = (OSError, ValueError, PicklingError, AttributeError,
-                ImportError, EOFError, BrokenPipeError)
+                ImportError, EOFError, BrokenPipeError, BrokenProcessPool)
 
-_pools: OrderedDict[tuple, multiprocessing.pool.Pool] = OrderedDict()
+_pools: OrderedDict[tuple, ProcessPoolExecutor] = OrderedDict()
 
 
 def _pool_context():
@@ -60,8 +65,7 @@ def _pool_context():
 
 def _terminate(pool) -> None:
     try:
-        pool.terminate()
-        pool.join()
+        pool.shutdown(wait=True, cancel_futures=True)
     except Exception:
         pass  # a dying pool must never take the analysis down
 
@@ -85,9 +89,9 @@ def get_pool(name: str, workers: int, token: bytes,
         trace_event("pool.evicted", pool=evicted_key[0],
                     workers=evicted_key[1])
     with trace_span("pool.create", pool=name, workers=workers):
-        ctx = _pool_context()
-        pool = ctx.Pool(processes=workers, initializer=initializer,
-                        initargs=initargs)
+        pool = ProcessPoolExecutor(workers, mp_context=_pool_context(),
+                                   initializer=initializer,
+                                   initargs=initargs)
     _pools[key] = pool
     STATS.count("pool.created")
     return pool
@@ -116,9 +120,9 @@ def run_tasks(name: str, workers: int, token: bytes, fn: Callable,
     """Map ``fn`` over ``tasks`` on the persistent pool.
 
     Returns the results in task order, or ``None`` when the pool path is
-    unavailable (creation or transport failure) — the caller then runs
-    its serial path.  A pool that failed mid-map is discarded so the
-    next call starts fresh.
+    unavailable (creation or transport failure, or a worker that died)
+    — the caller then runs its serial path.  A pool that failed mid-map
+    is discarded so the next call starts fresh.
     """
     tasks = list(tasks)
     if not tasks:
@@ -132,7 +136,7 @@ def run_tasks(name: str, workers: int, token: bytes, fn: Callable,
     try:
         with trace_span("pool.map", pool=name, workers=workers,
                         tasks=len(tasks)):
-            results = pool.map(fn, tasks)
+            results = list(pool.map(fn, tasks))
     except _POOL_ERRORS:
         discard_pool(name, workers, token)
         STATS.count("parallel.fallbacks")

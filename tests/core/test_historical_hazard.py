@@ -117,6 +117,31 @@ class TestHazard:
         assert ca.per_thousand() \
             == pytest.approx(1000 * ca.total / ca.population)
 
+    def test_state_rows_equal_per_state_mask_counts(self, summary,
+                                                    universe):
+        """Each row equals masking the state's code and counting each
+        at-risk class, scaled and rounded the same way, in the same
+        (stable) order."""
+        from repro.data.states import StateAssigner
+
+        cells = universe.cells
+        assigner = StateAssigner()
+        codes = assigner.assign_many(cells.lons, cells.lats)
+        classes = summary.classes_per_transceiver
+        scale = universe.universe_scale
+        want = []
+        for code, state in enumerate(assigner.states.values()):
+            sub = classes[codes == code]
+            counts = [int(round((sub == int(c)).sum() * scale))
+                      for c in (WHPClass.MODERATE, WHPClass.HIGH,
+                                WHPClass.VERY_HIGH)]
+            want.append((state.abbr, *counts, state.population))
+        want.sort(key=lambda row: sum(row[1:4]), reverse=True)
+        got = [(s.state, s.moderate, s.high, s.very_high, s.population)
+               for s in summary.states]
+        assert got == want
+        assert len(got) == len(assigner.abbrs)
+
 
 class TestPopulationServed:
     def test_magnitude(self, universe, summary):

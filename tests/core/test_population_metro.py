@@ -1,9 +1,14 @@
 """Tests for repro.core.population_impact and repro.core.metro."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.core.metro import (
     CITY_GROUPS,
+    DEFAULT_METRO_RADIUS_M,
+    _assign_metro,
     city_very_high_counts,
     metro_risk_analysis,
 )
@@ -104,3 +109,69 @@ class TestCityVeryHigh:
                 + counts["San Francisco/San Jose"] + counts["Miami"])
         small = counts["Las Vegas"] + counts["New York City"]
         assert west > small
+
+
+def _full_scan_metro(lons, lats, metro_names, radius_m):
+    """The oracle: one full-array haversine per metro, in list order."""
+    from repro.data.cities import city_by_name
+    from repro.geo.projection import haversine_m
+
+    best_idx = np.full(len(lons), -1, dtype=np.int64)
+    best_d = np.full(len(lons), np.inf)
+    for i, name in enumerate(metro_names):
+        city = city_by_name(name)
+        d = haversine_m(lons, lats, np.full(len(lons), city.lon),
+                        np.full(len(lons), city.lat))
+        closer = (d < best_d) & (d <= radius_m)
+        best_idx[closer] = i
+        best_d[closer] = d[closer]
+    return best_idx
+
+
+def _points(lons, lats):
+    return SimpleNamespace(cells=SimpleNamespace(
+        lons=np.asarray(lons, dtype=float),
+        lats=np.asarray(lats, dtype=float)))
+
+
+class TestAssignMetroBox:
+    """The box-bounded assignment equals the full scan, exactly."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "seed"])
+    def test_equals_full_scan_on_the_universe(self, scale):
+        from repro.data import universe_for_scale
+
+        cells = universe_for_scale(scale).cells
+        names = tuple(PAPER_METROS) + tuple(
+            m for group in CITY_GROUPS.values() for m in group)
+        for radius in (DEFAULT_METRO_RADIUS_M, 250_000.0, 5_000_000.0,
+                       0.0, -1.0):
+            got = _assign_metro(_points(cells.lons, cells.lats), names,
+                                radius)
+            want = _full_scan_metro(cells.lons, cells.lats, names, radius)
+            assert np.array_equal(got, want)
+            assert (got >= 0).any() == (radius > 0)
+
+    def test_equals_full_scan_at_the_radius(self):
+        """Points at 0.999r, r and 1.001r on eight bearings around every
+        anchor: the box never drops a point the scan keeps."""
+        from repro.data.cities import city_by_name
+        from repro.geo.projection import destination_point
+
+        r = DEFAULT_METRO_RADIUS_M
+        lons, lats = [], []
+        for name in PAPER_METROS:
+            city = city_by_name(name)
+            for bearing in range(0, 360, 45):
+                for f in (0.999, 1.0, 1.001):
+                    lon, lat = destination_point(city.lon, city.lat,
+                                                 float(bearing), f * r)
+                    lons.append(lon)
+                    lats.append(lat)
+        points = _points(lons, lats)
+        got = _assign_metro(points, tuple(PAPER_METROS), r)
+        want = _full_scan_metro(points.cells.lons, points.cells.lats,
+                                tuple(PAPER_METROS), r)
+        assert np.array_equal(got, want)
+        inner = np.arange(len(lons)) % 3 == 0    # the 0.999r points
+        assert (got[inner] >= 0).all()

@@ -87,3 +87,27 @@ class TestSampling:
         b = pop.sample_points(50, np.random.default_rng(9))
         np.testing.assert_allclose(a[0], b[0])
         np.testing.assert_allclose(a[1], b[1])
+
+
+class TestLandMask:
+    def test_containing_equals_the_per_state_loop(self, universe):
+        """The land mask (``containing(...) >= 0``) equals the float
+        mask the per-state loop built, at every population-grid cell
+        center."""
+        from repro.data.states import StateAssigner
+
+        grid = universe.population.grid
+        cmesh, rmesh = np.meshgrid(np.arange(grid.width),
+                                   np.arange(grid.height))
+        lons, lats = grid.cell_center(rmesh.ravel(), cmesh.ravel())
+        assigner = StateAssigner()
+        want = np.zeros(lons.shape)
+        for state in assigner.states.values():
+            idx = np.nonzero(want == 0.0)[0]
+            if len(idx) == 0:
+                break
+            hit = state.geometry.contains_many(lons[idx], lats[idx])
+            want[idx[hit]] = 1.0
+        land = assigner.containing(lons, lats) >= 0
+        assert np.array_equal(land.astype(float), want)
+        assert 0 < land.sum() < len(land)

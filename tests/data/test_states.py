@@ -85,14 +85,32 @@ class TestAssignment:
         got = assigner.assign_many(lons, lats)
         want = [KNOWN_POINTS[(lon, lat)]
                 for lon, lat in zip(lons.tolist(), lats.tolist())]
-        assert got.tolist() == want
+        assert np.array(assigner.abbrs)[got].tolist() == want
 
     def test_total_assignment(self, assigner, rng):
         """Every CONUS point gets some state (fallback included)."""
         lons = rng.uniform(-124, -68, 2000)
         lats = rng.uniform(26, 48, 2000)
         got = assigner.assign_many(lons, lats)
-        assert (got != "").all()
+        assert got.dtype.kind == "i"
+        assert ((got >= 0) & (got < len(assigner.abbrs))).all()
+
+    def test_containing_is_first_state_wins(self, assigner, rng):
+        """Codes equal a per-state loop in table order; -1 where no
+        polygon holds the point; assign_many differs only there."""
+        assert assigner.abbrs == tuple(conus_states())
+        lons = rng.uniform(-126, -66, 5000)
+        lats = rng.uniform(24, 50, 5000)
+        want = np.full(len(lons), -1)
+        for code, state in enumerate(conus_states().values()):
+            inside = state.geometry.contains_many(lons, lats)
+            want[(want < 0) & inside] = code
+        got = assigner.containing(lons, lats)
+        assert np.array_equal(got, want)
+        assert (got < 0).any() and (got >= 0).any()
+        many = assigner.assign_many(lons, lats)
+        assert np.array_equal(many[got >= 0], got[got >= 0])
+        assert (many >= 0).all()
 
     def test_state_centers_assign_to_themselves(self, assigner):
         for abbr, state in conus_states().items():

@@ -50,13 +50,6 @@ class TestUniformGridIndex:
         want = set(np.nonzero(poly.contains_many(lons, lats))[0].tolist())
         assert got == want
 
-    def test_query_radius(self, points, index):
-        lons, lats = points
-        got = set(index.query_radius(-105.0, 35.0, 1.0).tolist())
-        d = np.hypot(lons + 105.0, lats - 35.0)
-        want = set(np.nonzero(d <= 1.0)[0].tolist())
-        assert got == want
-
     def test_all_points_in_full_bbox(self, points, index):
         lons, lats = points
         box = BBox(lons.min(), lats.min(), lons.max(), lats.max())
@@ -203,47 +196,6 @@ class TestQueryPolygonDelta:
                 want = np.nonzero(
                     poly.contains_many(lons, lats))[0]
                 assert np.array_equal(np.sort(prev), want)
-
-
-class TestQueryRadiusCounters:
-    """query_radius on the CSR fast path: counter + result parity."""
-
-    def test_counts_match_bbox_prefilter(self, points, index):
-        from repro.runtime.stats import STATS
-
-        lon, lat, r = -105.0, 35.0, 1.0
-        before = STATS.snapshot()
-        got = index.query_radius(lon, lat, r)
-        counters = STATS.delta_since(before)["counters"]
-
-        bbox = BBox(lon - r, lat - r, lon + r, lat + r)
-        starts, ends, _ = index._candidate_runs(bbox)
-        n_cand = int((ends - starts).sum())
-        lons, lats = points
-        in_box = int(bbox.contains_many(lons, lats).sum())
-        assert counters.get("index.bbox_queries", 0) == 1
-        assert counters.get("index.candidates", 0) == n_cand
-        assert counters.get("index.hits", 0) == in_box
-        assert len(got) <= in_box
-
-    def test_disjoint_radius_counts_query(self, index):
-        from repro.runtime.stats import STATS
-
-        before = STATS.snapshot()
-        got = index.query_radius(50.0, 50.0, 1.0)
-        counters = STATS.delta_since(before)["counters"]
-        assert len(got) == 0
-        assert counters.get("index.bbox_queries", 0) == 1
-
-    def test_radius_order_matches_bbox_path(self, index):
-        """Same output order as filtering the bbox query (the old
-        implementation), so the fast path is a drop-in."""
-        lon, lat, r = -105.0, 35.0, 2.0
-        got = index.query_radius(lon, lat, r)
-        cand = index.query_bbox(BBox(lon - r, lat - r,
-                                     lon + r, lat + r))
-        d = np.hypot(index.lons[cand] - lon, index.lats[cand] - lat)
-        assert np.array_equal(got, cand[d <= r])
 
 
 class TestSTRTree:

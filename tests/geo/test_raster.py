@@ -107,6 +107,33 @@ class TestRaster:
         grown = r.dilate_mask(mask, 1.0)  # far below one cell
         assert grown.sum() == 1
 
+    @pytest.mark.parametrize("min_cells", [0.0, 0.6, 1.0, 2.5])
+    @pytest.mark.parametrize("radius_m", [0.0, 9_000.0, 31_000.0])
+    def test_dilate_mask_equals_binary_dilation(self, grid, min_cells,
+                                                radius_m):
+        """The one dilation equals scipy's ``binary_dilation`` by the
+        floored footprint, on random masks and on masks touching every
+        grid edge."""
+        from scipy import ndimage
+
+        from repro.geo.projection import meters_per_degree
+
+        r = Raster(grid)
+        mx, my = meters_per_degree((grid.bbox.min_lat
+                                    + grid.bbox.max_lat) / 2.0)
+        rx = radius_m / (grid.res * mx)
+        ry = radius_m / (grid.res * my)
+        footprint = disk_footprint(max(rx, min_cells), max(ry, min_cells))
+        rng = np.random.default_rng(int(radius_m) + int(10 * min_cells))
+        edges = np.zeros(grid.shape, dtype=bool)
+        edges[0, 3] = edges[-1, -4] = edges[7, 0] = edges[-8, -1] = True
+        for mask in (rng.random(grid.shape) < 0.02,
+                     rng.random(grid.shape) < 0.3, edges):
+            got = r.dilate_mask(mask, radius_m, min_cells=min_cells)
+            want = ndimage.binary_dilation(mask, structure=footprint)
+            assert np.array_equal(got, want)
+        assert got.sum() > edges.sum() or footprint.sum() == 1
+
     def test_copy_is_independent(self, grid):
         r = Raster(grid, fill=1.0)
         r2 = r.copy()

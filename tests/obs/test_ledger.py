@@ -169,6 +169,39 @@ print(m.to_json())
         assert got.to_json() == expected
         assert got.timers["cli.fig7"] == 0.7071067811865476
 
+    def test_concurrent_appends_stay_whole(self, tmp_path):
+        """Two processes each append 50 manifests of over 300 KB to one
+        ledger at the same time; every line reads back whole."""
+        go = tmp_path / "go"
+        script = f"""
+import sys, time
+from pathlib import Path
+sys.path.insert(0, {SRC!r})
+from repro.obs.ledger import Ledger
+from repro.obs.manifest import RunManifest
+tag = sys.argv[1]
+ledger = Ledger({str(tmp_path / "led")!r})
+while not Path({str(go)!r}).exists():
+    time.sleep(0.001)
+for i in range(50):
+    ledger.append(RunManifest(
+        run_id=f"{{tag}}{{i:03d}}", kind="cli", command="fig7",
+        started="2026-08-06T00:00:00+00:00", duration_s=1.0,
+        extra={{"pad": tag * 300_000}}))
+"""
+        procs = [subprocess.Popen([sys.executable, "-c", script, tag])
+                 for tag in ("a", "b")]
+        go.touch()
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        ledger = Ledger(tmp_path / "led")
+        runs = ledger.runs()
+        assert ledger.skipped == 0
+        assert len(runs) == 100
+        assert sorted(r.run_id for r in runs) == sorted(
+            f"{tag}{i:03d}" for tag in "ab" for i in range(50))
+        for run in runs:
+            assert run.extra["pad"] == run.run_id[0] * 300_000
+
 
 class TestIngestBench:
     def _write(self, tmp_path, doc) -> Path:

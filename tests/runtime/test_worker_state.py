@@ -8,21 +8,29 @@ arguments.  Either way no worker builds an index.  An index build in
 any process is a ``geo.index`` span, and a worker's timer calls come
 home in its task's stats delta, so a pooled join whose delta holds no
 ``geo.index`` call joined against the parent's index.
+
+A worker that dies mid-task breaks its pool; every fan-out path then
+returns the serial answer with one ``parallel.fallbacks``, within a
+deadline rather than waiting forever.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core import overlay as overlay_module
 from repro.core.overlay import (
     FireDelta,
     classify_cells,
@@ -124,6 +132,144 @@ def test_parent_builds_the_index_before_the_pool_starts():
     before = STATS.snapshot()
     cells.index()
     assert "geo.index" not in STATS.delta_since(before)["timer_calls"]
+
+
+class _Hung(Exception):
+    """The deadline passed while a join waited on its pool."""
+
+
+@contextmanager
+def _deadline(seconds: int = 60):
+    """Turn a hang into a test failure (``_Hung`` is no pool error, so
+    ``run_tasks`` cannot swallow it as a fallback)."""
+    def expire(signum, frame):
+        raise _Hung(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _die_in_worker(parent_pid: int) -> int:
+    """A task that SIGKILLs the worker running it (never the parent)."""
+    if os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return parent_pid
+
+
+def _square(x: int) -> int:
+    return x * x
+
+
+def test_dead_worker_falls_back_to_serial():
+    """A worker killed mid-task breaks its pool: ``run_tasks`` reports
+    ``None`` within seconds and counts one fallback, the next call
+    starts a fresh pool, and pooled joins still equal serial ones."""
+    with _deadline():
+        before = STATS.snapshot()
+        t0 = time.perf_counter()
+        got = runtime_pool.run_tasks("doomed", 2, b"t", _die_in_worker,
+                                     [os.getpid()] * 4)
+        elapsed = time.perf_counter() - t0
+        counters = STATS.delta_since(before)["counters"]
+        assert got is None
+        assert elapsed < 30.0
+        assert counters.get("parallel.fallbacks", 0) == 1
+        assert runtime_pool.active_pools() == []
+
+        before = STATS.snapshot()
+        assert runtime_pool.run_tasks("doomed", 2, b"t", _square,
+                                      [1, 2, 3]) == [1, 4, 9]
+        counters = STATS.delta_since(before)["counters"]
+        assert counters.get("pool.created", 0) == 1
+        assert counters.get("parallel.fallbacks", 0) == 0
+
+    cells = random_universe(24, 3_000)
+    fires = random_fires(24, 6)
+    cells.index()
+    pooled, _ = _pooled(lambda: overlay_fires(cells, fires, year=2018,
+                                              workers=2, use_cache=False))
+    assert_identical(pooled, overlay_fires(cells, fires, year=2018,
+                                           workers=1, use_cache=False))
+
+
+class _DyingSurface:
+    """An intensity surface whose ``classify`` kills any worker that
+    calls it; in the parent it delegates."""
+
+    def __init__(self, surface, parent_pid: int):
+        self.surface = surface
+        self.parent_pid = parent_pid
+
+    def classify(self, lons, lats):
+        _die_in_worker(self.parent_pid)
+        return self.surface.classify(lons, lats)
+
+    def content_token(self) -> bytes:
+        return self.surface.content_token()
+
+
+@pytest.mark.parametrize("path", ["overlay", "delta", "ensemble",
+                                  "classify"])
+def test_worker_killed_mid_join_gives_the_serial_answer(path, monkeypatch,
+                                                        universe):
+    """On each fan-out path, workers that die inside the join leave the
+    serial answer and one fallback, and the broken pool is gone."""
+    parent = os.getpid()
+    join_items = overlay_module.join_items
+
+    def dying_join_items(index, items):
+        _die_in_worker(parent)
+        return join_items(index, items)
+
+    monkeypatch.setattr(overlay_module, "join_items", dying_join_items)
+    cells = random_universe(25, 3_000)
+    fires = random_fires(25, 6)
+    cells.index()
+    if path == "overlay":
+        def join(workers):
+            return overlay_fires(cells, fires, year=2018,
+                                 workers=workers, use_cache=False)
+    elif path == "delta":
+        ticks = growth_snapshots(25, 6, n_ticks=2)
+        prev = overlay_fires(cells, ticks[0], year=2018, workers=1,
+                             use_cache=False)
+        deltas = [FireDelta(fire=fire) for fire in ticks[1]]
+
+        def join(workers):
+            return update_overlay(cells, prev, deltas, workers=workers)
+    elif path == "ensemble":
+        holder = SimpleNamespace(cells=cells)
+        members = [fires[:3], fires[3:], random_fires(26, 6)]
+
+        def join(workers):
+            return ensemble_impacts(holder, members, 2018,
+                                    workers=workers)
+    else:
+        surface = _DyingSurface(universe.whp, parent)
+
+        def join(workers):
+            return classify_cells(cells, surface, workers=workers,
+                                  use_cache=False)
+
+    with _deadline():
+        before = STATS.snapshot()
+        pooled = join(2)
+        counters = STATS.delta_since(before)["counters"]
+    assert counters.get("pool.created", 0) == 1, counters
+    assert counters.get("parallel.fallbacks", 0) == 1, counters
+    assert runtime_pool.active_pools() == []
+    serial = join(1)
+    if path == "classify":
+        assert np.array_equal(pooled, serial)
+    elif path == "ensemble":
+        assert pooled == serial
+    else:
+        assert_identical(pooled, serial)
 
 
 def test_pool_never_imports_shared_memory():

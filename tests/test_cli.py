@@ -29,6 +29,19 @@ def test_imports_without_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_imports_and_lists_without_scipy():
+    """scipy loads only where a stage filters: the CLI imports and
+    ``repro list`` runs with it blocked."""
+    code = ("import sys; sys.modules['scipy'] = None; import repro.cli; "
+            "sys.exit(repro.cli.main(['list']))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert "table1" in proc.stdout
+
+
 class _FakeClock:
     """A span clock that advances one millisecond per read, so a run's
     timers follow its span structure instead of the host's speed."""
