@@ -52,7 +52,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from ..data.cells import CellUniverse
+from ..data.cells import PointSet
 from ..geo.index import UniformGridIndex
 from ..runtime import (
     cache_key,
@@ -161,7 +161,7 @@ def fires_token(fires: list[HazardEvent]) -> bytes:
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(cells: CellUniverse, surface) -> None:
+def _init_worker(cells: PointSet, surface) -> None:
     """Store the universe and the intensity surface (or ``None``)."""
     global _WORKER_STATE
     _WORKER_STATE = (cells, surface)
@@ -206,7 +206,7 @@ def _classify_task(span: tuple[int, int]):
     return classes, STATS.delta_since(before)
 
 
-def fan_out(kind: str, cells: CellUniverse, requested: int, work: int,
+def fan_out(kind: str, cells: PointSet, requested: int, work: int,
             units: int, tasks: Callable[[int], list], *,
             surface: IntensitySurface | None = None,
             span=None) -> list | None:
@@ -257,7 +257,7 @@ def _fire_slices(items: list, workers: int) -> list[list]:
     return [items[lo:hi] for lo, hi in _slices(len(items), workers)]
 
 
-def _join_fires(kind: str, cells: CellUniverse, items: list,
+def _join_fires(kind: str, cells: PointSet, items: list,
                 requested: int, span) -> list:
     """``(counts, hits)`` parts of an overlay or delta join: fire slices
     fanned out over the pool, else one serial part."""
@@ -300,7 +300,7 @@ def _result_cache(use_cache: bool | None):
 # Public joins
 # ----------------------------------------------------------------------
 
-def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
+def overlay_fires(cells: PointSet, fires: list[HazardEvent],
                   year: int | None = None, *,
                   workers: int | None = None,
                   use_cache: bool | None = None) -> FireOverlayResult:
@@ -344,7 +344,7 @@ def overlay_fires(cells: CellUniverse, fires: list[HazardEvent],
     return result
 
 
-def empty_overlay(cells: CellUniverse, year: int) -> FireOverlayResult:
+def empty_overlay(cells: PointSet, year: int) -> FireOverlayResult:
     """A no-fires overlay — the tick-zero state of an incident fold."""
     return FireOverlayResult(
         year=year, n_fires=0,
@@ -352,7 +352,7 @@ def empty_overlay(cells: CellUniverse, year: int) -> FireOverlayResult:
         per_fire_counts={}, per_fire_hits={})
 
 
-def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
+def update_overlay(cells: PointSet, prev: FireOverlayResult,
                    deltas: list[FireDelta], *,
                    workers: int | None = None) -> FireOverlayResult:
     """Advance an overlay by one tick of fire-front deltas.
@@ -400,7 +400,7 @@ def update_overlay(cells: CellUniverse, prev: FireOverlayResult,
     return result
 
 
-def overlay_fires_bruteforce(cells: CellUniverse,
+def overlay_fires_bruteforce(cells: PointSet,
                              fires: list[HazardEvent],
                              year: int | None = None) -> FireOverlayResult:
     """Reference implementation without the spatial index.
@@ -425,7 +425,7 @@ def overlay_fires_bruteforce(cells: CellUniverse,
     )
 
 
-def classify_cells(cells: CellUniverse, whp: IntensitySurface, *,
+def classify_cells(cells: PointSet, whp: IntensitySurface, *,
                    workers: int | None = None,
                    use_cache: bool | None = None) -> np.ndarray:
     """WHP class code per transceiver (vectorized raster sampling).

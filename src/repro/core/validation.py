@@ -11,7 +11,9 @@ Being inside a 2019 perimeter is a ~1e-4 event per transceiver, so at
 synthetic test scales the raw counts are single digits.  The validation
 therefore runs on an oversampled transceiver universe (same generator,
 distinct seed) — an unbiased variance-reduction; counts are rescaled by
-the matching factor.
+the matching factor.  The stage treats it as a rare-event join: it
+draws only the sample's coordinates, joins only the points near a 2019
+perimeter and classifies only the points inside one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..data.whp import WHPClass
 from ..data.wildfires import SCRIPTED_LA_FIRES_2019
 from ..geo.raster import Raster
 from ..session import StageOption, artifact, register_stage, session_of
-from .overlay import classify_cells, overlay_fires
+from .overlay import FireOverlayResult, classify_cells, overlay_fires
 
 __all__ = ["ValidationResult", "validate_whp_2019"]
 
@@ -86,31 +88,32 @@ def _compute_validation(session, at_risk_floor: WHPClass,
                         at_risk_mask_override: np.ndarray | None,
                         oversample: int) -> ValidationResult:
     universe = session.universe
-    cells = universe.validation_cells(oversample)
     overlay = session.artifact("validation_overlay",
                                oversample=oversample)
-    in_fire = overlay.in_perimeter_mask
+    in_fire = np.flatnonzero(overlay.in_perimeter_mask)
+    # Only in-perimeter points are read below, so only they are
+    # classified (or sampled against the override).
+    inside = universe.validation_cells(oversample).subset(in_fire)
 
     whp = universe.whp
     if at_risk_mask_override is not None:
         predicted = Raster(whp.grid, at_risk_mask_override).sample(
-            cells.lons, cells.lats)
+            inside.lons, inside.lats)
     else:
-        predicted = classify_cells(cells, whp) >= int(at_risk_floor)
+        predicted = classify_cells(inside, whp) >= int(at_risk_floor)
 
-    in_la = np.zeros(len(cells), dtype=bool)
+    in_la = np.zeros(len(overlay.in_perimeter_mask), dtype=bool)
     for name, hits in overlay.per_fire_hits.items():
         if name in SCRIPTED_LA_FIRES_2019:
             in_la[hits] = True
+    in_la = in_la[in_fire]
 
-    hits = in_fire & predicted
-    misses = in_fire & ~predicted
     return ValidationResult(
-        in_perimeter_total=int(in_fire.sum()),
-        predicted_at_risk=int(hits.sum()),
-        missed=int(misses.sum()),
-        missed_in_la_fires=int((misses & in_la).sum()),
-        in_la_fires_total=int((in_fire & in_la).sum()),
+        in_perimeter_total=len(in_fire),
+        predicted_at_risk=int(predicted.sum()),
+        missed=int((~predicted).sum()),
+        missed_in_la_fires=int((~predicted & in_la).sum()),
+        in_la_fires_total=int(in_la.sum()),
         universe_scale=universe.universe_scale / oversample,
     )
 
@@ -120,13 +123,30 @@ def _compute_validation(session, at_risk_floor: WHPClass,
 # ----------------------------------------------------------------------
 
 @artifact("validation_overlay")
-def _validation_overlay_artifact(session, oversample: int = 8):
+def _validation_overlay_artifact(session, oversample: int = 8) \
+        -> FireOverlayResult:
     """2019 perimeters joined against the oversampled validation
-    universe (shared by the S3.4 validation and the S3.8 extension)."""
+    universe (shared by the S3.4 validation and the S3.8 extension).
+
+    Only points in a WHP-grid cell that some fire's bbox touches can
+    lie inside a fire, so only those are joined; the mask and the
+    per-fire hits are lifted back to indices into the whole sample.
+    """
     universe = session.universe
-    cells = universe.validation_cells(oversample)
-    return overlay_fires(cells, universe.fire_season(2019).fires,
-                         year=2019)
+    points = universe.validation_cells(oversample)
+    fires = universe.fire_season(2019).fires
+    grid = universe.whp.grid
+    boxes = Raster(grid, grid.box_mask(f.polygon.bbox for f in fires))
+    near = np.flatnonzero(boxes.sample(points.lons, points.lats,
+                                       outside=True))
+    joined = overlay_fires(points.subset(near), fires, year=2019)
+    mask = np.zeros(len(points), dtype=bool)
+    mask[near[joined.in_perimeter_mask]] = True
+    return FireOverlayResult(
+        year=joined.year, n_fires=joined.n_fires, in_perimeter_mask=mask,
+        per_fire_counts=joined.per_fire_counts,
+        per_fire_hits={name: near[hits]
+                       for name, hits in joined.per_fire_hits.items()})
 
 
 @artifact("validation", deps=("validation_overlay",))

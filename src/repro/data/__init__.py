@@ -12,7 +12,9 @@ from .cells import (
     PAPER_TRANSCEIVER_COUNT,
     PROVIDER_GROUPS,
     CellUniverse,
+    PointSet,
     generate_cells,
+    generate_points,
 )
 from .cities import PAPER_METROS, City, city_by_name, conus_cities
 from .counties import (
@@ -84,7 +86,8 @@ from .wildfires import (
 )
 
 __all__ = [
-    "CellUniverse", "generate_cells", "PROVIDER_GROUPS",
+    "PointSet", "CellUniverse", "generate_points", "generate_cells",
+    "PROVIDER_GROUPS",
     "PAPER_TRANSCEIVER_COUNT",
     "City", "conus_cities", "city_by_name", "PAPER_METROS",
     "County", "CountyLayer", "PopCategory", "build_counties",

@@ -24,6 +24,7 @@ import csv
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .providers import (
 )
 from .radios import RadioType, _draw_radio_types_by_code
 
-__all__ = ["CellUniverse", "SiteTable", "generate_cells",
-           "PROVIDER_GROUPS", "PAPER_TRANSCEIVER_COUNT"]
+__all__ = ["PointSet", "CellUniverse", "SiteTable", "generate_points",
+           "generate_cells", "PROVIDER_GROUPS", "PAPER_TRANSCEIVER_COUNT"]
 
 #: The paper's OpenCelliD CONUS snapshot size (2019-10-22).
 PAPER_TRANSCEIVER_COUNT = 5_364_949
@@ -82,38 +83,37 @@ class SiteTable:
 
 
 @dataclass
-class CellUniverse:
-    """Struct-of-arrays container for the transceiver universe."""
+class PointSet:
+    """Transceiver coordinates alone: what a spatial join reads.
+
+    ``index()`` and ``content_token()`` serve :func:`overlay_fires` and
+    :func:`classify_cells`, which read nothing else; the §3.4
+    validation sample is a bare point set, and :class:`CellUniverse`
+    adds the per-transceiver categorical columns.
+    """
+
+    #: Per-row columns, all of ``len(lons)`` rows; ``subset`` slices
+    #: each of them.
+    COLUMNS: ClassVar[tuple[str, ...]] = ("lons", "lats")
 
     lons: np.ndarray          # float64, degrees
     lats: np.ndarray          # float64, degrees
-    site_ids: np.ndarray      # int64; transceivers sharing a site share id
-    mcc: np.ndarray           # int32
-    mnc: np.ndarray           # int32
-    provider_group: np.ndarray  # int8 index into PROVIDER_GROUPS
-    radio: np.ndarray         # int8 RadioType code
-    _index: UniformGridIndex | None = field(default=None, repr=False)
-    _token: bytes | None = field(default=None, repr=False)
-    _sites: SiteTable | None = field(default=None, repr=False)
+    _index: UniformGridIndex | None = field(default=None, repr=False,
+                                            kw_only=True)
+    _token: bytes | None = field(default=None, repr=False, kw_only=True)
 
     def __len__(self) -> int:
         return len(self.lons)
 
     def __post_init__(self):
         n = len(self.lons)
-        for name in ("lats", "site_ids", "mcc", "mnc",
-                     "provider_group", "radio"):
+        for name in self.COLUMNS:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} length mismatch")
 
-    @property
-    def universe_scale(self) -> float:
-        """Factor mapping synthetic counts to paper-universe counts."""
-        return PAPER_TRANSCEIVER_COUNT / max(len(self), 1)
-
     def index(self, cell_deg: float = 0.25) -> UniformGridIndex:
-        """Spatial index over all transceivers (built lazily, cached;
-        each build is a ``geo.index`` span)."""
+        """Spatial index over all points (built lazily, cached; each
+        build is a ``geo.index`` span)."""
         if self._index is None or self._index.cell_deg != cell_deg:
             with span("geo.index", n_points=len(self),
                       cell_deg=cell_deg) as sp, memory_probe(sp):
@@ -122,7 +122,7 @@ class CellUniverse:
         return self._index
 
     def content_token(self) -> bytes:
-        """Digest of the universe's coordinates (computed once).
+        """Digest of the coordinates (computed once).
 
         The runtime result cache keys spatial joins by this token:
         universes generated from different seeds, sizes or placement
@@ -136,6 +136,34 @@ class CellUniverse:
                 h.update(np.ascontiguousarray(arr).tobytes())
             self._token = h.digest()
         return self._token
+
+    def subset(self, mask_or_idx):
+        """A new set of the same type restricted to the given
+        mask/index array."""
+        return type(self)(**{name: getattr(self, name)[mask_or_idx]
+                             for name in self.COLUMNS})
+
+
+@dataclass
+class CellUniverse(PointSet):
+    """Struct-of-arrays container for the transceiver universe."""
+
+    COLUMNS: ClassVar[tuple[str, ...]] = (
+        *PointSet.COLUMNS, "site_ids", "mcc", "mnc", "provider_group",
+        "radio")
+
+    site_ids: np.ndarray      # int64; transceivers sharing a site share id
+    mcc: np.ndarray           # int32
+    mnc: np.ndarray           # int32
+    provider_group: np.ndarray  # int8 index into PROVIDER_GROUPS
+    radio: np.ndarray         # int8 RadioType code
+    _sites: SiteTable | None = field(default=None, repr=False,
+                                     kw_only=True)
+
+    @property
+    def universe_scale(self) -> float:
+        """Factor mapping synthetic counts to paper-universe counts."""
+        return PAPER_TRANSCEIVER_COUNT / max(len(self), 1)
 
     def stratified_sample(self, fraction: float) -> "CellUniverse":
         """Deterministic stratified subsample of the universe.
@@ -159,18 +187,6 @@ class CellUniverse:
     def group_names(self) -> np.ndarray:
         """Provider group name per transceiver."""
         return np.array(PROVIDER_GROUPS)[self.provider_group]
-
-    def subset(self, mask_or_idx) -> "CellUniverse":
-        """A new universe restricted to the given mask/index array."""
-        return CellUniverse(
-            lons=self.lons[mask_or_idx],
-            lats=self.lats[mask_or_idx],
-            site_ids=self.site_ids[mask_or_idx],
-            mcc=self.mcc[mask_or_idx],
-            mnc=self.mnc[mask_or_idx],
-            provider_group=self.provider_group[mask_or_idx],
-            radio=self.radio[mask_or_idx],
-        )
 
     def sites(self) -> SiteTable:
         """The per-site table (computed once, cached)."""
@@ -251,16 +267,14 @@ def _groups_from_plmns(mcc: np.ndarray, mnc: np.ndarray) -> np.ndarray:
     return out
 
 
-def generate_cells(pop: PopulationSurface, n_transceivers: int,
-                   seed: int = 11, placement_exponent: float = 0.85,
-                   mean_per_site: float = 5.6,
-                   jitter_m: float = 120.0,
-                   urban_halfsat: float = 50_000.0) -> CellUniverse:
-    """Generate the synthetic transceiver universe.
+def _draw_coordinates(pop: PopulationSurface, n_transceivers: int,
+                      seed: int, placement_exponent: float,
+                      mean_per_site: float, jitter_m: float):
+    """The first draws of every universe: site placement, per-site
+    counts and location jitter.
 
-    ``placement_exponent`` and ``urban_halfsat`` must match the WHP model
-    for its calibration to hold; :class:`repro.data.universe.SyntheticUS`
-    wires them together.
+    Returns the generator (for the draws that follow), the per-site
+    counts and the transceiver coordinates.
     """
     if n_transceivers <= 0:
         raise ValueError("n_transceivers must be positive")
@@ -282,7 +296,6 @@ def generate_cells(pop: PopulationSurface, n_transceivers: int,
     # Adjust total to exactly n_transceivers by trimming/padding.
     _fill_to_total(per_site, n_transceivers, rng)
 
-    site_of = np.repeat(np.arange(n_sites, dtype=np.int64), per_site)
     lons = np.repeat(site_lons, per_site)
     lats = np.repeat(site_lats, per_site)
 
@@ -290,6 +303,37 @@ def generate_cells(pop: PopulationSurface, n_transceivers: int,
     jitter_deg = jitter_m / 111_000.0
     lons = lons + rng.normal(0.0, jitter_deg, size=len(lons))
     lats = lats + rng.normal(0.0, jitter_deg, size=len(lats))
+    return rng, per_site, lons, lats
+
+
+def generate_points(pop: PopulationSurface, n_transceivers: int,
+                    seed: int = 11, placement_exponent: float = 0.85,
+                    mean_per_site: float = 5.6,
+                    jitter_m: float = 120.0) -> PointSet:
+    """The coordinates :func:`generate_cells` draws for the same
+    arguments, bit for bit, without drawing the categorical columns."""
+    _, _, lons, lats = _draw_coordinates(
+        pop, n_transceivers, seed, placement_exponent, mean_per_site,
+        jitter_m)
+    return PointSet(lons=lons, lats=lats)
+
+
+def generate_cells(pop: PopulationSurface, n_transceivers: int,
+                   seed: int = 11, placement_exponent: float = 0.85,
+                   mean_per_site: float = 5.6,
+                   jitter_m: float = 120.0,
+                   urban_halfsat: float = 50_000.0) -> CellUniverse:
+    """Generate the synthetic transceiver universe.
+
+    ``placement_exponent`` and ``urban_halfsat`` must match the WHP model
+    for its calibration to hold; :class:`repro.data.universe.SyntheticUS`
+    wires them together.
+    """
+    rng, per_site, lons, lats = _draw_coordinates(
+        pop, n_transceivers, seed, placement_exponent, mean_per_site,
+        jitter_m)
+    site_of = np.repeat(np.arange(len(per_site), dtype=np.int64),
+                        per_site)
 
     # Urbanization at each site drives provider and technology biases.
     density = pop.density_at(lons, lats).astype(float)

@@ -9,7 +9,7 @@ that consistency.
 
 Scale is controlled by ``n_transceivers``.  Tests use ~20k, benchmarks
 ~150k; results are reported both raw and rescaled to the paper's
-5,364,949-transceiver universe via :attr:`CellUniverse.universe_scale`.
+5,364,949-transceiver universe via :attr:`SyntheticUS.universe_scale`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from functools import lru_cache
 
 from ..obs.profile import memory_probe
 from ..obs.trace import span
-from .cells import PAPER_TRANSCEIVER_COUNT, CellUniverse, generate_cells
+from .cells import (
+    PAPER_TRANSCEIVER_COUNT,
+    CellUniverse,
+    PointSet,
+    generate_cells,
+    generate_points,
+)
 from .counties import CountyLayer, build_counties
 from .dirs import DirsSimulation, simulate_dirs
 from .population import PopulationSurface
@@ -60,7 +66,7 @@ class SyntheticUS:
         self._counties: CountyLayer | None = None
         self._seasons: dict[int, FireSeason] = {}
         self._dirs: DirsSimulation | None = None
-        self._validation_cells: dict[int, CellUniverse] = {}
+        self._validation_cells: dict[int, PointSet] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -118,26 +124,27 @@ class SyntheticUS:
                         year, self.whp, seed=self.config.seed + year)
         return self._seasons[year]
 
-    def validation_cells(self, oversample: int = 8) -> CellUniverse:
+    def validation_cells(self, oversample: int = 8) -> PointSet:
         """A denser transceiver sample for low-variance validation.
 
         The §3.4 validation counts transceivers inside 2019 perimeters —
-        a ~1e-4 tail event, far too rare at test scale.  This draws an
-        ``oversample``-times larger universe (same generator, distinct
-        seed) purely for that estimate; fractions are unbiased and counts
-        are rescaled by the matching factor.
+        a ~1e-4 tail event, far too rare at test scale.  This draws the
+        coordinates of an ``oversample``-times larger universe (same
+        generator, distinct seed) purely for that estimate; fractions
+        are unbiased and counts are rescaled by the matching factor.
+        Validation reads nothing but coordinates, so no provider, PLMN
+        or radio is drawn.
         """
         key = int(oversample)
         if key not in self._validation_cells:
             with span("data.validation_cells", oversample=key) as sp, \
                     memory_probe(sp):
-                self._validation_cells[key] = generate_cells(
+                self._validation_cells[key] = generate_points(
                     self.population,
                     n_transceivers=self.config.n_transceivers * key,
                     seed=self.config.seed + 7,
                     placement_exponent=self.config.placement_exponent,
                     mean_per_site=self.config.mean_per_site,
-                    urban_halfsat=self.config.urban_halfsat,
                 )
         return self._validation_cells[key]
 
@@ -153,7 +160,12 @@ class SyntheticUS:
 
     @property
     def universe_scale(self) -> float:
-        return self.cells.universe_scale
+        """Factor mapping synthetic counts to paper-universe counts.
+
+        ``generate_cells`` returns exactly ``n_transceivers`` rows, so
+        this is read from the config without drawing the universe.
+        """
+        return PAPER_TRANSCEIVER_COUNT / self.config.n_transceivers
 
 
 @lru_cache(maxsize=4)

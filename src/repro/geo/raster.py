@@ -22,7 +22,8 @@ from ..runtime.stats import STATS
 from .geometry import BBox, Polygon
 from .projection import meters_per_degree
 
-__all__ = ["GridSpec", "Raster", "rasterize_polygon", "disk_footprint"]
+__all__ = ["GridSpec", "Raster", "rasterize_polygon", "disk_footprint",
+           "dilate_ellipse"]
 
 # Point-sampling tile size.  Bounding the per-tile working set keeps the
 # row/col/mask temporaries (5 int64/bool arrays per tile) out of the
@@ -84,6 +85,24 @@ class GridSpec:
         lons, _ = self.cell_center(0, np.arange(self.width))
         _, lats = self.cell_center(np.arange(self.height), 0)
         return lons, lats
+
+    def box_mask(self, boxes) -> np.ndarray:
+        """Boolean grid mask of every cell some box touches.
+
+        Each box marks the rectangle between the cells of its corners,
+        clipped to the grid.  :meth:`rowcol` is monotone in each
+        coordinate (a subtraction, a positive division and a floor), so
+        every on-grid point a box contains falls in that rectangle:
+        sampling the mask with ``outside=True`` keeps every point that
+        any box contains.
+        """
+        mask = np.zeros(self.shape, dtype=bool)
+        for box in boxes:
+            r0, c0 = self.rowcol(box.min_lon, box.max_lat)
+            r1, c1 = self.rowcol(box.max_lon, box.min_lat)
+            mask[max(int(r0), 0):max(int(r1) + 1, 0),
+                 max(int(c0), 0):max(int(c1) + 1, 0)] = True
+        return mask
 
     def inside(self, rows, cols) -> np.ndarray:
         return ((rows >= 0) & (rows < self.height)
@@ -213,16 +232,13 @@ class Raster:
         radii, in cells, for callers whose radius must span some cells
         however coarse the grid.
         """
-        from scipy import ndimage
-
         if mask.shape != self.grid.shape:
             raise ValueError("mask shape mismatch")
         lat_mid = (self.grid.bbox.min_lat + self.grid.bbox.max_lat) / 2.0
         mx, my = meters_per_degree(lat_mid)
         rx = max(radius_m / (self.grid.res * mx), min_cells)  # columns
         ry = max(radius_m / (self.grid.res * my), min_cells)  # rows
-        footprint = disk_footprint(rx, ry)
-        return ndimage.binary_dilation(mask, structure=footprint)
+        return dilate_ellipse(mask, rx, ry)
 
     def histogram(self) -> dict:
         """Value -> cell count for integer rasters."""
@@ -243,6 +259,38 @@ def disk_footprint(rx: float, ry: float) -> np.ndarray:
     footprint = inside <= 1.0
     footprint[ny, nx] = True
     return footprint
+
+
+def dilate_ellipse(mask: np.ndarray, rx: float, ry: float) -> np.ndarray:
+    """Binary dilation of ``mask`` by ``disk_footprint(rx, ry)``.
+
+    Equals ``ndimage.binary_dilation(mask, structure=footprint)`` (zero
+    border).  Each footprint row is one run centred on the footprint's
+    middle column, so the dilation is the OR, over row offsets ``dy``, of the
+    mask run-dilated along its rows by that row's length and shifted
+    by ``dy``: one 1-D maximum filter per distinct run length instead
+    of a 2-D pass per footprint cell.  Rows a non-integer radius leaves
+    empty contribute nothing, nor do shifts past the mask's height.
+    """
+    from scipy import ndimage
+
+    footprint = disk_footprint(rx, ry)
+    ny = footprint.shape[0] // 2
+    lengths = footprint.sum(axis=1)
+    mask = np.asarray(mask, dtype=bool)
+    height = mask.shape[0]
+    out = np.zeros(mask.shape, dtype=bool)
+    for length in np.unique(lengths[lengths > 0]):
+        grown = ndimage.maximum_filter1d(mask, size=int(length), axis=1,
+                                         mode="constant", cval=0)
+        for dy in np.flatnonzero(lengths == length) - ny:
+            if abs(dy) >= height:
+                continue
+            if dy >= 0:
+                out[dy:] |= grown[:height - dy]
+            else:
+                out[:dy] |= grown[-dy:]
+    return out
 
 
 def rasterize_polygon(grid: GridSpec, polygon: Polygon) -> np.ndarray:

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.extension import extend_very_high
-from repro.core.overlay import classify_cells
+from repro.core.extension import _dilate_fringe_equivalent, extend_very_high
+from repro.core.overlay import classify_cells, overlay_fires
 from repro.core.validation import ValidationResult, validate_whp_2019
+from repro.data.cells import generate_cells
+from repro.data.whp import WHPClass
 from repro.data.wildfires import SCRIPTED_LA_FIRES_2019
+from repro.geo.projection import miles_to_meters
+from repro.geo.raster import Raster
 from repro.session import session_of
 
 
@@ -103,6 +107,103 @@ class TestValidationReadsSessionProducts:
                              use_cache=False)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+
+def _full_path(universe, oversample):
+    """The validation sample as it was drawn and joined before the
+    rare-event cuts: every column of every point, every point joined."""
+    cfg = universe.config
+    cells = generate_cells(
+        universe.population,
+        n_transceivers=cfg.n_transceivers * oversample,
+        seed=cfg.seed + 7,
+        placement_exponent=cfg.placement_exponent,
+        mean_per_site=cfg.mean_per_site,
+        urban_halfsat=cfg.urban_halfsat)
+    overlay = overlay_fires(cells, universe.fire_season(2019).fires,
+                            year=2019, workers=1, use_cache=False)
+    return cells, overlay
+
+
+def _full_result(universe, cells, overlay, oversample, floor, override):
+    """The validation over every point of the full sample."""
+    in_fire = overlay.in_perimeter_mask
+    if override is not None:
+        predicted = Raster(universe.whp.grid, override).sample(
+            cells.lons, cells.lats)
+    else:
+        predicted = classify_cells(cells, universe.whp, workers=1,
+                                   use_cache=False) >= int(floor)
+    in_la = np.zeros(len(cells), dtype=bool)
+    for name, hits in overlay.per_fire_hits.items():
+        if name in SCRIPTED_LA_FIRES_2019:
+            in_la[hits] = True
+    hits = in_fire & predicted
+    misses = in_fire & ~predicted
+    return ValidationResult(
+        in_perimeter_total=int(in_fire.sum()),
+        predicted_at_risk=int(hits.sum()),
+        missed=int(misses.sum()),
+        missed_in_la_fires=int((misses & in_la).sum()),
+        in_la_fires_total=int((in_fire & in_la).sum()),
+        universe_scale=universe.cells.universe_scale / oversample)
+
+
+def _extended_mask(universe):
+    """The §3.8 at-risk mask after the half-mile very-high extension."""
+    whp = universe.whp
+    vh = whp.class_mask(WHPClass.VERY_HIGH)
+    extended = _dilate_fringe_equivalent(universe, vh,
+                                         miles_to_meters(0.5))
+    extended &= (whp.fuel.data > 0) | vh
+    return whp.at_risk_mask() | extended
+
+
+class TestRareEventJoinEqualsFullPath:
+    """Coordinates-only draw, box prefilter and in-perimeter classify
+    give exactly what the full draw, join and classify gave."""
+
+    @pytest.fixture(scope="class", params=[4, 8, 24])
+    def full(self, request, universe):
+        return request.param, *_full_path(universe, request.param)
+
+    def test_overlay_equals_full_join(self, universe, full):
+        oversample, cells, want = full
+        got = session_of(universe).artifact("validation_overlay",
+                                            oversample=oversample)
+        assert want.in_perimeter_mask.any()
+        assert np.array_equal(got.in_perimeter_mask,
+                              want.in_perimeter_mask)
+        assert (got.year, got.n_fires) == (want.year, want.n_fires)
+        assert got.per_fire_counts == want.per_fire_counts
+        assert list(got.per_fire_hits) == list(want.per_fire_hits)
+        for name, hits in want.per_fire_hits.items():
+            assert np.array_equal(np.sort(got.per_fire_hits[name]),
+                                  np.sort(hits))
+
+    @pytest.mark.parametrize("floor", [WHPClass.MODERATE, WHPClass.HIGH])
+    def test_floor_result_equals_full_path(self, universe, full, floor):
+        oversample, cells, overlay = full
+        got = validate_whp_2019(universe, at_risk_floor=floor,
+                                oversample=oversample)
+        want = _full_result(universe, cells, overlay, oversample, floor,
+                            None)
+        assert want.in_perimeter_total > 0
+        assert got == want
+
+    @pytest.mark.parametrize("override", ["all", "none", "extended"])
+    def test_override_result_equals_full_path(self, universe, full,
+                                              override):
+        oversample, cells, overlay = full
+        shape = universe.whp.grid.shape
+        mask = {"all": lambda: np.ones(shape, dtype=bool),
+                "none": lambda: np.zeros(shape, dtype=bool),
+                "extended": lambda: _extended_mask(universe)}[override]()
+        got = validate_whp_2019(universe, at_risk_mask_override=mask,
+                                oversample=oversample)
+        want = _full_result(universe, cells, overlay, oversample,
+                            WHPClass.MODERATE, mask)
+        assert got == want
 
 
 class TestExtension:

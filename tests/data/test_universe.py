@@ -3,6 +3,8 @@
 import pytest
 
 from repro.data import SyntheticUS, UniverseConfig, small_universe
+from repro.data.cells import PAPER_TRANSCEIVER_COUNT, PointSet, generate_cells
+from repro.data.universe import scale_config
 
 
 class TestConfig:
@@ -58,3 +60,59 @@ class TestConsistency:
         b = SyntheticUS(UniverseConfig(n_transceivers=500, seed=2,
                                        whp_resolution_deg=0.2))
         assert not (a.cells.lons == b.cells.lons).all()
+
+
+class TestValidationCells:
+    """The validation sample is drawn coordinates-only: the bits the
+    full generator draws first, and none of its categorical columns."""
+
+    @pytest.fixture(scope="class", params=["tiny", "seed"])
+    def fresh(self, request):
+        return SyntheticUS(scale_config(request.param))
+
+    @pytest.mark.parametrize("oversample", [1, 8, 24])
+    def test_coordinates_equal_generate_cells(self, fresh, oversample):
+        cfg = fresh.config
+        points = fresh.validation_cells(oversample)
+        full = generate_cells(
+            fresh.population,
+            n_transceivers=cfg.n_transceivers * oversample,
+            seed=cfg.seed + 7,
+            placement_exponent=cfg.placement_exponent,
+            mean_per_site=cfg.mean_per_site,
+            urban_halfsat=cfg.urban_halfsat)
+        assert type(points) is PointSet
+        assert points.lons.tobytes() == full.lons.tobytes()
+        assert points.lats.tobytes() == full.lats.tobytes()
+
+    def test_draws_no_provider_group(self, monkeypatch):
+        from repro.data import cells as cells_mod
+
+        calls = []
+        real = cells_mod._draw_provider_groups
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cells_mod, "_draw_provider_groups", spy)
+        u = SyntheticUS(UniverseConfig(n_transceivers=500,
+                                       whp_resolution_deg=0.2))
+        assert len(u.validation_cells(8)) == 4000
+        assert calls == []
+        assert len(u.cells) == 500      # the spy is live
+        assert calls == [500]
+
+
+class TestUniverseScale:
+    @pytest.mark.parametrize("config", [
+        scale_config("tiny"), scale_config("seed"),
+        UniverseConfig(n_transceivers=1, whp_resolution_deg=0.2),
+    ], ids=["tiny", "seed", "one"])
+    def test_read_from_config(self, config):
+        """Equals the ratio over the drawn universe, without drawing
+        it."""
+        u = SyntheticUS(config)
+        scale = u.universe_scale
+        assert u._cells is None
+        assert scale == PAPER_TRANSCEIVER_COUNT / len(u.cells)

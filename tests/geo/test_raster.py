@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geo import raster as raster_mod
 from repro.geo.geometry import BBox, Polygon
-from repro.geo.raster import GridSpec, Raster, disk_footprint, rasterize_polygon
+from repro.geo.raster import (
+    GridSpec,
+    Raster,
+    dilate_ellipse,
+    disk_footprint,
+    rasterize_polygon,
+)
 from repro.runtime.stats import STATS
 
 
@@ -134,6 +140,34 @@ class TestRaster:
             assert np.array_equal(got, want)
         assert got.sum() > edges.sum() or footprint.sum() == 1
 
+    @pytest.mark.parametrize("rx, ry, shape", [
+        (0.0, 3.0, (30, 30)),   # rx = 0 with ry > 0: one column
+        (3.0, 0.0, (30, 30)),   # ry = 0 with rx > 0: one row
+        (2.5, 1.5, (30, 30)),   # non-integer radii: outer rows empty
+        (4.7, 3.2, (30, 30)),
+        (2.0, 9.0, (4, 30)),    # mask shorter than the footprint
+        (9.0, 9.0, (1, 12)),
+        (6.5, 2.0, (30, 3)),    # and narrower than it
+    ])
+    def test_dilate_ellipse_equals_binary_dilation(self, rx, ry, shape):
+        """The row-run dilation equals ``binary_dilation`` by the same
+        footprint on the edge cases of its row decomposition."""
+        from scipy import ndimage
+
+        footprint = disk_footprint(rx, ry)
+        if ry != int(ry):
+            assert not footprint[0].any() and not footprint[-1].any()
+        rng = np.random.default_rng(int(10 * rx + ry))
+        edges = np.zeros(shape, dtype=bool)
+        edges[0, 0] = edges[-1, -1] = True
+        centre = np.zeros(shape, dtype=bool)
+        centre[shape[0] // 2, shape[1] // 2] = True
+        for mask in (rng.random(shape) < 0.02, rng.random(shape) < 0.3,
+                     edges, centre, np.zeros(shape, dtype=bool),
+                     np.ones(shape, dtype=bool)):
+            want = ndimage.binary_dilation(mask, structure=footprint)
+            assert np.array_equal(dilate_ellipse(mask, rx, ry), want)
+
     def test_copy_is_independent(self, grid):
         r = Raster(grid, fill=1.0)
         r2 = r.copy()
@@ -209,6 +243,72 @@ class TestSampleGrid:
             == mlons.tobytes()
         assert np.broadcast_to(lats[:, None], grid.shape).tobytes() \
             == mlats.tobytes()
+
+
+class TestBoxMask:
+    """``box_mask`` sampled with ``outside=True`` is the validation's
+    prefilter: it may keep extra points, never drop a boxed one."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid=grid_specs(), data=st.data())
+    def test_prefilter_keeps_every_point_a_box_contains(self, grid, data):
+        b = grid.bbox
+        # Boxes anywhere from one grid extent left/below the grid to one
+        # right/above it: inside, straddling an edge or wholly off it.
+        lon = st.floats(b.min_lon - b.width, b.max_lon + b.width)
+        lat = st.floats(b.min_lat - b.height, b.max_lat + b.height)
+        size = st.sampled_from([0.0, grid.res / 3]) \
+            | st.floats(0.0, max(b.width, b.height))
+        boxes = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            x, y = data.draw(lon), data.draw(lat)
+            boxes.append(BBox(x, y, x + data.draw(size),
+                              y + data.draw(size)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        # Each box's corners and points inside it, plus points scattered
+        # over and around the grid (many of them off it).
+        lons, lats = [], []
+        for box in boxes:
+            lons += [box.min_lon, box.max_lon, box.min_lon, box.max_lon]
+            lats += [box.min_lat, box.min_lat, box.max_lat, box.max_lat]
+            u, v = rng.random(20), rng.random(20)
+            lons += list(box.min_lon + u * box.width)
+            lats += list(box.min_lat + v * box.height)
+        lons += list(rng.uniform(b.min_lon - b.width,
+                                 b.max_lon + b.width, 60))
+        lats += list(rng.uniform(b.min_lat - b.height,
+                                 b.max_lat + b.height, 60))
+        lons, lats = np.array(lons), np.array(lats)
+
+        mask = grid.box_mask(boxes)
+        kept = Raster(grid, mask).sample(lons, lats, outside=True)
+        held = np.zeros(len(lons), dtype=bool)
+        for box in boxes:
+            held |= box.contains_many(lons, lats)
+        assert held.any()
+        assert not (held & ~kept).any()
+        # ...and marks no cell away from every box.
+        rows, cols = np.nonzero(mask)
+        west = b.min_lon + cols * grid.res
+        north = b.max_lat - rows * grid.res
+        near = np.zeros(len(rows), dtype=bool)
+        for box in boxes:
+            grown = box.expand(grid.res * 1e-6)
+            near |= ((west <= grown.max_lon)
+                     & (west + grid.res >= grown.min_lon)
+                     & (north >= grown.min_lat)
+                     & (north - grid.res <= grown.max_lat))
+        assert near.all()
+
+    def test_marks_clipped_corner_rectangles(self, grid):
+        b = grid.bbox
+        above = BBox(b.min_lon, b.max_lat + 0.5, b.max_lon, b.max_lat + 1)
+        left = BBox(b.min_lon - 2, b.min_lat, b.min_lon - 1, b.max_lat)
+        assert not grid.box_mask([above, left]).any()
+        inner = BBox(-100.55, 35.05, -100.25, 35.15)
+        rows, cols = np.nonzero(grid.box_mask([inner]))
+        assert (set(rows.tolist()), set(cols.tolist())) \
+            == ({18, 19}, {4, 5, 6, 7})
 
 
 class TestDiskFootprint:
