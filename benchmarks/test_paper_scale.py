@@ -177,7 +177,7 @@ def test_paper_scale_stream_tick():
     total_buckets = len(index._uniq_keys)
     dirty_fraction = dirty / max(total_buckets, 1)
     speedup = rebuild_s / max(tick_s, 1e-9)
-    resolved = dispatch.plan("delta", workers, len(cells),
+    resolved = dispatch.plan(workers, len(cells),
                              len(cells) * len(deltas), len(deltas))
 
     record_timing(

@@ -75,7 +75,7 @@ def test_runtime_overlay_modes(universe, tmp_path):
     assert serial.per_fire_counts == parallel.per_fire_counts \
         == warm.per_fire_counts
 
-    resolved = dispatch.plan("overlay", workers, len(cells),
+    resolved = dispatch.plan(workers, len(cells),
                              len(cells) * len(fires), len(fires))
     if resolved == 1:
         # The adaptive dispatcher resolved the workers=N call to the
@@ -109,47 +109,27 @@ def test_runtime_overlay_modes(universe, tmp_path):
 
 
 def test_runtime_classify_modes(universe, tmp_path):
-    """The WHP raster-sampling join across the same three modes."""
+    """The WHP raster-sampling join: in-process vs warm cache (it never
+    pools)."""
     cells = universe.cells
-    workers = int(os.environ.get("REPRO_WORKERS", "4"))
 
     serial, serial_s = _timed(
-        classify_cells, cells, universe.whp, workers=1, use_cache=False)
-    before = STATS.snapshot()
-    parallel, parallel_s = _timed(
-        classify_cells, cells, universe.whp, workers=workers,
-        use_cache=False)
-    fell_back = _fell_back(before)
+        classify_cells, cells, universe.whp, use_cache=False)
     set_cache(ResultCache(tmp_path))
     try:
-        classify_cells(cells, universe.whp, workers=1, use_cache=True)
+        classify_cells(cells, universe.whp, use_cache=True)
         warm, warm_s = _timed(
-            classify_cells, cells, universe.whp, workers=1,
-            use_cache=True)
+            classify_cells, cells, universe.whp, use_cache=True)
     finally:
         set_cache(None)
 
-    assert (serial == parallel).all()
     assert (serial == warm).all()
-    resolved = dispatch.plan("classify", workers, len(cells),
-                             len(cells), len(cells))
-    if resolved == 1:
-        serial_s = parallel_s = min(serial_s, parallel_s)
-    skipped = skipped_asserts("classify parallel <= 1.5x serial",
-                              resolved=resolved, fell_back=fell_back)
     record_timing(
         "classify_whp",
-        n_points=len(cells), workers=workers, resolved_workers=resolved,
-        serial_s=serial_s, parallel_s=parallel_s, warm_cache_s=warm_s,
-        skipped_asserts=skipped)
+        n_points=len(cells), serial_s=serial_s, warm_cache_s=warm_s)
     print_result(
         "RUNTIME — classify modes",
-        f"serial {serial_s:.3f}s | parallel(x{workers}->"
-        f"{resolved}) {parallel_s:.3f}s"
-        f" | warm cache {warm_s * 1000:.1f}ms")
-    if not skipped:
-        assert parallel_s <= 1.5 * serial_s, \
-            "requesting workers must not lose to serial"
+        f"serial {serial_s:.3f}s | warm cache {warm_s * 1000:.1f}ms")
 
 
 def test_runtime_index_build(universe):
@@ -336,7 +316,7 @@ def test_runtime_stream_tick(universe):
     skipped = counters.get("index.skipped_buckets", 0)
     total_buckets = len(index._uniq_keys)
     dirty_fraction = dirty / max(total_buckets, 1)
-    resolved = dispatch.plan("delta", workers, len(cells),
+    resolved = dispatch.plan(workers, len(cells),
                              len(cells) * len(deltas), len(deltas))
     speedup = rebuild_s / max(tick_s, 1e-9)
 
@@ -413,7 +393,7 @@ def test_runtime_scenario_ensemble(universe):
         "pooled ensemble must match the serial joins bit for bit"
 
     eff_workers = dispatch.plan(
-        "overlay", workers, len(cells),
+        workers, len(cells),
         len(cells) * sum(map(len, member_events)), n_members)
     cores = available_cores()
     fell_back = delta.get("parallel.fallbacks", 0) > 0

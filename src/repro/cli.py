@@ -60,9 +60,10 @@ from .session import (
     AnalysisSession,
     StageOption,
     get_stage,
-    iter_global_options,
     iter_stages,
-    register_global_option,
+    number_above,
+    positive_float,
+    positive_int,
     register_stage,
     set_artifact_observer,
     stages_in_all,
@@ -77,11 +78,9 @@ _DEFAULT_TRANSCEIVERS = 60_000
 _DEFAULT_SEED = 20_190_722
 _DEFAULT_WHP_RES = 0.1
 
-register_global_option(StageOption(
-    "--scale", type=str, default=None,
-    choices=tuple(SCALE_PRESETS),
-    help="named universe scale (tiny/seed/paper); explicit -n / --seed "
-         "/ --whp-res flags override the preset's fields"))
+#: ``gate --threshold``: a latest/baseline ratio at or below 1 would
+#: flag speed-ups as regressions.
+_regression_ratio = number_above(float, 1.0, "a ratio above 1")
 
 
 class _VersionAction(argparse.Action):
@@ -116,7 +115,8 @@ register_stage("map", help="ASCII map of a figure",
                options=(StageOption("--figure", type=int, default=6,
                                     choices=(2, 3, 4, 6),
                                     help="figure number"),
-                        StageOption("--width", type=int, default=100)))
+                        StageOption("--width", type=positive_int,
+                                    default=100)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,22 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduce 'Five Alarms' (IMC 2020) tables/figures.")
     parser.add_argument("--version", action=_VersionAction)
-    parser.add_argument("-n", "--transceivers", type=int,
+    parser.add_argument("-n", "--transceivers", type=positive_int,
                         default=_DEFAULT_TRANSCEIVERS,
                         help="synthetic universe size (default 60000)")
     parser.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    parser.add_argument("--whp-res", type=float,
+    parser.add_argument("--whp-res", type=positive_float,
                         default=_DEFAULT_WHP_RES,
                         help="WHP grid resolution in degrees")
-    for opt in iter_global_options():
-        kwargs = {"type": opt.type, "default": opt.default}
-        if opt.help:
-            kwargs["help"] = opt.help
-        if opt.choices is not None:
-            kwargs["choices"] = opt.choices
-        if opt.nargs is not None:
-            kwargs["nargs"] = opt.nargs
-        parser.add_argument(opt.flag, **kwargs)
+    parser.add_argument("--scale", type=str, default=None,
+                        choices=tuple(SCALE_PRESETS),
+                        help="named universe scale (tiny/seed/paper); "
+                             "explicit -n / --seed / --whp-res flags "
+                             "override the preset's fields")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for spatial joins "
                              "(default: $REPRO_WORKERS or 1 = serial)")
@@ -208,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stage", nargs="?", default=None,
         help="track one stage's timer instead of the run total")
     history_parser.add_argument(
-        "--limit", type=int, default=20,
+        "--limit", type=positive_int, default=20,
         help="show at most this many runs (default 20)")
     history_parser.add_argument(
         "--bench", metavar="FILE", action="append", default=[],
@@ -233,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         "stage", nargs="?", default=None,
         help="gate only this stage's timers (default: all)")
     gate_parser.add_argument(
-        "--baseline", type=int, default=5,
+        "--baseline", type=positive_int, default=5,
         help="baseline size: median of the last N prior runs "
              "(default 5)")
     gate_parser.add_argument(
-        "--threshold", type=float, default=1.3,
+        "--threshold", type=_regression_ratio, default=1.3,
         help="regression ratio vs the baseline median (default 1.3)")
     gate_parser.add_argument(
         "--min-seconds", type=float, default=0.05,

@@ -27,9 +27,10 @@ Execution is delegated to :mod:`repro.runtime`:
   inherit the universe and its index copy-on-write and reuse them for
   every fire of every season of a 19-year sweep; a task ships only a
   slice of the fire list and returns per-fire counts plus global hit
-  indices.  Every pooled join — batch overlay, delta tick, classify,
-  scenario ensemble — fans out through one helper, :func:`fan_out`;
-  the joins run the same per-item loop, :func:`join_items`;
+  indices.  Every join — batch overlay, delta tick, scenario
+  ensemble — runs through one helper, :func:`fan_out`, pooled or
+  serial, and the same per-item loop, :func:`join_items`; the WHP
+  classification samples its raster in-process;
 * with a cache directory configured, results are read from and
   written to the content-addressed disk cache, keyed by the inputs'
   bytes.
@@ -151,20 +152,20 @@ def fires_token(fires: list[HazardEvent]) -> bytes:
 
 # ----------------------------------------------------------------------
 # Worker-process plumbing.  One pool initializer stores the point
-# universe plus, for a classify pool, the intensity surface.  Under fork
-# both are the parent's own objects, inherited copy-on-write together
-# with the grid index fan_out built before the pool started; where the
-# pool has to pickle them instead, the universe carries its built index.
-# The pool itself persists across joins (see repro.runtime.pool).
+# universe.  Under fork it is the parent's own object, inherited
+# copy-on-write together with the grid index fan_out built before the
+# pool started; where the pool has to pickle it instead, the universe
+# carries its built index.  The pool itself persists across joins (see
+# repro.runtime.pool).
 # ----------------------------------------------------------------------
 
-_WORKER_STATE: tuple | None = None
+_WORKER_CELLS: PointSet | None = None
 
 
-def _init_worker(cells: PointSet, surface) -> None:
-    """Store the universe and the intensity surface (or ``None``)."""
-    global _WORKER_STATE
-    _WORKER_STATE = (cells, surface)
+def _init_worker(cells: PointSet) -> None:
+    """Store the universe every task of this worker joins against."""
+    global _WORKER_CELLS
+    _WORKER_CELLS = cells
 
 
 def join_items(index: UniformGridIndex, items: list) \
@@ -188,84 +189,60 @@ def join_items(index: UniformGridIndex, items: list) \
 def _join_task(items: list):
     """Pool task: :func:`join_items` against the worker-resident index,
     plus the worker's stats delta."""
-    cells, _ = _WORKER_STATE
     before = STATS.snapshot()
     with trace_span("overlay.chunk", n_fires=len(items)) as sp:
-        counts, hits = join_items(cells.index(), items)
+        counts, hits = join_items(_WORKER_CELLS.index(), items)
         sp.set(hits=int(counts.sum()))
     return (counts, hits), STATS.delta_since(before)
 
 
-def _classify_task(span: tuple[int, int]):
-    start, stop = span
-    cells, surface = _WORKER_STATE
-    before = STATS.snapshot()
-    with trace_span("classify.chunk", start=start, stop=stop):
-        classes = surface.classify(cells.lons[start:stop],
-                                   cells.lats[start:stop])
-    return classes, STATS.delta_since(before)
-
-
-def fan_out(kind: str, cells: PointSet, requested: int, work: int,
+def fan_out(cells: PointSet, requested: int | None, work: int,
             units: int, tasks: Callable[[int], list], *,
-            surface: IntensitySurface | None = None,
-            span=None) -> list | None:
-    """Run one join over the persistent universe pool.
+            span=None) -> list:
+    """Run one perimeter join, pooled when it pays, and return its
+    ``(counts, hits)`` parts in task order.
 
-    Plans the workers for ``kind`` (:func:`repro.runtime.plan`),
-    builds the task list with ``tasks(workers)``, runs the tasks on a
-    pool whose workers hold ``cells`` (and ``surface``), and merges the
-    workers' stats deltas.  Returns the task payloads in task order, or
-    ``None`` when the caller should run its serial loop: below the
-    crossover, or after a pool failure.
-
-    ``classify`` tasks are point spans sampling ``surface`` on a pool
-    of their own; every other kind's tasks are :func:`join_items` item
-    lists on the shared ``overlay`` pool, whose workers join against
-    the index built here, before a new pool forks.  ``span`` (the
-    caller's join span) records the planned workers.
+    Plans the workers (:func:`repro.runtime.plan`; ``requested=None``
+    asks for the runtime config's ``workers``) and builds the item
+    lists with ``tasks(workers)``.  Above the crossover the lists run
+    as :func:`join_items` tasks on the persistent ``overlay`` pool,
+    whose workers join against the index built here, before a new pool
+    forks, and the workers' stats deltas are merged.  Below it, or
+    after a pool failure, the lists of ``tasks(1)`` run in-process.
+    ``span`` (the caller's join span) records the planned workers.
     """
-    workers = plan(kind, requested, len(cells), work, units)
+    if requested is None:
+        requested = get_config().workers
+    workers = plan(requested, len(cells), work, units)
     if span is not None:
         span.set(workers=workers)
-    if workers <= 1:
-        return None
-    name, fn, token = "overlay", _join_task, cells.content_token()
-    if kind == "classify":
-        name, fn = "classify", _classify_task
-        token += surface.content_token()
-    else:
-        cells.index()
-    results = run_tasks(name, workers, token, fn, tasks(workers),
-                        initializer=_init_worker,
-                        initargs=(cells, surface))
-    if results is None:
-        return None
-    for _, delta in results:
-        STATS.merge(delta)
-    return [payload for payload, _ in results]
-
-
-def _slices(n: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` spans of ``range(n)``, several per
-    worker."""
-    return chunk_spans(n, -(-n // (workers * _SLICES_PER_WORKER)))
+    index = cells.index()
+    if workers > 1:
+        results = run_tasks("overlay", workers, cells.content_token(),
+                            _join_task, tasks(workers),
+                            initializer=_init_worker, initargs=(cells,))
+        if results is not None:
+            for _, delta in results:
+                STATS.merge(delta)
+            return [payload for payload, _ in results]
+    return [join_items(index, items) for items in tasks(1)]
 
 
 def _fire_slices(items: list, workers: int) -> list[list]:
-    """Contiguous slices of ``items``, several per worker."""
-    return [items[lo:hi] for lo, hi in _slices(len(items), workers)]
+    """Contiguous slices of ``items``, several per pool worker; one
+    slice of all of them for the serial join."""
+    if workers <= 1:
+        return [items]
+    size = -(-len(items) // (workers * _SLICES_PER_WORKER))
+    return [items[lo:hi] for lo, hi in chunk_spans(len(items), size)]
 
 
-def _join_fires(kind: str, cells: PointSet, items: list,
-                requested: int, span) -> list:
-    """``(counts, hits)`` parts of an overlay or delta join: fire slices
-    fanned out over the pool, else one serial part."""
-    parts = fan_out(kind, cells, requested, len(cells) * len(items),
-                    len(items), partial(_fire_slices, items), span=span)
-    if parts is None:
-        parts = [join_items(cells.index(), items)]
-    return parts
+def _join_fires(cells: PointSet, items: list, requested: int | None,
+                span) -> list:
+    """``(counts, hits)`` parts of an overlay or delta join: fire
+    slices planned under the one overlay rule."""
+    return fan_out(cells, requested, len(cells) * len(items), len(items),
+                   partial(_fire_slices, items), span=span)
 
 
 def _split(hits: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
@@ -317,8 +294,6 @@ def overlay_fires(cells: PointSet, fires: list[HazardEvent],
     estimated work and the machine's core budget, and falls back to the
     strictly-serial path whenever parallelism could not win.
     """
-    if workers is None:
-        workers = get_config().workers
     resolved_year = year if year is not None else (
         fires[0].year if fires else 0)
 
@@ -332,8 +307,7 @@ def overlay_fires(cells: PointSet, fires: list[HazardEvent],
 
     with trace_span("overlay_fires", year=resolved_year,
                     n_points=len(cells), n_fires=len(fires)) as sp:
-        parts = _join_fires("overlay", cells,
-                            [(fire, None) for fire in fires],
+        parts = _join_fires(cells, [(fire, None) for fire in fires],
                             workers, sp)
         result = empty_overlay(cells, resolved_year)
         result.n_fires = len(fires)
@@ -371,12 +345,11 @@ def update_overlay(cells: PointSet, prev: FireOverlayResult,
       footprints, and mask contribution carry over.
 
     The mask update relies on monotone growth (``prev`` hits stay
-    hits), the same contract ``query_polygon_delta`` documents.  Large
-    dirty sets dispatch through the persistent worker pool (the
-    ``delta`` plan); small ticks run serially.
+    hits), the same contract ``query_polygon_delta`` documents.  A tick
+    is planned exactly as :func:`overlay_fires` plans a season, on
+    ``points × changed fires``: large ticks dispatch through the
+    persistent worker pool, small ones run serially.
     """
-    if workers is None:
-        workers = get_config().workers
     if not deltas:
         return prev
     fires = [d.fire for d in deltas]
@@ -384,7 +357,7 @@ def update_overlay(cells: PointSet, prev: FireOverlayResult,
     with trace_span("update_overlay", year=prev.year,
                     n_points=len(cells), n_deltas=len(deltas)) as sp:
         parts = _join_fires(
-            "delta", cells,
+            cells,
             [(fire, prev.per_fire_hits.get(fire.name)) for fire in fires],
             workers, sp)
 
@@ -426,18 +399,13 @@ def overlay_fires_bruteforce(cells: PointSet,
 
 
 def classify_cells(cells: PointSet, whp: IntensitySurface, *,
-                   workers: int | None = None,
                    use_cache: bool | None = None) -> np.ndarray:
     """WHP class code per transceiver (vectorized raster sampling).
 
-    Sharded into contiguous point spans over the persistent worker pool
-    for very large universes and memoized like :func:`overlay_fires`;
-    the sampling itself is exact per point, so every path returns
-    identical codes.
+    Sampled in-process — one vectorized lookup per point, far below any
+    fork's cost even at paper scale — and memoized like
+    :func:`overlay_fires`.
     """
-    if workers is None:
-        workers = get_config().workers
-
     cache = _result_cache(use_cache)
     if cache is not None:
         key = cache_key(b"classify_cells/v1", cells.content_token(),
@@ -446,12 +414,8 @@ def classify_cells(cells: PointSet, whp: IntensitySurface, *,
         if entry is not None:
             return entry["classes"]
 
-    n = len(cells)
-    with trace_span("classify_cells", n_points=n) as sp:
-        parts = fan_out("classify", cells, workers, n, n,
-                        partial(_slices, n), surface=whp, span=sp)
-        classes = np.concatenate(parts) if parts is not None \
-            else whp.classify(cells.lons, cells.lats)
+    with trace_span("classify_cells", n_points=len(cells)):
+        classes = whp.classify(cells.lons, cells.lats)
 
     if cache is not None:
         cache.put(key, {"classes": classes})

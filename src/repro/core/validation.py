@@ -26,7 +26,13 @@ from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
 from ..data.wildfires import SCRIPTED_LA_FIRES_2019
 from ..geo.raster import Raster
-from ..session import StageOption, artifact, register_stage, session_of
+from ..session import (
+    StageOption,
+    artifact,
+    positive_int,
+    register_stage,
+    session_of,
+)
 from .overlay import FireOverlayResult, classify_cells, overlay_fires
 
 __all__ = ["ValidationResult", "validate_whp_2019"]
@@ -173,5 +179,6 @@ def _export_validation(session, ctx) -> dict:
 register_stage("validate", help="2019 WHP validation (S3.4)",
                paper="§3.4", artifact="validation",
                render="render_validation", order=110, domain="validation",
-               options=(StageOption("--oversample", type=int, default=8),),
+               options=(StageOption("--oversample", type=positive_int,
+                                    default=8),),
                params=("oversample",), export=_export_validation)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.trace import span as trace_span
-from ..session import StageOption, artifact, register_stage
+from ..session import StageOption, artifact, positive_int, register_stage
 from .base import Hazard
 from .grid_fire import GridIgnitedFireHazard
 from .wildfire import WildfireHazard
@@ -170,20 +170,13 @@ def ensemble_impacts(universe, member_events: list[list], year: int, *,
     run the identical join serially.  ``year`` labels the season; the
     counts do not depend on it.
     """
-    from ..core.overlay import fan_out, join_items
-    from ..runtime import get_config
+    from ..core.overlay import fan_out
 
     cells = universe.cells
-    if workers is None:
-        workers = get_config().workers
     tasks = [[(event, None) for event in events]
              for events in member_events]
-    parts = fan_out("overlay", cells, workers,
-                    len(cells) * sum(map(len, tasks)), len(tasks),
-                    lambda _: tasks)
-    if parts is None:
-        index = cells.index()
-        parts = [join_items(index, items) for items in tasks]
+    parts = fan_out(cells, workers, len(cells) * sum(map(len, tasks)),
+                    len(tasks), lambda _: tasks)
     return [int(np.unique(hits).size) for _, hits in parts]
 
 
@@ -260,7 +253,8 @@ register_stage("scenario",
                                choices=scenario_names(), nargs="?",
                                help="scenario name (default: "
                                     "grid-ignition-season)"),
-                   StageOption("--members", type=int, default=None,
+                   StageOption("--members", type=positive_int,
+                               default=None,
                                help="override the bundle's ensemble "
                                     "size"),
                ),

@@ -103,9 +103,6 @@ class Ledger:
                 self.skipped += 1
         return out
 
-    def last(self, n: int) -> list[RunManifest]:
-        return self.runs()[-n:]
-
     def resolve(self, ref: str,
                 runs: list[RunManifest] | None = None) -> RunManifest:
         """Resolve ``ref`` to a run: a (possibly negative) integer

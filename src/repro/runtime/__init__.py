@@ -10,9 +10,9 @@ as fast as the machine allows without changing a single result bit:
   ``fork``, so they share the parent's universe and its built index
   copy-on-write;
 * :mod:`.dispatch` — the one adaptive serial/parallel plan every
-  fan-out goes through: estimated work (points × events, raster
-  samples) against a measured crossover per kind, capped by the
-  machine's core count, so parallel never loses to serial;
+  fan-out goes through: estimated work (points × events) against one
+  measured crossover, capped by the machine's core count, so parallel
+  never loses to serial;
 * :mod:`.cache` — a content-addressed on-disk result cache keyed by the
   inputs' bytes, so a join computed by one run is read back by the
   next (reuse inside a process is the session memo's job);

@@ -8,8 +8,8 @@ or the CLI flags that shadow them.
 
 The serial fallback guarantee: with ``workers <= 1`` no worker process is
 ever spawned and results are computed exactly as the seed implementation
-did.  The parallel path splits a join into fire slices or contiguous
-point spans and is bit-identical to serial by construction (exact
+did.  The parallel path splits a join into fire slices or ensemble
+members and is bit-identical to serial by construction (exact
 per-point predicates, order-preserving concatenation) — the
 differential suite in ``tests/runtime/`` enforces this.
 """
@@ -21,9 +21,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 __all__ = ["RuntimeConfig", "get_config", "set_config", "configure"]
-
-#: Minimum universe size before the parallel path is worth the fork cost.
-MIN_PARALLEL_POINTS = 8_192
 
 
 def _env_int(name: str, default: int) -> int:

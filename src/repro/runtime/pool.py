@@ -143,7 +143,6 @@ def run_tasks(name: str, workers: int, token: bytes, fn: Callable,
         trace_event("parallel.fallback", pool=name, at="map")
         return None
     STATS.count("parallel.pool_runs")
-    STATS.count("parallel.tasks", len(tasks))
     STATS.count("pool.tasks", len(tasks))
     return results
 

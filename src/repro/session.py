@@ -34,7 +34,9 @@ the memo lives on the session, which is keyed to one universe object.
 
 from __future__ import annotations
 
+import argparse
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 from weakref import WeakKeyDictionary
@@ -55,9 +57,10 @@ __all__ = [
     "get_artifact_spec",
     "get_stage",
     "iter_artifacts",
-    "iter_global_options",
     "iter_stages",
-    "register_global_option",
+    "number_above",
+    "positive_float",
+    "positive_int",
     "register_stage",
     "session_of",
     "set_artifact_observer",
@@ -179,6 +182,29 @@ def get_artifact_spec(name: str) -> ArtifactSpec:
 # Stage registry
 # ----------------------------------------------------------------------
 
+def number_above(convert: Callable, floor: float,
+                 what: str) -> Callable[[str], Any]:
+    """An argparse ``type``: ``convert(text)``, which must be a finite
+    number above ``floor``; anything else is a one-line usage error
+    (exit 2) naming ``what`` the option takes."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not floor < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+#: The argparse types of counts and sizes, shared by the root options
+#: and the stage options.
+positive_int = number_above(int, 0, "a positive integer")
+positive_float = number_above(float, 0.0, "a positive number")
+
+
 @dataclass(frozen=True)
 class StageOption:
     """One CLI option a stage accepts (mapped onto argparse).
@@ -286,27 +312,6 @@ def _resolve_render(render: Callable[[Any], str] | str) \
         return render
     from .core import report
     return getattr(report, render)
-
-
-#: Session-level CLI options that apply to every stage (e.g. --scale),
-#: registered by the modules that own them and mounted onto the root
-#: parser by the CLI — the same contract stage options have, one level
-#: up.
-_GLOBAL_OPTIONS: dict[str, StageOption] = {}
-
-
-def register_global_option(option: StageOption) -> StageOption:
-    """Register a CLI option that applies to the whole session."""
-    if option.dest in _GLOBAL_OPTIONS:
-        raise ValueError(f"global option {option.flag!r} registered twice")
-    _GLOBAL_OPTIONS[option.dest] = option
-    return option
-
-
-def iter_global_options() -> tuple[StageOption, ...]:
-    """All registered session-level options, in registration order."""
-    _ensure_registered()
-    return tuple(_GLOBAL_OPTIONS.values())
 
 
 def iter_stages() -> tuple[Stage, ...]:

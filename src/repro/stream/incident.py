@@ -129,7 +129,7 @@ class IncidentState:
         (cell-center rule).  Without it the population fields stay 0.
     workers:
         Worker request forwarded to :func:`update_overlay` each tick
-        (``None`` = the runtime config's setting); the delta-dispatch
+        (``None`` = the runtime config's setting); the overlay
         crossover still decides serial vs pool per tick.
     """
 

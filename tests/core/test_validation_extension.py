@@ -103,8 +103,7 @@ class TestValidationReadsSessionProducts:
     def test_classify_cells_equals_whp_classify(self, universe):
         cells = universe.validation_cells(24)
         expected = universe.whp.classify(cells.lons, cells.lats)
-        got = classify_cells(cells, universe.whp, workers=1,
-                             use_cache=False)
+        got = classify_cells(cells, universe.whp, use_cache=False)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
@@ -132,7 +131,7 @@ def _full_result(universe, cells, overlay, oversample, floor, override):
         predicted = Raster(universe.whp.grid, override).sample(
             cells.lons, cells.lats)
     else:
-        predicted = classify_cells(cells, universe.whp, workers=1,
+        predicted = classify_cells(cells, universe.whp,
                                    use_cache=False) >= int(floor)
     in_la = np.zeros(len(cells), dtype=bool)
     for name, hits in overlay.per_fire_hits.items():

@@ -20,7 +20,6 @@ from repro.hazard.scenarios import ensemble_impacts
 from repro.obs.ledger import compare_runs
 from repro.obs.manifest import RunManifest
 from repro.runtime import STATS, shutdown_pools
-from repro.runtime import config as runtime_config
 from repro.runtime import dispatch
 from repro.session import session_of
 
@@ -69,7 +68,7 @@ class TestDeterminismAndPooling:
         # 3 members x 48 events on the test universe is far below the
         # overlay crossover; lower it (and pretend to have the cores)
         # so the pooled side genuinely runs on the pool.
-        monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+        monkeypatch.setattr(dispatch, "MIN_PARALLEL_POINTS", 64)
         monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 1)
         monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 8)
         scenario = get_scenario("grid-ignition-season")

@@ -12,7 +12,6 @@ from repro.runtime import (
     set_trace_channel,
     shutdown_pools,
 )
-from repro.runtime import config as runtime_config
 from repro.runtime import dispatch as runtime_dispatch
 
 
@@ -184,7 +183,7 @@ class TestParallelEndToEnd:
 
     @pytest.fixture(autouse=True)
     def _small_parallel_floor(self, monkeypatch):
-        monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+        monkeypatch.setattr(runtime_dispatch, "MIN_PARALLEL_POINTS", 64)
         monkeypatch.setattr(runtime_dispatch, "OVERLAY_WORK_FACTOR", 1)
         monkeypatch.setattr(runtime_dispatch, "CPU_COUNT_OVERRIDE", 8)
         shutdown_pools()

@@ -263,7 +263,7 @@ class TestOverlayCacheSemantics:
                   if k.startswith("cache.")}
         overlay_fires(universe.cells, universe.fire_season(2018).fires,
                       year=2018, workers=1)
-        classify_cells(universe.cells, universe.whp, workers=1)
+        classify_cells(universe.cells, universe.whp)
         after = {k: v for k, v in STATS.snapshot()["counters"].items()
                  if k.startswith("cache.")}
         assert after == before

@@ -5,11 +5,14 @@ cached paths are *bit-identical* to the serial bruteforce reference on
 any input.  These tests enforce it on randomized universes across
 seeds × worker counts × universe sizes, including the degenerate
 inputs (empty fire list, single-point universe, fewer points than fires
-can be sliced over, fewer points than classify slices) where sharding
-logic usually breaks.
+can be sliced over) where sharding logic usually breaks.  Raster
+classification always runs in-process; its tests pin that the worker
+request changes nothing.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,9 +24,8 @@ from repro.core.overlay import (
 )
 from repro.data.cells import CellUniverse
 from repro.data.wildfires import FirePerimeter, star_polygon
-from repro.runtime import config as runtime_config
+from repro.runtime import configure, get_config, set_config, shutdown_pools
 from repro.runtime import dispatch as runtime_dispatch
-from repro.runtime import shutdown_pools
 
 
 @pytest.fixture(autouse=True)
@@ -35,13 +37,22 @@ def _small_parallel_floor(monkeypatch):
     core budget all gate the pool.  Patch all three down so the actual
     pool machinery runs; results must still be bit-identical.
     """
-    monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+    monkeypatch.setattr(runtime_dispatch, "MIN_PARALLEL_POINTS", 64)
     monkeypatch.setattr(runtime_dispatch, "OVERLAY_WORK_FACTOR", 1)
-    monkeypatch.setattr(runtime_dispatch, "CLASSIFY_WORK_FACTOR", 1)
-    monkeypatch.setattr(runtime_dispatch, "DELTA_WORK_FACTOR", 1)
     monkeypatch.setattr(runtime_dispatch, "CPU_COUNT_OVERRIDE", 8)
     yield
     shutdown_pools()
+
+
+@contextmanager
+def _requested_workers(workers: int):
+    """The runtime config's ``workers`` set to ``workers`` meanwhile."""
+    previous = get_config()
+    configure(workers=workers)
+    try:
+        yield
+    finally:
+        set_config(previous)
 
 
 def random_universe(seed: int, n: int) -> CellUniverse:
@@ -170,22 +181,20 @@ def test_cached_result_identical(seed, workers, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("n_points", [10, 200, 4096])
-def test_classify_matches_serial(universe, monkeypatch, workers, n_points):
-    """Raster sampling sharded into point spans equals the plain
-    vectorized sample, also when there are fewer points than slices."""
+def test_classify_matches_serial(universe, workers, n_points):
+    """Raster classification equals the plain vectorized sample and
+    runs in-process whatever the configured worker request."""
     from repro.runtime import STATS
 
-    monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 1)
     cells = universe.cells.subset(np.arange(n_points))
     reference = universe.whp.classify(cells.lons, cells.lats)
-    before = STATS.snapshot()
-    got = classify_cells(cells, universe.whp, workers=workers,
-                         use_cache=False)
+    with _requested_workers(workers):
+        before = STATS.snapshot()
+        got = classify_cells(cells, universe.whp, use_cache=False)
     counters = STATS.delta_since(before)["counters"]
     assert got.dtype == reference.dtype
     assert (got == reference).all()
-    if workers > 1 and not counters.get("parallel.fallbacks", 0):
-        assert counters.get("pool.tasks", 0) >= 2
+    assert counters.get("pool.tasks", 0) == 0
 
 
 def test_overlay_on_real_universe_seasons(universe):
@@ -339,23 +348,17 @@ def test_update_counter_totals_serial_vs_parallel():
 
 
 def test_classify_counter_totals_serial_vs_parallel(universe):
+    """Each point is sampled once, in-process, at any worker request."""
     from repro.runtime import STATS
 
     cells = universe.cells
-
-    before = STATS.snapshot()
-    serial = classify_cells(cells, universe.whp, workers=1,
-                            use_cache=False)
-    serial_samples = STATS.delta_since(before)["counters"] \
-        .get("raster.samples", 0)
-
-    shutdown_pools()
-    before = STATS.snapshot()
-    parallel = classify_cells(cells, universe.whp, workers=4,
-                              use_cache=False)
-    parallel_samples = STATS.delta_since(before)["counters"] \
-        .get("raster.samples", 0)
-
-    assert (serial == parallel).all()
-    assert serial_samples == len(cells)
-    assert parallel_samples == serial_samples
+    reference = universe.whp.classify(cells.lons, cells.lats)
+    for workers in (1, 4):
+        with _requested_workers(workers):
+            before = STATS.snapshot()
+            classes = classify_cells(cells, universe.whp,
+                                     use_cache=False)
+        counters = STATS.delta_since(before)["counters"]
+        assert (classes == reference).all()
+        assert counters.get("raster.samples", 0) == len(cells)
+        assert counters.get("pool.tasks", 0) == 0

@@ -3,9 +3,11 @@
 The dispatcher's contract is one-sided: parallel must never be chosen
 where it would lose.  These tests pin the serial decisions below every
 gate of :func:`dispatch.plan` (work floor, crossover, unit count, core
-budget) and the resolved worker counts above them, once per kind — plus
-end-to-end regressions proving that sub-crossover and core-starved
-fan-outs with ``workers > 1`` never touch the pool.
+budget) and the resolved worker counts above them; check that a delta
+tick meets each gate exactly where an overlay of the same points ×
+fires does; and prove end to end that sub-crossover and core-starved
+fan-outs with ``workers > 1``, and every WHP classification, never
+touch the pool.
 """
 
 from __future__ import annotations
@@ -13,16 +15,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import overlay as overlay_module
+from repro.core.overlay import FireDelta, overlay_fires, update_overlay
 from repro.runtime import active_pools, shutdown_pools
-from repro.runtime import config as runtime_config
 from repro.runtime import dispatch
 from repro.runtime.stats import STATS
+
+from ..stream.test_stream_differential import growth_snapshots
+from .test_differential import random_universe
 
 
 @pytest.fixture(autouse=True)
 def _stable_knobs(monkeypatch):
     """Pin the floor and pretend the machine has 8 cores."""
-    monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 1_000)
+    monkeypatch.setattr(dispatch, "MIN_PARALLEL_POINTS", 1_000)
     monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 8)
 
 
@@ -40,83 +46,115 @@ class TestCpuBudget:
         assert dispatch.cpu_budget() >= 1
 
 
-class _PlanGates:
-    """The gates every kind shares, written once; subclasses pick the
-    kind and add its unit gates.  ``work`` is given against the kind's
-    crossover, ``MIN_PARALLEL_POINTS × <KIND>_WORK_FACTOR``."""
-
-    kind = ""
-
-    def plan(self, requested, n_points, work, units):
-        return dispatch.plan(self.kind, requested, n_points, work, units)
+class TestOverlayWorkers:
+    """The one rule: work is points × events against the crossover
+    ``MIN_PARALLEL_POINTS × OVERLAY_WORK_FACTOR``; units are fires,
+    changed fires or ensemble members."""
 
     @property
     def crossover(self) -> int:
-        factor = getattr(dispatch, f"{self.kind.upper()}_WORK_FACTOR")
-        return runtime_config.MIN_PARALLEL_POINTS * factor
+        return dispatch.MIN_PARALLEL_POINTS * dispatch.OVERLAY_WORK_FACTOR
 
     def test_serial_when_one_requested(self):
-        assert self.plan(1, 10**9, 10 * self.crossover, 10**3) == 1
+        assert dispatch.plan(1, 10**9, 10 * self.crossover, 10**3) == 1
 
     def test_serial_below_point_floor(self):
-        assert self.plan(4, 999, 10 * self.crossover, 10**6) == 1
+        assert dispatch.plan(4, 999, 10 * self.crossover, 10**6) == 1
 
     def test_serial_below_crossover(self):
-        assert self.plan(4, 10_000, self.crossover - 1, 10**3) == 1
+        assert dispatch.plan(4, 10_000, self.crossover - 1, 10**3) == 1
 
     def test_parallel_at_crossover(self):
-        assert self.plan(4, 10_000, self.crossover, 10**3) == 4
+        assert dispatch.plan(4, 10_000, self.crossover, 10**3) == 4
 
     def test_never_more_than_cpu_budget(self, monkeypatch):
         monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 2)
-        assert self.plan(16, 10**9, 10 * self.crossover, 10**4) == 2
-
-
-class TestOverlayWorkers(_PlanGates):
-    """Batch overlays and ensembles: work is points × events, units are
-    fires (or members)."""
-
-    kind = "overlay"
+        assert dispatch.plan(16, 10**9, 10 * self.crossover, 10**4) == 2
 
     def test_serial_below_fire_floor(self):
-        assert self.plan(4, 10**9, 10**9, 1) == 1
+        assert dispatch.plan(4, 10**9, 10**9, 1) == 1
 
     def test_never_more_than_fires(self):
         n_points = self.crossover
-        assert self.plan(8, n_points, n_points * 3, 3) == 3
+        assert dispatch.plan(8, n_points, n_points * 3, 3) == 3
 
 
-class TestDeltaWorkers(TestOverlayWorkers):
-    """Delta ticks: the overlay's gates against the delta crossover;
-    units are changed fires."""
+class TestDeltaWorkers:
+    """A delta tick pools exactly when an overlay of the same points ×
+    fires does, gate by gate.
 
-    kind = "delta"
+    The crossover is lowered to 1,000 points × 4 fires, and the pool
+    is replaced by a recorder that reports it unavailable: each join
+    records the workers it planned, answers serially and forks
+    nothing.
+    """
 
+    @pytest.fixture(autouse=True)
+    def _recorded_pool(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 4)
+        self.requests: list[int] = []
 
-class TestClassifyWorkers(_PlanGates):
-    """Raster classify: work is points, and so are units."""
+        def unavailable(name, workers, token, fn, tasks, **kwargs):
+            self.requests.append(workers)
+            return None
 
-    kind = "classify"
+        monkeypatch.setattr(overlay_module, "run_tasks", unavailable)
 
-    def test_never_more_than_chunks(self):
-        n_points = self.crossover
-        assert self.plan(8, n_points, n_points, 1) == 1
+    def _planned(self) -> int:
+        """Workers the last join asked the pool for (1: none)."""
+        planned = self.requests[0] if self.requests else 1
+        self.requests.clear()
+        return planned
+
+    def plan(self, requested: int, n_points: int, n_fires: int) -> int:
+        """Workers one growth tick of ``n_fires`` changed fronts plans;
+        asserts an overlay of the same fires plans the same."""
+        cells = random_universe(41, n_points)
+        ticks = growth_snapshots(41, n_fires, n_ticks=2)
+        prev = overlay_fires(cells, ticks[0], year=2018, workers=1,
+                             use_cache=False)
+        deltas = [FireDelta(fire=fire) for fire in ticks[1]]
+        assert len(deltas) == n_fires
+        self.requests.clear()
+        update_overlay(cells, prev, deltas, workers=requested)
+        tick = self._planned()
+        overlay_fires(cells, ticks[1], year=2018, workers=requested,
+                      use_cache=False)
+        assert self._planned() == tick
+        return tick
+
+    def test_serial_when_one_requested(self):
+        assert self.plan(1, 2_000, 4) == 1
+
+    def test_serial_below_point_floor(self):
+        assert self.plan(4, 999, 8) == 1
+
+    def test_serial_below_crossover(self):
+        assert self.plan(4, 1_000, 3) == 1
+
+    def test_parallel_at_crossover(self):
+        assert self.plan(4, 1_000, 4) == 4
+
+    def test_never_more_than_cpu_budget(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 2)
+        assert self.plan(16, 2_000, 8) == 2
+
+    def test_serial_below_fire_floor(self):
+        assert self.plan(4, 10_000, 1) == 1
+
+    def test_never_more_than_fires(self):
+        assert self.plan(8, 2_000, 3) == 3
 
 
 class TestPlanTable:
-    def test_unknown_kind_raises(self):
-        with pytest.raises(KeyError):
-            dispatch.plan("nope", 4, 10**9, 10**18, 10)
-
     def test_work_factor_is_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "DELTA_WORK_FACTOR", 1)
-        assert dispatch.plan("delta", 4, 10_000, 1_000, 2) == 2
+        monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 1)
+        assert dispatch.plan(4, 10_000, 1_000, 2) == 2
 
 
 class TestDispatchEndToEnd:
     def test_small_overlay_never_touches_pool(self):
         """workers=4 on a sub-crossover join stays strictly serial."""
-        from repro.core.overlay import overlay_fires
         from repro.data.cells import CellUniverse
         from repro.data.wildfires import FirePerimeter, star_polygon
 
@@ -150,27 +188,19 @@ class TestDispatchEndToEnd:
     def test_one_core_never_creates_a_pool(self, universe, monkeypatch):
         """Crossovers lowered, one core: no caller may fork.
 
-        Every fan-out — batch overlay, delta tick, classify, scenario
-        ensemble, and the scenario stage on top of it — takes its
-        worker count from the one plan, so a one-core budget keeps all
-        of them serial even with ``workers=8`` requested.
+        Every fan-out — batch overlay, delta tick, scenario ensemble,
+        and the scenario stage on top of it — takes its worker count
+        from the one plan, so a one-core budget keeps all of them
+        serial even with ``workers=8`` requested.
         """
-        from repro.core.overlay import (
-            FireDelta,
-            classify_cells,
-            overlay_fires,
-            update_overlay,
-        )
         from repro.hazard.scenarios import (
             ensemble_impacts,
             get_scenario,
             run_scenario,
         )
 
-        monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+        monkeypatch.setattr(dispatch, "MIN_PARALLEL_POINTS", 64)
         monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 1)
-        monkeypatch.setattr(dispatch, "CLASSIFY_WORK_FACTOR", 1)
-        monkeypatch.setattr(dispatch, "DELTA_WORK_FACTOR", 1)
         monkeypatch.setattr(dispatch, "CPU_COUNT_OVERRIDE", 1)
         shutdown_pools()
 
@@ -187,12 +217,36 @@ class TestDispatchEndToEnd:
         update_overlay(cells, prev,
                        [FireDelta(fire=f) for f in fires[-2:]],
                        workers=8)
-        classify_cells(cells, universe.whp, workers=8, use_cache=False)
         ensemble_impacts(universe, members, scenario.year, workers=8)
         run_scenario(universe, "grid-ignition-season", members=2,
                      workers=8)
         counters = STATS.delta_since(before)["counters"]
 
+        assert counters.get("pool.created", 0) == 0
+        assert counters.get("pool.tasks", 0) == 0
+        assert active_pools() == []
+
+    def test_classify_never_creates_a_pool(self, universe, monkeypatch):
+        """Crossovers lowered, eight cores, ``workers=8`` configured:
+        the WHP classification still samples in-process."""
+        from repro.core.overlay import classify_cells
+        from repro.runtime import configure, get_config, set_config
+
+        monkeypatch.setattr(dispatch, "MIN_PARALLEL_POINTS", 64)
+        monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 1)
+        shutdown_pools()
+        previous = get_config()
+        configure(workers=8)
+        try:
+            before = STATS.snapshot()
+            classes = classify_cells(universe.cells, universe.whp,
+                                     use_cache=False)
+            counters = STATS.delta_since(before)["counters"]
+        finally:
+            set_config(previous)
+
+        assert np.array_equal(classes, universe.whp.classify(
+            universe.cells.lons, universe.cells.lats))
         assert counters.get("pool.created", 0) == 0
         assert counters.get("pool.tasks", 0) == 0
         assert active_pools() == []

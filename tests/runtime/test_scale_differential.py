@@ -31,7 +31,6 @@ from repro.geo.predicates import (
     points_in_ring,
     points_in_ring_serial,
 )
-from repro.runtime import config as runtime_config
 from repro.runtime import dispatch as runtime_dispatch
 from repro.runtime import shutdown_pools
 
@@ -139,7 +138,7 @@ def test_index_query_equals_exhaustive_scan(scaled):
 def test_overlay_parallel_serial_bruteforce_identical(
         scaled, monkeypatch):
     """parallel == serial == bruteforce == exhaustive scan, per scale."""
-    monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+    monkeypatch.setattr(runtime_dispatch, "MIN_PARALLEL_POINTS", 64)
     monkeypatch.setattr(runtime_dispatch, "OVERLAY_WORK_FACTOR", 1)
     monkeypatch.setattr(runtime_dispatch, "CPU_COUNT_OVERRIDE", 8)
     try:

@@ -202,7 +202,6 @@ class TestInstrumentationHooks:
             return
         assert got == [(a * 2, b * 2) for a, b in spans]
         assert counters.get("parallel.pool_runs", 0) == 1
-        assert counters.get("parallel.tasks", 0) == len(spans)
         assert counters.get("pool.tasks", 0) == len(spans)
 
 

@@ -31,15 +31,9 @@ import numpy as np
 import pytest
 
 from repro.core import overlay as overlay_module
-from repro.core.overlay import (
-    FireDelta,
-    classify_cells,
-    overlay_fires,
-    update_overlay,
-)
+from repro.core.overlay import FireDelta, overlay_fires, update_overlay
 from repro.hazard.scenarios import ensemble_impacts
 from repro.runtime import STATS, shutdown_pools
-from repro.runtime import config as runtime_config
 from repro.runtime import dispatch as runtime_dispatch
 from repro.runtime import pool as runtime_pool
 
@@ -50,10 +44,8 @@ from .test_differential import assert_identical, random_fires, random_universe
 @pytest.fixture(autouse=True)
 def _pool_floor(monkeypatch):
     """Small universes must reach the pool, and each test starts one."""
-    monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+    monkeypatch.setattr(runtime_dispatch, "MIN_PARALLEL_POINTS", 64)
     monkeypatch.setattr(runtime_dispatch, "OVERLAY_WORK_FACTOR", 1)
-    monkeypatch.setattr(runtime_dispatch, "CLASSIFY_WORK_FACTOR", 1)
-    monkeypatch.setattr(runtime_dispatch, "DELTA_WORK_FACTOR", 1)
     monkeypatch.setattr(runtime_dispatch, "CPU_COUNT_OVERRIDE", 8)
     shutdown_pools()
     yield
@@ -74,8 +66,7 @@ def _pooled(join):
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_workers_hold_the_parents_index(start_method, monkeypatch,
-                                        universe):
+def test_workers_hold_the_parents_index(start_method, monkeypatch):
     monkeypatch.setattr(runtime_pool, "_pool_context",
                         lambda: multiprocessing.get_context(start_method))
     cells = random_universe(21, 3_000)
@@ -111,11 +102,6 @@ def test_workers_hold_the_parents_index(start_method, monkeypatch,
     impacts, _ = _pooled(lambda: ensemble_impacts(holder, members, 2018,
                                                   workers=2))
     assert impacts == ensemble_impacts(holder, members, 2018, workers=1)
-
-    whp = universe.whp
-    classes, _ = _pooled(lambda: classify_cells(cells, whp, workers=2,
-                                                use_cache=False))
-    assert np.array_equal(classes, whp.classify(cells.lons, cells.lats))
 
 
 def test_parent_builds_the_index_before_the_pool_starts():
@@ -197,26 +183,8 @@ def test_dead_worker_falls_back_to_serial():
                                            workers=1, use_cache=False))
 
 
-class _DyingSurface:
-    """An intensity surface whose ``classify`` kills any worker that
-    calls it; in the parent it delegates."""
-
-    def __init__(self, surface, parent_pid: int):
-        self.surface = surface
-        self.parent_pid = parent_pid
-
-    def classify(self, lons, lats):
-        _die_in_worker(self.parent_pid)
-        return self.surface.classify(lons, lats)
-
-    def content_token(self) -> bytes:
-        return self.surface.content_token()
-
-
-@pytest.mark.parametrize("path", ["overlay", "delta", "ensemble",
-                                  "classify"])
-def test_worker_killed_mid_join_gives_the_serial_answer(path, monkeypatch,
-                                                        universe):
+@pytest.mark.parametrize("path", ["overlay", "delta", "ensemble"])
+def test_worker_killed_mid_join_gives_the_serial_answer(path, monkeypatch):
     """On each fan-out path, workers that die inside the join leave the
     serial answer and one fallback, and the broken pool is gone."""
     parent = os.getpid()
@@ -242,19 +210,13 @@ def test_worker_killed_mid_join_gives_the_serial_answer(path, monkeypatch,
 
         def join(workers):
             return update_overlay(cells, prev, deltas, workers=workers)
-    elif path == "ensemble":
+    else:
         holder = SimpleNamespace(cells=cells)
         members = [fires[:3], fires[3:], random_fires(26, 6)]
 
         def join(workers):
             return ensemble_impacts(holder, members, 2018,
                                     workers=workers)
-    else:
-        surface = _DyingSurface(universe.whp, parent)
-
-        def join(workers):
-            return classify_cells(cells, surface, workers=workers,
-                                  use_cache=False)
 
     with _deadline():
         before = STATS.snapshot()
@@ -264,9 +226,7 @@ def test_worker_killed_mid_join_gives_the_serial_answer(path, monkeypatch,
     assert counters.get("parallel.fallbacks", 0) == 1, counters
     assert runtime_pool.active_pools() == []
     serial = join(1)
-    if path == "classify":
-        assert np.array_equal(pooled, serial)
-    elif path == "ensemble":
+    if path == "ensemble":
         assert pooled == serial
     else:
         assert_identical(pooled, serial)

@@ -21,7 +21,6 @@ from repro.core.overlay import (
     update_overlay,
 )
 from repro.data.wildfires import interpolated_perimeter
-from repro.runtime import config as runtime_config
 from repro.runtime import dispatch as runtime_dispatch
 from repro.runtime import shutdown_pools
 
@@ -35,9 +34,8 @@ from ..runtime.test_differential import (
 @pytest.fixture(autouse=True)
 def _small_parallel_floor(monkeypatch):
     """Drop every dispatch floor so tiny ticks exercise the pool."""
-    monkeypatch.setattr(runtime_config, "MIN_PARALLEL_POINTS", 64)
+    monkeypatch.setattr(runtime_dispatch, "MIN_PARALLEL_POINTS", 64)
     monkeypatch.setattr(runtime_dispatch, "OVERLAY_WORK_FACTOR", 1)
-    monkeypatch.setattr(runtime_dispatch, "DELTA_WORK_FACTOR", 1)
     monkeypatch.setattr(runtime_dispatch, "CPU_COUNT_OVERRIDE", 8)
     yield
     shutdown_pools()

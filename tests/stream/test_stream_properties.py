@@ -25,7 +25,6 @@ from repro.data.wildfires import (
     interpolated_perimeter,
     star_polygon,
 )
-from repro.runtime import config as runtime_config
 from repro.runtime import dispatch as runtime_dispatch
 from repro.runtime import shutdown_pools
 
@@ -34,15 +33,15 @@ from ..runtime.test_differential import assert_identical, random_universe
 
 @pytest.fixture(autouse=True, scope="module")
 def _small_parallel_floor():
-    saved = (runtime_config.MIN_PARALLEL_POINTS,
-             runtime_dispatch.DELTA_WORK_FACTOR,
+    saved = (runtime_dispatch.MIN_PARALLEL_POINTS,
+             runtime_dispatch.OVERLAY_WORK_FACTOR,
              runtime_dispatch.CPU_COUNT_OVERRIDE)
-    runtime_config.MIN_PARALLEL_POINTS = 64
-    runtime_dispatch.DELTA_WORK_FACTOR = 1
+    runtime_dispatch.MIN_PARALLEL_POINTS = 64
+    runtime_dispatch.OVERLAY_WORK_FACTOR = 1
     runtime_dispatch.CPU_COUNT_OVERRIDE = 8
     yield
-    (runtime_config.MIN_PARALLEL_POINTS,
-     runtime_dispatch.DELTA_WORK_FACTOR,
+    (runtime_dispatch.MIN_PARALLEL_POINTS,
+     runtime_dispatch.OVERLAY_WORK_FACTOR,
      runtime_dispatch.CPU_COUNT_OVERRIDE) = saved
     shutdown_pools()
 

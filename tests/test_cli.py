@@ -80,6 +80,67 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_scale_is_a_root_option(self):
+        parser = build_parser()
+        assert parser.parse_args(["fig7"]).scale is None
+        assert parser.parse_args(["--scale", "tiny", "fig7"]).scale \
+            == "tiny"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--scale", "huge", "fig7"])
+
+
+class TestNumericArguments:
+    """Counts, sizes and ratios are range-checked at parse time: a bad
+    value is a one-line usage error with exit 2, never a traceback or
+    a run that quietly means something else."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-n", "0", "table1"],
+        ["-n", "ten", "table1"],
+        ["--whp-res", "0", "table1"],
+        ["--whp-res", "nan", "table1"],
+        ["validate", "--oversample", "0"],
+        ["scenario", "grid-ignition-season", "--members", "0"],
+        ["map", "--width", "-5"],
+        ["history", "--limit", "0"],
+        ["history", "--limit", "-1"],
+        ["gate", "--baseline", "0"],
+        ["gate", "--threshold", "0.1"],
+        ["gate", "--threshold", "1"],
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ": error: argument " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["-n", "1", "--whp-res", "0.5", "table1"],
+        ["validate", "--oversample", "1"],
+        ["history", "--limit", "1"],
+        ["gate", "--baseline", "1", "--threshold", "1.01"],
+    ])
+    def test_smallest_good_value_parses(self, argv):
+        build_parser().parse_args(argv)
+
+    def test_history_limit_keeps_the_latest_runs(self, tmp_path):
+        from repro.obs import Ledger
+        from tests.obs.test_ledger import _run as manifest
+
+        ledger = Ledger(tmp_path)
+        for day, run_id in enumerate(("aaaa0000", "bbbb0000",
+                                      "cccc0000"), start=1):
+            ledger.append(manifest(
+                run_id, started=f"2026-08-0{day}T00:00:00+00:00"))
+        buffer = io.StringIO()
+        assert main(["--ledger-dir", str(tmp_path), "history",
+                     "--limit", "2"], stream=buffer) == 0
+        out = buffer.getvalue()
+        assert "aaaa0000" not in out
+        assert "bbbb0000" in out and "cccc0000" in out
+
 
 class TestCommands:
     def test_table1(self):

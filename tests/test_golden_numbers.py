@@ -150,19 +150,16 @@ class TestGoldenSurvivesRuntimeModes:
             set_config,
             shutdown_pools,
         )
-        from repro.runtime import config as runtime_config
         from repro.runtime import dispatch as runtime_dispatch
 
         previous = get_config()
-        orig_floor = runtime_config.MIN_PARALLEL_POINTS
-        orig_knobs = (runtime_dispatch.OVERLAY_WORK_FACTOR,
-                      runtime_dispatch.CLASSIFY_WORK_FACTOR,
+        orig_knobs = (runtime_dispatch.MIN_PARALLEL_POINTS,
+                      runtime_dispatch.OVERLAY_WORK_FACTOR,
                       runtime_dispatch.CPU_COUNT_OVERRIDE)
         # Drop every adaptive-dispatch gate so the persistent-pool path
         # genuinely executes (it would correctly stay serial otherwise).
-        runtime_config.MIN_PARALLEL_POINTS = 64
+        runtime_dispatch.MIN_PARALLEL_POINTS = 64
         runtime_dispatch.OVERLAY_WORK_FACTOR = 1
-        runtime_dispatch.CLASSIFY_WORK_FACTOR = 1
         runtime_dispatch.CPU_COUNT_OVERRIDE = 8
         configure(workers=4, cache_enabled=True)
         set_cache(ResultCache(tmp_path))
@@ -174,9 +171,8 @@ class TestGoldenSurvivesRuntimeModes:
                        for r in rows}
                 assert got == GOLDEN_TABLE1
         finally:
-            runtime_config.MIN_PARALLEL_POINTS = orig_floor
-            (runtime_dispatch.OVERLAY_WORK_FACTOR,
-             runtime_dispatch.CLASSIFY_WORK_FACTOR,
+            (runtime_dispatch.MIN_PARALLEL_POINTS,
+             runtime_dispatch.OVERLAY_WORK_FACTOR,
              runtime_dispatch.CPU_COUNT_OVERRIDE) = orig_knobs
             set_config(previous)
             set_cache(None)
