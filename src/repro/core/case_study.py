@@ -95,7 +95,6 @@ def outage_by_county(universe: SyntheticUS,
     if sim.ever_out is None or not len(sim.ever_out):
         return []
     counties = universe.counties
-    scale = universe.universe_scale
     idx = counties.assign_many(sim.site_lons[sim.ever_out],
                                sim.site_lats[sim.ever_out])
     idx = idx[idx >= 0]
@@ -104,7 +103,7 @@ def outage_by_county(universe: SyntheticUS,
         name = counties.counties[i].name
         out[name] = out.get(name, 0) + 1
     ranked = sorted(out.items(), key=lambda kv: -kv[1])[:top_n]
-    return [(name, int(round(count * scale))) for name, count in ranked]
+    return [(name, universe.scaled(count)) for name, count in ranked]
 
 
 # ----------------------------------------------------------------------

@@ -49,11 +49,14 @@ def county_exposure_analysis(universe: SyntheticUS,
     return rows
 
 
-def _compute_county_exposure(session, years: tuple[int, ...]) \
-        -> list[CountyExposure]:
+@artifact("county_exposure",
+          deps=("season_overlay", "county_assignment"))
+def _compute_county_exposure(
+        session,
+        years: tuple[int, ...] = STUDY_YEARS) -> list[CountyExposure]:
+    """Counties ranked by historical in-perimeter exposure."""
     universe = session.universe
     counties = universe.counties
-    scale = universe.universe_scale
 
     county_idx = session.artifact("county_assignment")
     n_counties = len(counties.counties)
@@ -77,7 +80,7 @@ def _compute_county_exposure(session, years: tuple[int, ...]) \
             county=county.name,
             state=county.state,
             population=county.population,
-            transceiver_exposures=int(round(exposures[i] * scale)),
+            transceiver_exposures=universe.scaled(exposures[i]),
             years_touched=int(touched[i]),
         ))
     rows.sort(key=lambda r: r.transceiver_exposures, reverse=True)
@@ -88,22 +91,12 @@ def _compute_county_exposure(session, years: tuple[int, ...]) \
 # Registrations
 # ----------------------------------------------------------------------
 
-@artifact("county_assignment",
-          doc="county index per transceiver (assign_many)")
+@artifact("county_assignment")
 def _county_assignment_artifact(session) -> np.ndarray:
     """Shared county index per transceiver (-1 = unassigned)."""
     universe = session.universe
     cells = universe.cells
     return universe.counties.assign_many(cells.lons, cells.lats)
-
-
-@artifact("county_exposure",
-          deps=("season_overlay", "county_assignment"))
-def _county_exposure_artifact(
-        session,
-        years: tuple[int, ...] = STUDY_YEARS) -> list[CountyExposure]:
-    """Counties ranked by historical in-perimeter exposure."""
-    return _compute_county_exposure(session, years)
 
 
 register_stage("counties", help="chronically-exposed counties",

@@ -46,8 +46,10 @@ def estimate_site_radii_m(universe: SyntheticUS,
                                          max_radius_m=max_radius_m)
 
 
-def _compute_site_radii(session, min_radius_m: float,
-                        max_radius_m: float) -> np.ndarray:
+@artifact("site_radii")
+def _compute_site_radii(session, min_radius_m: float = 1_500.0,
+                        max_radius_m: float = 40_000.0) -> np.ndarray:
+    """Per-site coverage radius from local site density."""
     from scipy import ndimage
 
     universe = session.universe
@@ -104,7 +106,11 @@ def coverage_loss_analysis(universe: SyntheticUS,
                                          hazard_floor=hazard_floor)
 
 
-def _compute_coverage(session, hazard_floor: WHPClass) -> CoverageResult:
+@artifact("coverage", deps=("whp_classes", "site_radii"))
+def _compute_coverage(
+        session,
+        hazard_floor: WHPClass = WHPClass.MODERATE) -> CoverageResult:
+    """S3.11 population-coverage impact of losing at-risk sites."""
     universe = session.universe
     cells = universe.cells
     pop = universe.population
@@ -183,21 +189,6 @@ def _coverage_mask(pop, site_lons, site_lats, radii_m) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("site_radii")
-def _site_radii_artifact(session, min_radius_m: float = 1_500.0,
-                         max_radius_m: float = 40_000.0) -> np.ndarray:
-    """Per-site coverage radius from local site density."""
-    return _compute_site_radii(session, min_radius_m, max_radius_m)
-
-
-@artifact("coverage", deps=("whp_classes", "site_radii"))
-def _coverage_artifact(
-        session,
-        hazard_floor: WHPClass = WHPClass.MODERATE) -> CoverageResult:
-    """S3.11 population-coverage impact of losing at-risk sites."""
-    return _compute_coverage(session, hazard_floor)
-
 
 register_stage("coverage", help="coverage loss (S3.11)",
                paper="§3.11", artifact="coverage",

@@ -86,7 +86,6 @@ def _compute_escape(session, model: EscapeModel,
     universe = session.universe
     whp = universe.whp
     cells = universe.cells
-    scale = universe.universe_scale
 
     # Size whose exceedance equals the reach probability.
     s_reach = model.s_min_acres * reach_probability ** (-1.0 / model.alpha)
@@ -106,9 +105,9 @@ def _compute_escape(session, model: EscapeModel,
     return EscapeResult(
         reach_probability_threshold=reach_probability,
         escaped_mask=reachable & ~at_risk_mask,
-        static_at_risk=int(round(static.sum() * scale)),
-        escape_adjusted_at_risk=int(round(adjusted.sum() * scale)),
-        added_transceivers=int(round((adjusted & ~static).sum() * scale)),
+        static_at_risk=universe.scaled(static.sum()),
+        escape_adjusted_at_risk=universe.scaled(adjusted.sum()),
+        added_transceivers=universe.scaled((adjusted & ~static).sum()),
     )
 
 

@@ -23,7 +23,13 @@ from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
 from ..geo.projection import miles_to_meters
 from ..geo.raster import Raster
-from ..session import StageOption, artifact, register_stage, session_of
+from ..session import (
+    StageOption,
+    artifact,
+    positive_float,
+    register_stage,
+    session_of,
+)
 from .validation import ValidationResult, _compute_validation
 
 __all__ = ["ExtensionResult", "extend_very_high"]
@@ -85,11 +91,13 @@ def extend_very_high(universe: SyntheticUS,
                                          radius_miles=radius_miles)
 
 
-def _compute_extension(session, radius_miles: float) -> ExtensionResult:
+@artifact("extension", deps=("whp_classes", "validation"))
+def _compute_extension(session,
+                       radius_miles: float = 0.5) -> ExtensionResult:
+    """S3.8 very-high buffer extension before/after counts."""
     universe = session.universe
     whp = universe.whp
     cells = universe.cells
-    scale = universe.universe_scale
     radius_m = miles_to_meters(radius_miles)
 
     vh_mask = whp.class_mask(WHPClass.VERY_HIGH)
@@ -106,12 +114,10 @@ def _compute_extension(session, radius_miles: float) -> ExtensionResult:
     in_at_risk_after = Raster(whp.grid, at_risk_after).sample(cells.lons,
                                                               cells.lats)
 
-    vh_before = int(round((classes == int(WHPClass.VERY_HIGH)).sum()
-                          * scale))
-    vh_after = int(round(in_vh_ext.sum() * scale))
-    total_before = int(round(
-        (classes >= int(WHPClass.MODERATE)).sum() * scale))
-    total_after = int(round(in_at_risk_after.sum() * scale))
+    vh_before = universe.scaled((classes == int(WHPClass.VERY_HIGH)).sum())
+    vh_after = universe.scaled(in_vh_ext.sum())
+    total_before = universe.scaled((classes >= int(WHPClass.MODERATE)).sum())
+    total_after = universe.scaled(in_at_risk_after.sum())
 
     validation_before = session.artifact("validation")
     validation_after = _compute_validation(
@@ -132,13 +138,6 @@ def _compute_extension(session, radius_miles: float) -> ExtensionResult:
 # Registrations
 # ----------------------------------------------------------------------
 
-@artifact("extension", deps=("whp_classes", "validation"))
-def _extension_artifact(session,
-                        radius_miles: float = 0.5) -> ExtensionResult:
-    """S3.8 very-high buffer extension before/after counts."""
-    return _compute_extension(session, radius_miles)
-
-
 def _export_extension(session, ctx) -> dict:
     from ..data import paper_constants as paper
     ext = session.artifact("extension")
@@ -156,6 +155,6 @@ def _export_extension(session, ctx) -> dict:
 register_stage("extend", help="very-high buffer extension (S3.8)",
                paper="§3.8", artifact="extension",
                render="render_extension", order=120, domain="validation",
-               options=(StageOption("--radius-miles", type=float,
-                                    default=0.5),),
-               params=("radius_miles",), export=_export_extension)
+               options=(StageOption("--radius-miles",
+                                    type=positive_float, default=0.5),),
+               export=_export_extension)

@@ -49,11 +49,12 @@ def future_risk_analysis(universe: SyntheticUS) -> list[EcoregionExposure]:
     return session_of(universe).artifact("future_risk")
 
 
+@artifact("future_risk", deps=("whp_classes",))
 def _compute_future_risk(session) -> list[EcoregionExposure]:
+    """S3.9 per-ecoregion exposure in the SLC-Denver window."""
     universe = session.universe
     cells = universe.cells
     classes = session.artifact("whp_classes")
-    scale = universe.universe_scale
     window = slc_denver_window()
     in_window = window.contains_many(cells.lons, cells.lats)
 
@@ -65,10 +66,10 @@ def _compute_future_risk(session) -> list[EcoregionExposure]:
             hit = region.polygon.contains_many(cells.lons[idx],
                                                cells.lats[idx])
             inside[idx[hit]] = True
-        n = int(round(inside.sum() * scale))
+        n = universe.scaled(inside.sum())
         at_risk_raw = int((inside
                            & (classes >= int(WHPClass.MODERATE))).sum())
-        at_risk = int(round(at_risk_raw * scale))
+        at_risk = universe.scaled(at_risk_raw)
         projected = int(round(
             max(at_risk * (1.0 + region.delta_2040_pct / 100.0), 0.0)))
         rows.append(EcoregionExposure(
@@ -87,12 +88,6 @@ def _compute_future_risk(session) -> list[EcoregionExposure]:
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("future_risk", deps=("whp_classes",))
-def _future_risk_artifact(session) -> list[EcoregionExposure]:
-    """S3.9 per-ecoregion exposure in the SLC-Denver window."""
-    return _compute_future_risk(session)
-
 
 def _export_ecoregions(session, ctx) -> dict:
     from dataclasses import asdict

@@ -14,7 +14,12 @@ import numpy as np
 
 from ..data.states import StateAssigner
 from ..data.universe import SyntheticUS
-from ..data.whp import AT_RISK_CLASSES, WHP_CLASS_NAMES, WHPClass
+from ..data.whp import (
+    AT_RISK_CLASSES,
+    WHP_CLASS_NAMES,
+    WHPClass,
+    class_counts,
+)
 from ..obs.trace import span
 from ..session import artifact, register_stage, session_of
 
@@ -88,43 +93,43 @@ def hazard_analysis(universe: SyntheticUS) -> HazardSummary:
     return session_of(universe).artifact("hazard")
 
 
+@artifact("hazard", deps=("whp_classes",))
 def _compute_hazard(session, hazard: str = "wildfire") -> HazardSummary:
+    """National + per-state intensity-class summary (Figures 7-9).
+
+    ``hazard`` selects the intensity surface the per-transceiver
+    classes come from; non-wildfire surfaces reuse the same ordinal
+    0-5 aggregation (class names stay the WHP vocabulary).
+    """
     universe = session.universe
     cells = universe.cells
     classes = session.artifact("whp_classes", hazard=hazard)
-    scale = universe.universe_scale
-
-    class_counts_raw = {}
-    class_counts = {}
-    for whp_class in WHPClass:
-        if whp_class == WHPClass.NON_BURNABLE:
-            continue
-        raw = int((classes == int(whp_class)).sum())
-        class_counts_raw[WHP_CLASS_NAMES[whp_class]] = raw
-        class_counts[WHP_CLASS_NAMES[whp_class]] = int(round(raw * scale))
 
     with span("hazard.state_assignment"):
         assigner = StateAssigner()
         state_of = assigner.assign_many(cells.lons, cells.lats)
     with span("hazard.state_aggregation"):
-        # One (state, class) histogram: row = state code, column = class.
-        n_classes = len(WHPClass)
-        counts = np.bincount(
-            state_of * n_classes + classes,
-            minlength=len(assigner.abbrs) * n_classes,
-        ).reshape(-1, n_classes).tolist()
+        # Every transceiver has a state, so the national counts are the
+        # column sums of the (state, class) counts.
+        per_state = class_counts(state_of, len(assigner.abbrs), classes)
+        national = per_state.sum(axis=0).tolist()
         states = [StateHazard(
             state=state.abbr,
-            moderate=int(round(row[WHPClass.MODERATE] * scale)),
-            high=int(round(row[WHPClass.HIGH] * scale)),
-            very_high=int(round(row[WHPClass.VERY_HIGH] * scale)),
+            moderate=universe.scaled(row[WHPClass.MODERATE]),
+            high=universe.scaled(row[WHPClass.HIGH]),
+            very_high=universe.scaled(row[WHPClass.VERY_HIGH]),
             population=state.population,
-        ) for state, row in zip(assigner.states.values(), counts)]
+        ) for state, row in zip(assigner.states.values(),
+                                per_state.tolist())]
         states.sort(key=lambda s: s.total, reverse=True)
-    return HazardSummary(class_counts=class_counts,
-                         class_counts_raw=class_counts_raw,
-                         states=states,
-                         classes_per_transceiver=classes)
+    burnable = [c for c in WHPClass if c != WHPClass.NON_BURNABLE]
+    return HazardSummary(
+        class_counts={WHP_CLASS_NAMES[c]: universe.scaled(national[c])
+                      for c in burnable},
+        class_counts_raw={WHP_CLASS_NAMES[c]: national[c]
+                          for c in burnable},
+        states=states,
+        classes_per_transceiver=classes)
 
 
 def population_served_at_risk(universe: SyntheticUS,
@@ -154,17 +159,6 @@ def _population_served(session, summary: HazardSummary) -> int:
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("hazard", deps=("whp_classes",))
-def _hazard_artifact(session, hazard: str = "wildfire") -> HazardSummary:
-    """National + per-state intensity-class summary (Figures 7-9).
-
-    ``hazard`` selects the intensity surface the per-transceiver
-    classes come from; non-wildfire surfaces reuse the same ordinal
-    0-5 aggregation (class names stay the WHP vocabulary).
-    """
-    return _compute_hazard(session, hazard=hazard)
-
 
 @artifact("population_served", deps=("hazard", "county_assignment"))
 def _population_served_artifact(session) -> int:

@@ -86,8 +86,7 @@ def _perimeter_union_artifact(session,
     for year in years:
         result = session.artifact("season_overlay", year=year)
         union |= result.in_perimeter_mask
-    scaled = int(round(union.sum() * universe.universe_scale))
-    return scaled, union
+    return universe.scaled(union.sum()), union
 
 
 def _export_table1(session, ctx) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..data.cities import PAPER_METROS, city_by_name
 from ..data.universe import SyntheticUS
-from ..data.whp import WHPClass
+from ..data.whp import WHPClass, class_counts
 from ..geo.geometry import BBox
 from ..geo.projection import EARTH_RADIUS_M, haversine_m
 from ..session import artifact, register_stage, session_of
@@ -98,24 +98,22 @@ def metro_risk_analysis(universe: SyntheticUS,
         "metro_risk", metros=tuple(metros), radius_m=radius_m)
 
 
-def _compute_metro_risk(session, metros: tuple[str, ...],
-                        radius_m: float) -> list[MetroRisk]:
+@artifact("metro_risk", deps=("whp_classes",))
+def _compute_metro_risk(session,
+                        metros: tuple[str, ...] = PAPER_METROS,
+                        radius_m: float = DEFAULT_METRO_RADIUS_M) \
+        -> list[MetroRisk]:
+    """Figure 12 metro ranking."""
     universe = session.universe
-    classes = session.artifact("whp_classes")
-    scale = universe.universe_scale
-    metro_idx = _assign_metro(universe, metros, radius_m)
-
-    rows = []
-    for i, name in enumerate(metros):
-        sub = classes[metro_idx == i]
-        rows.append(MetroRisk(
-            metro=name,
-            moderate=int(round((sub == int(WHPClass.MODERATE)).sum()
-                               * scale)),
-            high=int(round((sub == int(WHPClass.HIGH)).sum() * scale)),
-            very_high=int(round((sub == int(WHPClass.VERY_HIGH)).sum()
-                                * scale)),
-        ))
+    counts = class_counts(_assign_metro(universe, metros, radius_m),
+                          len(metros),
+                          session.artifact("whp_classes")).tolist()
+    rows = [MetroRisk(
+        metro=name,
+        moderate=universe.scaled(row[WHPClass.MODERATE]),
+        high=universe.scaled(row[WHPClass.HIGH]),
+        very_high=universe.scaled(row[WHPClass.VERY_HIGH]),
+    ) for name, row in zip(metros, counts)]
     rows.sort(key=lambda r: r.total, reverse=True)
     return rows
 
@@ -128,10 +126,13 @@ def city_very_high_counts(universe: SyntheticUS,
                                          radius_m=radius_m)
 
 
-def _compute_city_vh_counts(session, radius_m: float) -> dict[str, int]:
+@artifact("city_vh_counts", deps=("population_impact",))
+def _compute_city_vh_counts(
+        session, radius_m: float = DEFAULT_METRO_RADIUS_M) \
+        -> dict[str, int]:
+    """S3.6 per-city WHP-VH x very-dense-county counts."""
     universe = session.universe
     impact = session.artifact("population_impact")
-    scale = universe.universe_scale
 
     flat_names: list[str] = []
     group_of: list[str] = []
@@ -140,35 +141,18 @@ def _compute_city_vh_counts(session, radius_m: float) -> dict[str, int]:
             flat_names.append(member)
             group_of.append(group)
     metro_idx = _assign_metro(universe, tuple(flat_names), radius_m)
+    hits = metro_idx[impact.panel_vh_both_mask]
+    raw = np.bincount(hits[hits >= 0], minlength=len(flat_names))
 
     counts: dict[str, int] = {g: 0 for g in CITY_GROUPS}
-    mask = impact.panel_vh_both_mask
-    for i, group in enumerate(group_of):
-        raw = int((mask & (metro_idx == i)).sum())
-        counts[group] += int(round(raw * scale))
+    for group, count in zip(group_of, raw.tolist()):
+        counts[group] += universe.scaled(count)
     return counts
 
 
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("metro_risk", deps=("whp_classes",))
-def _metro_risk_artifact(session,
-                         metros: tuple[str, ...] = PAPER_METROS,
-                         radius_m: float = DEFAULT_METRO_RADIUS_M) \
-        -> list[MetroRisk]:
-    """Figure 12 metro ranking."""
-    return _compute_metro_risk(session, metros, radius_m)
-
-
-@artifact("city_vh_counts", deps=("population_impact",))
-def _city_vh_counts_artifact(
-        session, radius_m: float = DEFAULT_METRO_RADIUS_M) \
-        -> dict[str, int]:
-    """S3.6 per-city WHP-VH x very-dense-county counts."""
-    return _compute_city_vh_counts(session, radius_m)
-
 
 def _export_figure12(session, ctx) -> dict:
     from dataclasses import asdict

@@ -77,7 +77,9 @@ def rank_sites(universe: SyntheticUS, top_n: int | None = None) \
     return sites
 
 
+@artifact("site_ranking", deps=("whp_classes", "county_assignment"))
 def _compute_site_ranking(session) -> list[SiteRisk]:
+    """Every at-risk site scored and ranked (S3.10)."""
     universe = session.universe
     cells = universe.cells
     classes = session.artifact("whp_classes")
@@ -168,12 +170,6 @@ def mitigation_plan(universe: SyntheticUS,
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("site_ranking", deps=("whp_classes", "county_assignment"))
-def _site_ranking_artifact(session) -> list[SiteRisk]:
-    """Every at-risk site scored and ranked (S3.10)."""
-    return _compute_site_ranking(session)
-
 
 register_stage("mitigation", help="site hardening ranking (S3.10)",
                paper="§3.10", artifact="site_ranking",

@@ -65,7 +65,7 @@ from ..runtime import (
 )
 from ..obs.trace import span as trace_span
 from ..runtime.stats import STATS
-from ..session import StageOption, artifact, register_stage
+from ..session import StageOption, artifact, positive_int, register_stage
 
 if TYPE_CHECKING:
     from ..hazard.base import HazardEvent, IntensitySurface
@@ -431,10 +431,10 @@ def classify_cells(cells: PointSet, whp: IntensitySurface, *,
 # tests can spy on `overlay.classify_cells` / `overlay.overlay_fires`.
 # ----------------------------------------------------------------------
 
-@artifact("whp_classes",
-          doc="intensity class code per transceiver (classify_cells)")
+@artifact("whp_classes")
 def _whp_classes_artifact(session, hazard: str = "wildfire") \
         -> np.ndarray:
+    """Intensity class code per transceiver (classify_cells)."""
     from ..hazard.registry import get_hazard
     universe = session.universe
     # The wildfire instance returns universe.whp itself, so the default
@@ -443,11 +443,11 @@ def _whp_classes_artifact(session, hazard: str = "wildfire") \
     return classify_cells(universe.cells, surface)
 
 
-@artifact("season_overlay",
-          doc="one year's transceiver x hazard-event join")
+@artifact("season_overlay")
 def _season_overlay_artifact(session, year: int = 2019,
                              hazard: str = "wildfire") \
         -> FireOverlayResult:
+    """One year's transceiver x hazard-event join."""
     from ..hazard.registry import get_hazard
     universe = session.universe
     # For "wildfire" the event list is the season's own fires list
@@ -456,16 +456,29 @@ def _season_overlay_artifact(session, year: int = 2019,
     return overlay_fires(universe.cells, events, year=year)
 
 
+def require_wildfire_year(stage: str, year: int) -> None:
+    """Exit with a one-line ``repro <stage>:`` error unless the
+    wildfire record (2000–2019) holds a season for ``year``."""
+    from ..data.historical_stats import HISTORICAL_YEARS
+    if year not in HISTORICAL_YEARS:
+        raise SystemExit(
+            f"repro {stage}: no wildfire season for {year} (the "
+            f"record covers {min(HISTORICAL_YEARS)}-"
+            f"{max(HISTORICAL_YEARS)})")
+
+
 def _run_season_overlay(session, args) -> str:
     from ..core.report import render_season_overlay
     from ..hazard.registry import get_hazard
-    hazard = getattr(args, "hazard", None) or "wildfire"
+    hazard = getattr(args, "hazard", "wildfire")
+    year = getattr(args, "year", 2019)
     try:
         get_hazard(hazard)
     except KeyError as exc:
         raise SystemExit(f"repro season_overlay: {exc.args[0]}")
-    result = session.artifact("season_overlay",
-                              year=getattr(args, "year", None) or 2019,
+    if hazard == "wildfire":
+        require_wildfire_year("season_overlay", year)
+    result = session.artifact("season_overlay", year=year,
                               hazard=hazard)
     return render_season_overlay(result)
 
@@ -478,12 +491,12 @@ register_stage("season_overlay",
                paper="§2.3", artifact="season_overlay",
                render="render_season_overlay", order=None,
                domain="engine", run=_run_season_overlay,
-               options=(StageOption("--year", type=int, default=2019),
+               options=(StageOption("--year", type=positive_int,
+                                    default=2019),
                         StageOption("--hazard", type=str,
                                     default="wildfire",
                                     help="hazard instance to join "
-                                         "(wildfire/grid_fire/wind)")),
-               params=("year", "hazard"))
+                                         "(wildfire/grid_fire/wind)")))
 
 
 # ----------------------------------------------------------------------

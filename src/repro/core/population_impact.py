@@ -15,7 +15,12 @@ import numpy as np
 
 from ..data.counties import POP_CATEGORY_NAMES, PopCategory
 from ..data.universe import SyntheticUS
-from ..data.whp import WHPClass
+from ..data.whp import (
+    AT_RISK_CLASSES,
+    WHP_CLASS_NAMES,
+    WHPClass,
+    class_counts,
+)
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["PopulationImpact", "population_impact_analysis"]
@@ -42,12 +47,13 @@ def population_impact_analysis(universe: SyntheticUS) -> PopulationImpact:
     return session_of(universe).artifact("population_impact")
 
 
+@artifact("population_impact", deps=("whp_classes", "county_assignment"))
 def _compute_population_impact(session) -> PopulationImpact:
+    """Figure 10 WHP x county-density matrix plus panel masks."""
     universe = session.universe
     cells = universe.cells
     classes = session.artifact("whp_classes")
     counties = universe.counties
-    scale = universe.universe_scale
 
     county_idx = session.artifact("county_assignment")
     county_cats = counties.categories()
@@ -56,20 +62,15 @@ def _compute_population_impact(session) -> PopulationImpact:
     ok = county_idx >= 0
     cat_per_cell[ok] = county_cats[county_idx[ok]]
 
+    counts = class_counts(cat_per_cell, len(PopCategory), classes).tolist()
+    matrix = {
+        WHP_CLASS_NAMES[whp_class]: {
+            POP_CATEGORY_NAMES[cat]: universe.scaled(counts[cat][whp_class])
+            for cat in (PopCategory.POP_M, PopCategory.POP_H,
+                        PopCategory.POP_VH)}
+        for whp_class in AT_RISK_CLASSES}
+
     at_risk = classes >= int(WHPClass.MODERATE)
-
-    matrix: dict[str, dict[str, int]] = {}
-    for whp_class in (WHPClass.MODERATE, WHPClass.HIGH,
-                      WHPClass.VERY_HIGH):
-        row = {}
-        in_class = classes == int(whp_class)
-        for cat in (PopCategory.POP_M, PopCategory.POP_H,
-                    PopCategory.POP_VH):
-            count = int((in_class & (cat_per_cell == int(cat))).sum())
-            row[POP_CATEGORY_NAMES[cat]] = int(round(count * scale))
-        from ..data.whp import WHP_CLASS_NAMES
-        matrix[WHP_CLASS_NAMES[whp_class]] = row
-
     in_pop = cat_per_cell >= int(PopCategory.POP_M)
     in_vh_pop = cat_per_cell == int(PopCategory.POP_VH)
     panel_all = at_risk & in_pop
@@ -78,9 +79,9 @@ def _compute_population_impact(session) -> PopulationImpact:
 
     return PopulationImpact(
         matrix=matrix,
-        at_risk_in_pop_counties=int(round(panel_all.sum() * scale)),
-        at_risk_in_vh_pop_counties=int(round(panel_vh_pop.sum() * scale)),
-        vh_whp_in_vh_pop_counties=int(round(panel_vh_both.sum() * scale)),
+        at_risk_in_pop_counties=universe.scaled(panel_all.sum()),
+        at_risk_in_vh_pop_counties=universe.scaled(panel_vh_pop.sum()),
+        vh_whp_in_vh_pop_counties=universe.scaled(panel_vh_both.sum()),
         n_vh_pop_counties=len(counties.very_dense()),
         panel_all_mask=panel_all,
         panel_vh_pop_mask=panel_vh_pop,
@@ -91,12 +92,6 @@ def _compute_population_impact(session) -> PopulationImpact:
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("population_impact", deps=("whp_classes", "county_assignment"))
-def _population_impact_artifact(session) -> PopulationImpact:
-    """Figure 10 WHP x county-density matrix plus panel masks."""
-    return _compute_population_impact(session)
-
 
 def _export_figure10(session, ctx) -> dict:
     from ..data import paper_constants as paper

@@ -29,7 +29,14 @@ import numpy as np
 from ..data.powergrid import PowerGrid, build_power_grid
 from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
-from ..session import StageOption, artifact, register_stage, session_of
+from ..session import (
+    StageOption,
+    artifact,
+    positive_int,
+    register_stage,
+    session_of,
+)
+from .overlay import require_wildfire_year
 
 __all__ = ["PowerImpact", "fire_power_impact", "PspsExposure",
            "psps_exposure", "power_grid_for"]
@@ -189,11 +196,18 @@ def _psps_artifact(session,
                          hazard_floor)
 
 
+def _run_power(session, args) -> str:
+    from .report import render_power
+    year = getattr(args, "year", 2019)
+    require_wildfire_year("power", year)
+    return render_power(session.artifact("power_impact", year=year))
+
+
 register_stage("power", help="power dependency (S3.11)",
-               paper="§3.11", artifact="power_impact",
-               render="render_power", order=130, domain="infrastructure",
-               options=(StageOption("--year", type=int, default=2019),),
-               params=("year",))
+               paper="§3.11", artifact="power_impact", run=_run_power,
+               order=130, domain="infrastructure",
+               options=(StageOption("--year", type=positive_int,
+                                    default=2019),))
 
 
 register_stage("psps", help="PSPS shutoff exposure (S3.10-3.11)",

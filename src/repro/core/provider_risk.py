@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from ..data.cells import PROVIDER_GROUPS
 from ..data.providers import MAJOR_PROVIDERS, provider_registry
 from ..data.universe import SyntheticUS
-from ..data.whp import WHPClass
+from ..data.whp import WHPClass, class_counts
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["ProviderRisk", "provider_risk_analysis",
@@ -50,25 +49,20 @@ def provider_risk_analysis(universe: SyntheticUS) -> list[ProviderRisk]:
     return session_of(universe).artifact("provider_risk")
 
 
+@artifact("provider_risk", deps=("whp_classes",))
 def _compute_provider_risk(session) -> list[ProviderRisk]:
+    """Table 2 rows: per-provider at-risk counts."""
     universe = session.universe
-    cells = universe.cells
-    classes = session.artifact("whp_classes")
-    scale = universe.universe_scale
-    rows = []
-    for code, name in enumerate(PROVIDER_GROUPS):
-        mask = cells.provider_group == code
-        sub = classes[mask]
-        rows.append(ProviderRisk(
-            provider=name,
-            fleet_size=int(round(mask.sum() * scale)),
-            moderate=int(round((sub == int(WHPClass.MODERATE)).sum()
-                               * scale)),
-            high=int(round((sub == int(WHPClass.HIGH)).sum() * scale)),
-            very_high=int(round((sub == int(WHPClass.VERY_HIGH)).sum()
-                                * scale)),
-        ))
-    return rows
+    counts = class_counts(universe.cells.provider_group,
+                          len(PROVIDER_GROUPS),
+                          session.artifact("whp_classes")).tolist()
+    return [ProviderRisk(
+        provider=name,
+        fleet_size=universe.scaled(sum(row)),
+        moderate=universe.scaled(row[WHPClass.MODERATE]),
+        high=universe.scaled(row[WHPClass.HIGH]),
+        very_high=universe.scaled(row[WHPClass.VERY_HIGH]),
+    ) for name, row in zip(PROVIDER_GROUPS, counts)]
 
 
 def regional_carriers_at_risk(universe: SyntheticUS) -> int:
@@ -80,7 +74,9 @@ def regional_carriers_at_risk(universe: SyntheticUS) -> int:
     return session_of(universe).artifact("regional_carriers")
 
 
+@artifact("regional_carriers", deps=("whp_classes",))
 def _compute_regional_carriers(session) -> int:
+    """Footnote 1: distinct regional carriers with at-risk gear."""
     universe = session.universe
     cells = universe.cells
     classes = session.artifact("whp_classes")
@@ -103,18 +99,6 @@ def _compute_regional_carriers(session) -> int:
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("provider_risk", deps=("whp_classes",))
-def _provider_risk_artifact(session) -> list[ProviderRisk]:
-    """Table 2 rows: per-provider at-risk counts."""
-    return _compute_provider_risk(session)
-
-
-@artifact("regional_carriers", deps=("whp_classes",))
-def _regional_carriers_artifact(session) -> int:
-    """Footnote 1: distinct regional carriers with at-risk gear."""
-    return _compute_regional_carriers(session)
-
 
 def _export_table2(session, ctx) -> dict:
     from dataclasses import asdict

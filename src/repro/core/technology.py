@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..data.radios import RadioType
 from ..data.universe import SyntheticUS
-from ..data.whp import WHPClass
+from ..data.whp import WHPClass, class_counts
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["TechnologyRisk", "technology_risk_analysis"]
@@ -38,36 +38,24 @@ def technology_risk_analysis(universe: SyntheticUS) \
     return session_of(universe).artifact("technology_risk")
 
 
+@artifact("technology_risk", deps=("whp_classes",))
 def _compute_technology_risk(session) -> list[TechnologyRisk]:
+    """Table 3 rows: per-radio-technology at-risk counts."""
     universe = session.universe
-    cells = universe.cells
-    classes = session.artifact("whp_classes")
-    scale = universe.universe_scale
-    rows = []
-    for radio in (RadioType.CDMA, RadioType.GSM, RadioType.LTE,
-                  RadioType.UMTS):
-        mask = cells.radio == int(radio)
-        sub = classes[mask]
-        rows.append(TechnologyRisk(
-            technology=radio.name,
-            very_high=int(round((sub == int(WHPClass.VERY_HIGH)).sum()
-                                * scale)),
-            high=int(round((sub == int(WHPClass.HIGH)).sum() * scale)),
-            moderate=int(round((sub == int(WHPClass.MODERATE)).sum()
-                               * scale)),
-        ))
-    return rows
+    counts = class_counts(universe.cells.radio, len(RadioType),
+                          session.artifact("whp_classes")).tolist()
+    return [TechnologyRisk(
+        technology=radio.name,
+        very_high=universe.scaled(counts[radio][WHPClass.VERY_HIGH]),
+        high=universe.scaled(counts[radio][WHPClass.HIGH]),
+        moderate=universe.scaled(counts[radio][WHPClass.MODERATE]),
+    ) for radio in (RadioType.CDMA, RadioType.GSM, RadioType.LTE,
+                    RadioType.UMTS)]
 
 
 # ----------------------------------------------------------------------
 # Registrations
 # ----------------------------------------------------------------------
-
-@artifact("technology_risk", deps=("whp_classes",))
-def _technology_risk_artifact(session) -> list[TechnologyRisk]:
-    """Table 3 rows: per-radio-technology at-risk counts."""
-    return _compute_technology_risk(session)
-
 
 def _export_table3(session, ctx) -> dict:
     from dataclasses import asdict

@@ -181,4 +181,4 @@ register_stage("validate", help="2019 WHP validation (S3.4)",
                render="render_validation", order=110, domain="validation",
                options=(StageOption("--oversample", type=positive_int,
                                     default=8),),
-               params=("oversample",), export=_export_validation)
+               export=_export_validation)

@@ -74,6 +74,7 @@ from .whp import (
     WhpModel,
     WHPClass,
     build_whp,
+    class_counts,
 )
 from .wildfires import (
     SCRIPTED_LA_FIRES_2019,
@@ -107,7 +108,7 @@ __all__ = [
     "WESTERN_STATES", "SOUTHEASTERN_STATES",
     "SyntheticUS", "UniverseConfig", "default_universe", "small_universe",
     "SCALE_PRESETS", "scale_config", "universe_for_scale",
-    "WhpModel", "WHPClass", "WHP_CLASS_NAMES", "build_whp",
+    "WhpModel", "WHPClass", "WHP_CLASS_NAMES", "build_whp", "class_counts",
     "AT_RISK_CLASSES",
     "FirePerimeter", "FireSeason", "generate_fire_season",
     "generate_2019_season", "scripted_2019_fires", "star_polygon",

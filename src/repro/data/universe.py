@@ -9,7 +9,7 @@ that consistency.
 
 Scale is controlled by ``n_transceivers``.  Tests use ~20k, benchmarks
 ~150k; results are reported both raw and rescaled to the paper's
-5,364,949-transceiver universe via :attr:`SyntheticUS.universe_scale`.
+5,364,949-transceiver universe via :meth:`SyntheticUS.scaled`.
 """
 
 from __future__ import annotations
@@ -166,6 +166,10 @@ class SyntheticUS:
         this is read from the config without drawing the universe.
         """
         return PAPER_TRANSCEIVER_COUNT / self.config.n_transceivers
+
+    def scaled(self, count) -> int:
+        """A study-universe count as a paper-universe count, rounded."""
+        return int(round(count * self.universe_scale))
 
 
 @lru_cache(maxsize=4)

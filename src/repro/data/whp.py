@@ -34,7 +34,7 @@ from .population import PopulationSurface
 from .states import StateAssigner, conus_bbox
 
 __all__ = ["WHPClass", "WHP_CLASS_NAMES", "WhpModel", "build_whp",
-           "AT_RISK_CLASSES", "DEFAULT_TARGET_SHARES"]
+           "AT_RISK_CLASSES", "DEFAULT_TARGET_SHARES", "class_counts"]
 
 
 class WHPClass(IntEnum):
@@ -72,6 +72,24 @@ DEFAULT_TARGET_SHARES = {
 #: ``np.exp(-x)`` is exactly 0.0 for every ``x`` above this bound: its
 #: last nonzero value, the smallest subnormal double, is near x = 745.13.
 _EXP_UNDERFLOW = 750.0
+
+
+def class_counts(codes, n_groups: int, classes) -> np.ndarray:
+    """Raw count per (group, WHP class): row = group code, column =
+    class code, shape ``(n_groups, len(WHPClass))``.
+
+    ``codes`` gives each point's group (provider, radio, state, county
+    density, metro); a code below 0 belongs to no group and is dropped.
+    One ``bincount`` serves every grouping of Tables 2–3 and Figures
+    7–10 and 12.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    keep = codes >= 0
+    n_classes = len(WHPClass)
+    return np.bincount(
+        codes[keep] * n_classes + classes[keep],
+        minlength=n_groups * n_classes,
+    ).reshape(n_groups, n_classes)
 
 
 @dataclass

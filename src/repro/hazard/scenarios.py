@@ -217,10 +217,10 @@ def run_scenario(universe, name: str, *, members: int | None = None,
 # Registrations
 # ----------------------------------------------------------------------
 
-@artifact("scenario",
-          doc="named multi-hazard what-if ensemble (impact distribution)")
+@artifact("scenario")
 def _scenario_artifact(session, scenario: str = "grid-ignition-season",
                        members: int | None = None) -> ScenarioResult:
+    """Named multi-hazard what-if ensemble (impact distribution)."""
     return run_scenario(session.universe, scenario, members=members)
 
 
@@ -258,5 +258,4 @@ register_stage("scenario",
                                help="override the bundle's ensemble "
                                     "size"),
                ),
-               params=("scenario", "members"),
                export=_export_scenario)

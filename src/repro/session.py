@@ -104,7 +104,6 @@ class ArtifactSpec:
     name: str
     build: Callable[..., Any]
     deps: tuple[str, ...] = ()
-    doc: str = ""
     signature: inspect.Signature = field(compare=False, repr=False,
                                          default=None)
 
@@ -143,23 +142,16 @@ def _ensure_registered() -> None:
         _CORE_IMPORTED = True
 
 
-def artifact(name: str, deps: tuple[str, ...] = (),
-             doc: str = "") -> Callable:
+def artifact(name: str, deps: tuple[str, ...] = ()) -> Callable:
     """Decorator: register ``fn(session, **params)`` as an artifact."""
     def decorate(fn: Callable) -> Callable:
         if name in _ARTIFACTS:
             raise ValueError(f"artifact {name!r} registered twice")
         _ARTIFACTS[name] = ArtifactSpec(
             name=name, build=fn, deps=tuple(deps),
-            doc=doc or _first_doc_line(fn),
             signature=inspect.signature(fn))
         return fn
     return decorate
-
-
-def _first_doc_line(fn: Callable) -> str:
-    return (fn.__doc__ or "").strip().splitlines()[0] \
-        if fn.__doc__ else ""
 
 
 def iter_artifacts() -> tuple[ArtifactSpec, ...]:
@@ -265,16 +257,15 @@ def register_stage(name: str, *, help: str, paper: str,
                    run: Callable | None = None,
                    order: float | None = None,
                    options: tuple[StageOption, ...] = (),
-                   params: tuple[str, ...] = (),
                    export: Callable | None = None,
                    domain: str = "analysis") -> Stage:
     """Register a stage.
 
     Either pass ``run`` (full control) or ``artifact`` + ``render``:
     the generated runner fetches the artifact through the session —
-    forwarding the CLI options named in ``params`` as artifact
-    parameters — and renders it.  ``render`` may be a callable taking
-    the artifact value, or the *name* of a renderer in
+    passing each option's value as the artifact parameter named by
+    the option's ``dest`` — and renders it.  ``render`` may be a
+    callable taking the artifact value, or the *name* of a renderer in
     :mod:`repro.core.report` (resolved lazily to avoid import cycles).
     """
     if name in _STAGES:
@@ -283,7 +274,7 @@ def register_stage(name: str, *, help: str, paper: str,
         if artifact is None or render is None:
             raise ValueError(f"stage {name!r} needs run= or "
                              f"artifact=+render=")
-        run = _artifact_runner(artifact, render, options, params)
+        run = _artifact_runner(artifact, render, options)
     stage = Stage(name=name, help=help, paper=paper, run=run,
                   artifact=artifact, order=order,
                   options=tuple(options), export=export,
@@ -294,12 +285,10 @@ def register_stage(name: str, *, help: str, paper: str,
 
 def _artifact_runner(artifact_name: str,
                      render: Callable[[Any], str] | str,
-                     options: tuple[StageOption, ...],
-                     params: tuple[str, ...]) -> Callable:
-    defaults = {opt.dest: opt.default for opt in options}
-
+                     options: tuple[StageOption, ...]) -> Callable:
     def run(session: "AnalysisSession", args: Any) -> str:
-        kwargs = {p: getattr(args, p, defaults.get(p)) for p in params}
+        kwargs = {opt.dest: getattr(args, opt.dest, opt.default)
+                  for opt in options}
         value = session.artifact(artifact_name, **kwargs)
         return _resolve_render(render)(value)
 

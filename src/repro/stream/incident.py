@@ -47,7 +47,7 @@ from ..data.cells import CellUniverse
 from ..data.universe import SyntheticUS
 from ..obs.trace import span as trace_span
 from ..runtime.stats import STATS
-from ..session import StageOption, artifact, register_stage
+from ..session import StageOption, artifact, number_above, register_stage
 
 if TYPE_CHECKING:
     from ..hazard.base import HazardEvent
@@ -262,20 +262,18 @@ def write_events_jsonl(events: list[TickEvent], path) -> None:
 # Registrations
 # ----------------------------------------------------------------------
 
-@artifact("stream_incident",
-          doc="tick-by-tick incident stream (delta overlay)")
+@artifact("stream_incident")
 def _stream_incident_artifact(session, ticks: int = 8,
                               hazard: str = "wildfire") -> StreamResult:
+    """Tick-by-tick incident stream (delta overlay)."""
     return run_scripted_incident(session.universe, n_ticks=ticks,
                                  hazard=hazard)
 
 
 def _run_stream(session, args) -> str:
     from ..core.report import render_stream
-    ticks = getattr(args, "ticks", None) or 8
-    if ticks < 2:
-        raise SystemExit("repro stream: --ticks must be >= 2")
-    hazard = getattr(args, "hazard", None) or "wildfire"
+    ticks = getattr(args, "ticks", 8)
+    hazard = getattr(args, "hazard", "wildfire")
     from ..hazard.registry import get_hazard
     try:
         hz = get_hazard(hazard)
@@ -314,7 +312,10 @@ register_stage("stream",
                artifact="stream_incident", order=None,
                domain="engine",
                options=(
-                   StageOption("--ticks", type=int, default=8,
+                   StageOption("--ticks",
+                               type=number_above(int, 1, "an integer "
+                                                 "of at least 2"),
+                               default=8,
                                help="growth ticks for the tracked "
                                     "incident fronts (>= 2)"),
                    StageOption("--hazard", type=str, default="wildfire",

@@ -8,13 +8,14 @@ registries stay unique and acyclic.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from repro import session as session_mod
 from repro.cli import main
-from repro.core import hazard as hazard_mod
 from repro.core import overlay as overlay_mod
 from repro.core import validation as validation_mod
 from repro.core.hazard import hazard_analysis
@@ -133,6 +134,19 @@ class TestRegistry:
         text = get_stage("fig7").run(session, None)
         assert "Very High" in text
 
+    @pytest.mark.parametrize("stage", ["stream", "season_overlay",
+                                       "power", "scenario"])
+    def test_library_run_takes_the_option_defaults(self, stage):
+        """``session.run(stage)`` without CLI args prints what the
+        CLI prints with every option at its default."""
+        universe = SyntheticUS(UniverseConfig(
+            n_transceivers=2000, seed=7, whp_resolution_deg=0.2))
+        buffer = io.StringIO()
+        assert main(["-n", "2000", "--seed", "7", "--whp-res", "0.2",
+                     stage], stream=buffer) == 0
+        assert AnalysisSession(universe).run(stage) + "\n" \
+            == buffer.getvalue()
+
     def test_unknown_artifact_raises(self):
         with pytest.raises(KeyError, match="unknown artifact"):
             session_of(_fresh_universe()).artifact("nope")
@@ -143,13 +157,17 @@ class TestComputeOnceAcrossRepr0All:
 
     @pytest.fixture(scope="class")
     def spy_log(self):
-        """Run ``repro all`` once with classify/overlay/hazard spies."""
+        """Run ``repro all`` once with classify/overlay/hazard spies.
+
+        The hazard spy replaces the registered build of the ``hazard``
+        artifact, which is the compute function itself."""
         mp = pytest.MonkeyPatch()
         log = {"classify": [], "overlay": [], "hazard": []}
 
         real_classify = overlay_mod.classify_cells
         real_overlay = overlay_mod.overlay_fires
-        real_hazard = hazard_mod._compute_hazard
+        hazard_spec = get_artifact_spec("hazard")
+        real_hazard = hazard_spec.build
 
         def classify_spy(cells, whp, **kw):
             log["classify"].append(id(cells))
@@ -167,7 +185,8 @@ class TestComputeOnceAcrossRepr0All:
         mp.setattr(validation_mod, "classify_cells", classify_spy)
         mp.setattr(overlay_mod, "overlay_fires", overlay_spy)
         mp.setattr(validation_mod, "overlay_fires", overlay_spy)
-        mp.setattr(hazard_mod, "_compute_hazard", hazard_spy)
+        mp.setitem(session_mod._ARTIFACTS, "hazard",
+                   dataclasses.replace(hazard_spec, build=hazard_spy))
         try:
             buffer = io.StringIO()
             assert main(["-n", "6000", "all"], stream=buffer) == 0

@@ -1,5 +1,6 @@
 """Tests for repro.data.universe."""
 
+import numpy as np
 import pytest
 
 from repro.data import SyntheticUS, UniverseConfig, small_universe
@@ -45,6 +46,14 @@ class TestConsistency:
     def test_universe_scale(self, universe):
         assert universe.universe_scale \
             == pytest.approx(5_364_949 / len(universe.cells))
+
+    def test_scaled_rounds_to_the_paper_universe(self, universe):
+        assert universe.scaled(len(universe.cells)) == 5_364_949
+        assert universe.scaled(0) == 0
+        for count in (1, 7, 1234, np.int64(1234)):
+            assert universe.scaled(count) \
+                == int(round(count * universe.universe_scale))
+            assert type(universe.scaled(count)) is int
 
     def test_2019_season_has_scripted_fires(self, universe):
         names = {f.name for f in universe.fire_season(2019).fires}

@@ -8,6 +8,7 @@ from repro.data.whp import (
     DEFAULT_TARGET_SHARES,
     WHP_CLASS_NAMES,
     WHPClass,
+    class_counts,
 )
 
 
@@ -27,6 +28,80 @@ class TestClasses:
     def test_target_shares_from_paper(self):
         assert DEFAULT_TARGET_SHARES[WHPClass.VERY_HIGH] \
             == pytest.approx(26_307 / 5_364_949)
+
+
+def _mask_loop_counts(codes, n_groups, classes):
+    """The oracle: one mask per group, then one per class, as Tables
+    2-3 and Figures 7-10 and 12 counted before ``class_counts``."""
+    out = np.zeros((n_groups, len(WHPClass)), dtype=np.int64)
+    for group in range(n_groups):
+        sub = classes[codes == group]
+        for whp_class in WHPClass:
+            out[group, whp_class] = int((sub == int(whp_class)).sum())
+    return out
+
+
+class TestClassCounts:
+    """One bincount equals the per-group mask loops, exactly."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_mask_loop_on_random_codes(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        n_groups = 9
+        # Groups 2 and 6 stay empty; -1 marks points in no group.
+        drawn = np.array([-1, 0, 1, 3, 4, 5, 7, 8])
+        codes = rng.choice(drawn, size=5000).astype(dtype)
+        classes = rng.integers(0, len(WHPClass), size=5000,
+                               dtype=np.int8)
+        assert set(np.unique(classes)) == set(range(len(WHPClass)))
+
+        got = class_counts(codes, n_groups, classes)
+        assert got.shape == (n_groups, len(WHPClass))
+        assert np.array_equal(got, _mask_loop_counts(codes, n_groups,
+                                                     classes))
+        assert got[[2, 6]].sum() == 0
+        assert got.sum() == (codes >= 0).sum()
+
+    def test_no_points_and_no_groups(self):
+        empty = np.array([], dtype=np.int8)
+        assert np.array_equal(class_counts(empty, 3, empty),
+                              np.zeros((3, len(WHPClass))))
+        codes = np.full(10, -1, dtype=np.int8)
+        classes = np.full(10, int(WHPClass.HIGH), dtype=np.int8)
+        assert class_counts(codes, 2, classes).sum() == 0
+
+    @pytest.mark.parametrize("scale", ["tiny", "seed"])
+    def test_equals_mask_loop_on_the_universe(self, scale):
+        """Provider, radio, state and metro codes of a real universe."""
+        from repro.core.metro import DEFAULT_METRO_RADIUS_M, _assign_metro
+        from repro.data import (
+            PAPER_METROS,
+            PROVIDER_GROUPS,
+            RadioType,
+            StateAssigner,
+            universe_for_scale,
+        )
+        from repro.session import session_of
+
+        universe = universe_for_scale(scale)
+        cells = universe.cells
+        classes = session_of(universe).artifact("whp_classes")
+        assigner = StateAssigner()
+        groupings = {
+            "provider": (cells.provider_group, len(PROVIDER_GROUPS)),
+            "radio": (cells.radio, len(RadioType)),
+            "state": (assigner.assign_many(cells.lons, cells.lats),
+                      len(assigner.abbrs)),
+            "metro": (_assign_metro(universe, tuple(PAPER_METROS),
+                                    DEFAULT_METRO_RADIUS_M),
+                      len(PAPER_METROS)),
+        }
+        for name, (codes, n_groups) in groupings.items():
+            got = class_counts(codes, n_groups, classes)
+            want = _mask_loop_counts(codes, n_groups, classes)
+            assert np.array_equal(got, want), name
+        assert (groupings["metro"][0] < 0).any()
 
 
 class TestRaster(object):

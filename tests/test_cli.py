@@ -102,6 +102,12 @@ class TestNumericArguments:
         ["validate", "--oversample", "0"],
         ["scenario", "grid-ignition-season", "--members", "0"],
         ["map", "--width", "-5"],
+        ["stream", "--ticks", "0"],
+        ["stream", "--ticks", "1"],
+        ["season_overlay", "--year", "0"],
+        ["power", "--year", "0"],
+        ["extend", "--radius-miles", "-1"],
+        ["extend", "--radius-miles", "nan"],
         ["history", "--limit", "0"],
         ["history", "--limit", "-1"],
         ["gate", "--baseline", "0"],
@@ -119,11 +125,25 @@ class TestNumericArguments:
     @pytest.mark.parametrize("argv", [
         ["-n", "1", "--whp-res", "0.5", "table1"],
         ["validate", "--oversample", "1"],
+        ["stream", "--ticks", "2"],
         ["history", "--limit", "1"],
         ["gate", "--baseline", "1", "--threshold", "1.01"],
     ])
     def test_smallest_good_value_parses(self, argv):
         build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("stage", ["season_overlay", "power"])
+    def test_wildfire_year_outside_the_record_is_a_clean_error(
+            self, stage, capsys):
+        """The wildfire record covers 2000-2019: another year is a
+        one-line error naming the stage, never a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["-n", "2000", stage, "--year", "1999"])
+        # A string exit code is printed to stderr with exit status 1.
+        assert exc.value.code == \
+            f"repro {stage}: no wildfire season for 1999 (the record " \
+            f"covers 2000-2019)"
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_history_limit_keeps_the_latest_runs(self, tmp_path):
         from repro.obs import Ledger
