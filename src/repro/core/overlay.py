@@ -56,9 +56,9 @@ import numpy as np
 from ..data.cells import PointSet
 from ..geo.index import UniformGridIndex
 from ..runtime import (
+    active_cache,
     cache_key,
     chunk_spans,
-    get_cache,
     get_config,
     plan,
     run_tasks,
@@ -265,14 +265,6 @@ def _fold(result: FireOverlayResult, fires: list, parts: list) \
     return result
 
 
-def _result_cache(use_cache: bool | None):
-    """The result cache a join reads and writes: None when caching is
-    off for this call or no cache directory is configured."""
-    if use_cache is None:
-        use_cache = get_config().cache_enabled
-    return get_cache() if use_cache else None
-
-
 # ----------------------------------------------------------------------
 # Public joins
 # ----------------------------------------------------------------------
@@ -297,7 +289,7 @@ def overlay_fires(cells: PointSet, fires: list[HazardEvent],
     resolved_year = year if year is not None else (
         fires[0].year if fires else 0)
 
-    cache = _result_cache(use_cache)
+    cache = active_cache(use_cache)
     if cache is not None:
         key = cache_key(b"overlay_fires/v2+hits", cells.content_token(),
                         fires_token(fires), resolved_year)
@@ -406,7 +398,7 @@ def classify_cells(cells: PointSet, whp: IntensitySurface, *,
     fork's cost even at paper scale — and memoized like
     :func:`overlay_fires`.
     """
-    cache = _result_cache(use_cache)
+    cache = active_cache(use_cache)
     if cache is not None:
         key = cache_key(b"classify_cells/v1", cells.content_token(),
                         whp.content_token())

@@ -301,8 +301,8 @@ def _draw_coordinates(pop: PopulationSurface, n_transceivers: int,
 
     # OpenCelliD-style location noise per transceiver.
     jitter_deg = jitter_m / 111_000.0
-    lons = lons + rng.normal(0.0, jitter_deg, size=len(lons))
-    lats = lats + rng.normal(0.0, jitter_deg, size=len(lats))
+    lons += rng.normal(0.0, jitter_deg, size=len(lons))
+    lats += rng.normal(0.0, jitter_deg, size=len(lats))
     return rng, per_site, lons, lats
 
 

@@ -102,10 +102,11 @@ class CountyLayer:
         self._ncols = int(np.ceil(bbox.width / tile_deg))
         # base tile key -> list of county indices inside that tile
         self._by_tile: dict[int, list[int]] = {}
-        for i, county in enumerate(counties[n_named:], start=n_named):
-            key = self._tile_key(county.bbox.center.lon,
-                                 county.bbox.center.lat)
-            self._by_tile.setdefault(int(key), []).append(i)
+        centers = [c.bbox.center for c in counties[n_named:]]
+        keys = self._tile_key([p.lon for p in centers],
+                              [p.lat for p in centers])
+        for i, key in enumerate(keys.tolist(), start=n_named):
+            self._by_tile.setdefault(key, []).append(i)
 
     def _tile_key(self, lon, lat):
         col = np.floor((np.asarray(lon) - self.bbox.min_lon)

@@ -54,6 +54,22 @@ class PopulationSurface:
         self.road_distance: Raster | None = None
         self.raster = self._build()
 
+    @classmethod
+    def from_rasters(cls, raster: Raster, road_distance: Raster, *,
+                     total_population: int, corridor_share: float,
+                     corridor_halfwidth_deg: float) \
+            -> "PopulationSurface":
+        """A surface whose rasters are already built (a stored
+        snapshot, :mod:`repro.data.snapshot`): nothing is generated."""
+        surface = cls.__new__(cls)
+        surface.grid = raster.grid
+        surface.total_population = int(total_population)
+        surface.corridor_share = float(corridor_share)
+        surface.corridor_halfwidth_deg = float(corridor_halfwidth_deg)
+        surface.road_distance = road_distance
+        surface.raster = raster
+        return surface
+
     def _build(self) -> Raster:
         grid = self.grid
         rows = np.arange(grid.height)

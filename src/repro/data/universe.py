@@ -5,7 +5,9 @@ population surface, the WHP raster, the transceiver universe, the county
 layer and the per-year fire seasons, with the shared parameters
 (placement exponent, urban half-saturation) kept consistent across
 components — the calibration of the WHP class thresholds depends on
-that consistency.
+that consistency.  Under a ``--cache-dir`` each component is also a
+result-cache entry, so a warm run loads the universe instead of
+synthesizing it (:mod:`repro.data.snapshot`).
 
 Scale is controlled by ``n_transceivers``.  Tests use ~20k, benchmarks
 ~150k; results are reported both raw and rescaled to the paper's
@@ -19,6 +21,8 @@ from functools import lru_cache
 
 from ..obs.profile import memory_probe
 from ..obs.trace import span
+from ..runtime.cache import active_cache
+from . import snapshot
 from .cells import (
     PAPER_TRANSCEIVER_COUNT,
     CellUniverse,
@@ -54,8 +58,14 @@ class SyntheticUS:
     """Lazily-built synthetic United States.
 
     Every component is built at most once per instance; instances are
-    cheap until a component is touched.  Each build is a ``data.<name>``
-    span (with memory attrs under ``--mem``); a memoized read is not.
+    cheap until a component is touched.  Each first read is a
+    ``data.<name>`` span (with memory attrs under ``--mem``) whose
+    ``source`` attribute says whether the component was ``loaded`` from
+    the result cache or ``built``; a memoized read is not.  With a
+    cache directory configured, the population surface, WHP model,
+    cells, counties, fire seasons and validation samples are cache
+    entries (:mod:`repro.data.snapshot`): a hit is loaded, a miss is
+    built and stored.
     """
 
     def __init__(self, config: UniverseConfig | None = None):
@@ -68,60 +78,76 @@ class SyntheticUS:
         self._dirs: DirsSimulation | None = None
         self._validation_cells: dict[int, PointSet] = {}
 
+    def _component(self, name: str, build, **params):
+        """Component ``name`` loaded from the result cache, or built
+        (and stored when a cache is configured), in its ``data.<name>``
+        span."""
+        with span(f"data.{name}", **params) as sp, memory_probe(sp):
+            cache = active_cache()
+            if cache is not None:
+                key = snapshot.component_key(name, params, self.config)
+                entry = cache.get(key)
+                if entry is not None:
+                    sp.set(source="loaded")
+                    return snapshot.decode(name, entry)
+            sp.set(source="built")
+            value = build()
+            if cache is not None:
+                cache.put(key, snapshot.encode(name, value))
+            return value
+
     # ------------------------------------------------------------------
     @property
     def population(self) -> PopulationSurface:
         if self._population is None:
-            with span("data.population") as sp, memory_probe(sp):
-                self._population = PopulationSurface(
-                    resolution_deg=self.config.pop_resolution_deg)
+            self._population = self._component(
+                "population", lambda: PopulationSurface(
+                    resolution_deg=self.config.pop_resolution_deg))
         return self._population
 
     @property
     def whp(self) -> WhpModel:
         if self._whp is None:
-            with span("data.whp") as sp, memory_probe(sp):
-                self._whp = build_whp(
-                    self.population,
-                    seed=self.config.seed + 1,
-                    resolution_deg=self.config.whp_resolution_deg,
-                    placement_exponent=self.config.placement_exponent,
-                    urban_halfsat=self.config.urban_halfsat,
-                )
+            self._whp = self._component("whp", lambda: build_whp(
+                self.population,
+                seed=self.config.seed + 1,
+                resolution_deg=self.config.whp_resolution_deg,
+                placement_exponent=self.config.placement_exponent,
+                urban_halfsat=self.config.urban_halfsat,
+            ))
         return self._whp
 
     @property
     def cells(self) -> CellUniverse:
         if self._cells is None:
-            with span("data.cells") as sp, memory_probe(sp):
-                self._cells = generate_cells(
-                    self.population,
-                    n_transceivers=self.config.n_transceivers,
-                    seed=self.config.seed + 2,
-                    placement_exponent=self.config.placement_exponent,
-                    mean_per_site=self.config.mean_per_site,
-                    urban_halfsat=self.config.urban_halfsat,
-                )
+            self._cells = self._component("cells", lambda: generate_cells(
+                self.population,
+                n_transceivers=self.config.n_transceivers,
+                seed=self.config.seed + 2,
+                placement_exponent=self.config.placement_exponent,
+                mean_per_site=self.config.mean_per_site,
+                urban_halfsat=self.config.urban_halfsat,
+            ))
         return self._cells
 
     @property
     def counties(self) -> CountyLayer:
         if self._counties is None:
-            with span("data.counties") as sp, memory_probe(sp):
-                self._counties = build_counties(self.population)
+            self._counties = self._component(
+                "counties", lambda: build_counties(self.population))
         return self._counties
 
     def fire_season(self, year: int) -> FireSeason:
         """The fire season for a year (2019 includes the scripted fires)."""
         if year not in self._seasons:
-            with span("data.fire_seasons", year=year) as sp, \
-                    memory_probe(sp):
+            def build() -> FireSeason:
                 if year == 2019:
-                    self._seasons[year] = generate_2019_season(
+                    return generate_2019_season(
                         self.whp, seed=self.config.seed + 19)
-                else:
-                    self._seasons[year] = generate_fire_season(
-                        year, self.whp, seed=self.config.seed + year)
+                return generate_fire_season(
+                    year, self.whp, seed=self.config.seed + year)
+            self._seasons[year] = self._component("fire_seasons", build,
+                                                  year=year)
         return self._seasons[year]
 
     def validation_cells(self, oversample: int = 8) -> PointSet:
@@ -137,15 +163,14 @@ class SyntheticUS:
         """
         key = int(oversample)
         if key not in self._validation_cells:
-            with span("data.validation_cells", oversample=key) as sp, \
-                    memory_probe(sp):
-                self._validation_cells[key] = generate_points(
+            self._validation_cells[key] = self._component(
+                "validation_cells", lambda: generate_points(
                     self.population,
                     n_transceivers=self.config.n_transceivers * key,
                     seed=self.config.seed + 7,
                     placement_exponent=self.config.placement_exponent,
                     mean_per_site=self.config.mean_per_site,
-                )
+                ), oversample=key)
         return self._validation_cells[key]
 
     @property

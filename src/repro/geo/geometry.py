@@ -157,7 +157,8 @@ class Polygon:
         self._prepared: PreparedPolygon | None = None
 
     @classmethod
-    def from_ccw_ring(cls, exterior) -> "Polygon":
+    def from_ccw_ring(cls, exterior, bbox: BBox | None = None) \
+            -> "Polygon":
         """Trusted fast constructor: an open CCW exterior, no holes.
 
         Skips ring validation and winding normalization, so the caller
@@ -166,14 +167,16 @@ class Polygon:
         bit-identical to ``Polygon(exterior)`` for such input; generators
         that emit thousands of perimeters (see
         :func:`repro.data.wildfires.star_polygon`) use it to stay off
-        the per-ring shoelace/closure checks.
+        the per-ring shoelace/closure checks.  A caller that already
+        holds the ring's bounding box (a stored season reduces every
+        ring's at once) passes it as ``bbox``.
         """
         poly = cls.__new__(cls)
         arr = np.ascontiguousarray(exterior, dtype=float)
         arr.setflags(write=False)
         poly.exterior = arr
         poly.holes = ()
-        poly._bbox = BBox.of_coords(arr[:, 0], arr[:, 1])
+        poly._bbox = bbox or BBox.of_coords(arr[:, 0], arr[:, 1])
         poly._prepared = None
         return poly
 

@@ -246,6 +246,15 @@ class Raster:
         return {v.item(): int(c) for v, c in zip(values, counts)}
 
 
+def _ellipse_inside(xs, ys, rx: float, ry: float) -> np.ndarray:
+    """Whether integer offsets ``(xs, ys)`` lie in the ellipse with
+    radii ``(rx, ry)`` >= 0; a zero radius admits no offset."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inside = ((xs / rx) ** 2 if rx > 0 else (xs != 0) * np.inf) + \
+                 ((ys / ry) ** 2 if ry > 0 else (ys != 0) * np.inf)
+    return inside <= 1.0
+
+
 def disk_footprint(rx: float, ry: float) -> np.ndarray:
     """Boolean elliptical structuring element with radii (cols, rows)."""
     rx = max(float(rx), 0.0)
@@ -253,12 +262,35 @@ def disk_footprint(rx: float, ry: float) -> np.ndarray:
     nx = int(np.ceil(rx))
     ny = int(np.ceil(ry))
     ys, xs = np.mgrid[-ny:ny + 1, -nx:nx + 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inside = ((xs / rx) ** 2 if rx > 0 else (xs != 0) * np.inf) + \
-                 ((ys / ry) ** 2 if ry > 0 else (ys != 0) * np.inf)
-    footprint = inside <= 1.0
+    footprint = _ellipse_inside(xs, ys, rx, ry)
     footprint[ny, nx] = True
     return footprint
+
+
+def _footprint_run_lengths(rx: float, ry: float, height: int,
+                          width: int) -> np.ndarray:
+    """Row lengths of ``disk_footprint(rx, ry)`` as a ``height`` x
+    ``width`` mask feels them.
+
+    Returns the length of the run of footprint row ``dy`` for ``dy =
+    -n..n``, ``n = min(ceil(ry), height - 1)``: rows farther out shift
+    past the mask.  Each footprint row is one run centred on its middle
+    column, because the ellipse expression grows with ``|x|``, so a
+    row's length is ``2k - 1`` for the ``k`` offsets ``x = 0, 1, ...``
+    inside it, found with the expression :func:`disk_footprint`
+    evaluates.  Only ``x <= width`` is evaluated: a run of ``2 *
+    width + 1`` already spans every column, so longer runs are capped
+    there.  Memory grows with the mask, never with the radius.
+    """
+    rx = max(float(rx), 0.0)
+    ry = max(float(ry), 0.0)
+    ny = min(int(np.ceil(ry)), max(height - 1, 0))
+    xs = np.arange(min(int(np.ceil(rx)), width) + 1)
+    half = np.array([np.count_nonzero(_ellipse_inside(xs, dy, rx, ry))
+                     for dy in range(ny + 1)])
+    half[0] = max(half[0], 1)       # the footprint's centre is always set
+    lengths = np.where(half > 0, 2 * half - 1, 0)
+    return np.concatenate((lengths[:0:-1], lengths))
 
 
 def dilate_ellipse(mask: np.ndarray, rx: float, ry: float) -> np.ndarray:
@@ -266,26 +298,24 @@ def dilate_ellipse(mask: np.ndarray, rx: float, ry: float) -> np.ndarray:
 
     Equals ``ndimage.binary_dilation(mask, structure=footprint)`` (zero
     border).  Each footprint row is one run centred on the footprint's
-    middle column, so the dilation is the OR, over row offsets ``dy``, of the
-    mask run-dilated along its rows by that row's length and shifted
-    by ``dy``: one 1-D maximum filter per distinct run length instead
-    of a 2-D pass per footprint cell.  Rows a non-integer radius leaves
-    empty contribute nothing, nor do shifts past the mask's height.
+    middle column, so the dilation is the OR, over row offsets ``dy``,
+    of the mask run-dilated along its rows by that row's length and
+    shifted by ``dy``: one 1-D maximum filter per distinct run length
+    instead of a 2-D pass per footprint cell.  The run lengths come
+    from :func:`_footprint_run_lengths`, so the footprint itself is
+    never built.
     """
     from scipy import ndimage
 
-    footprint = disk_footprint(rx, ry)
-    ny = footprint.shape[0] // 2
-    lengths = footprint.sum(axis=1)
     mask = np.asarray(mask, dtype=bool)
-    height = mask.shape[0]
+    height, width = mask.shape
+    lengths = _footprint_run_lengths(rx, ry, height, width)
+    ny = len(lengths) // 2
     out = np.zeros(mask.shape, dtype=bool)
     for length in np.unique(lengths[lengths > 0]):
         grown = ndimage.maximum_filter1d(mask, size=int(length), axis=1,
                                          mode="constant", cval=0)
         for dy in np.flatnonzero(lengths == length) - ny:
-            if abs(dy) >= height:
-                continue
             if dy >= 0:
                 out[dy:] |= grown[:height - dy]
             else:

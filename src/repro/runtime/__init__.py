@@ -14,8 +14,9 @@ as fast as the machine allows without changing a single result bit:
   measured crossover, capped by the machine's core count, so parallel
   never loses to serial;
 * :mod:`.cache` — a content-addressed on-disk result cache keyed by the
-  inputs' bytes, so a join computed by one run is read back by the
-  next (reuse inside a process is the session memo's job);
+  inputs' bytes, so a join or a universe component computed by one
+  run is read back by the next (reuse inside a process is the session
+  memo's job);
 * :mod:`.stats` — the timers and candidate/hit/cache counters behind
   ``--stats``, Prometheus and ledger manifests; every timer is the
   total of the :func:`repro.obs.span` of the same name, so a worker's
@@ -28,7 +29,14 @@ The differential suite in ``tests/runtime/`` proves parallel == serial
 == bruteforce on randomized universes.
 """
 
-from .cache import ResultCache, array_token, cache_key, get_cache, set_cache
+from .cache import (
+    ResultCache,
+    active_cache,
+    array_token,
+    cache_key,
+    get_cache,
+    set_cache,
+)
 from .config import RuntimeConfig, configure, get_config, set_config
 from .dispatch import cpu_budget, plan
 from .pool import (
@@ -43,6 +51,7 @@ from .stats import STATS, PerfRegistry, set_trace_channel
 __all__ = [
     "RuntimeConfig", "get_config", "set_config", "configure",
     "ResultCache", "cache_key", "array_token", "get_cache", "set_cache",
+    "active_cache",
     "chunk_spans", "active_pools", "get_pool", "run_tasks",
     "shutdown_pools", "cpu_budget", "plan",
     "STATS", "PerfRegistry", "set_trace_channel",

@@ -7,10 +7,13 @@ change to seed, size, resolution or parameters produces a different key
 while re-running the identical configuration is a hit.
 
 The cache is one directory of ``.npz`` entries (``--cache-dir``) that
-survives processes, so a warm cache serves a fresh CLI run's joins
+survives processes, so a warm cache serves a fresh CLI run's joins,
+and the synthesized universe they join (:mod:`repro.data.snapshot`),
 from disk.  Reuse inside one process is the session memo's job
 (:mod:`repro.session`); without a cache directory there is no cache
-object at all and joins compute no key.
+object at all and no caller computes a key.  :func:`active_cache` is
+the one rule for which cache a join, a classification or a universe
+component uses.
 
 Hits and misses are counted in :data:`repro.runtime.stats.STATS` under
 ``cache.hits`` / ``cache.misses`` (every hit is also a
@@ -38,7 +41,7 @@ from ..obs.trace import event as trace_event
 from .stats import STATS
 
 __all__ = ["ResultCache", "cache_key", "array_token", "get_cache",
-           "set_cache"]
+           "set_cache", "active_cache"]
 
 _FORMAT_VERSION = "1"
 
@@ -159,3 +162,13 @@ def set_cache(cache: ResultCache | None) -> None:
     """Install (or with None, reset) the process-global cache."""
     global _cache
     _cache = cache
+
+
+def active_cache(use_cache: bool | None = None) -> ResultCache | None:
+    """The result cache a call reads and writes: None when caching is
+    off for this call (``use_cache=False``, or ``None`` under a config
+    with ``cache_enabled`` off) or no cache directory is configured."""
+    if use_cache is None:
+        from .config import get_config
+        use_cache = get_config().cache_enabled
+    return get_cache() if use_cache else None

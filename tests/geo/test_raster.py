@@ -168,6 +168,59 @@ class TestRaster:
             want = ndimage.binary_dilation(mask, structure=footprint)
             assert np.array_equal(dilate_ellipse(mask, rx, ry), want)
 
+    @pytest.mark.parametrize("rx, ry, shape", [
+        (40.0, 35.0, (12, 20)),     # taller and wider than the mask
+        (60.5, 2.0, (9, 14)),       # runs longer than 2 * width + 1
+        (1.5, 30.25, (8, 40)),      # rows past the mask's height
+        (25.0, 0.0, (6, 10)),
+        (0.0, 25.0, (6, 10)),
+    ])
+    def test_radii_larger_than_the_mask(self, rx, ry, shape):
+        """A footprint larger than the mask dilates exactly as
+        ``binary_dilation`` by the whole footprint does."""
+        from scipy import ndimage
+
+        footprint = disk_footprint(rx, ry)
+        rng = np.random.default_rng(int(rx + 10 * ry))
+        single = np.zeros(shape, dtype=bool)
+        single[-1, 0] = True
+        for mask in (rng.random(shape) < 0.05, single,
+                     np.zeros(shape, dtype=bool)):
+            want = ndimage.binary_dilation(mask, structure=footprint)
+            assert np.array_equal(dilate_ellipse(mask, rx, ry), want)
+
+    @pytest.mark.parametrize("rx, ry", [(0.0, 0.0), (1.0, 1.0),
+                                        (2.5, 1.5), (7.3, 11.9),
+                                        (3.0, 0.0), (0.0, 3.0),
+                                        (30.0, 30.0)])
+    def test_run_lengths_are_the_footprint_rows(self, rx, ry):
+        """Each run length is the footprint row's cell count, for the
+        rows a mask can feel, capped at ``2 * width + 1``."""
+        footprint = disk_footprint(rx, ry)
+        ny = footprint.shape[0] // 2
+        for height, width in ((100, 100), (5, 4), (1, 1)):
+            got = raster_mod._footprint_run_lengths(rx, ry, height, width)
+            n = min(ny, height - 1)
+            rows = footprint[ny - n:ny + n + 1].sum(axis=1)
+            assert np.array_equal(got, np.minimum(rows, 2 * width + 1))
+
+    def test_memory_does_not_grow_with_the_radius(self):
+        """A 1,250-cell radius on a 50 x 50 mask stays small: the
+        footprint's (2,501 x 2,501) offset grid is never built."""
+        import tracemalloc
+
+        mask = np.zeros((50, 50), dtype=bool)
+        mask[10, 20] = True
+        dilate_ellipse(mask, 1.0, 1.0)      # import scipy outside the trace
+        tracemalloc.start()
+        try:
+            out = dilate_ellipse(mask, 1_250.0, 1_250.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.all()
+        assert peak < 2**20, peak
+
     def test_copy_is_independent(self, grid):
         r = Raster(grid, fill=1.0)
         r2 = r.copy()

@@ -244,10 +244,11 @@ class TestOverlayCacheSemantics:
     def test_disabled_cache_never_stores(self, universe, tmp_path):
         from repro.core.overlay import overlay_fires
 
+        # Draw the inputs first: a universe built under an installed
+        # cache stores its components there.
+        cells, fires = universe.cells, universe.fire_season(2018).fires
         set_cache(ResultCache(tmp_path))
-        fires = universe.fire_season(2018).fires
-        overlay_fires(universe.cells, fires, year=2018, workers=1,
-                      use_cache=False)
+        overlay_fires(cells, fires, year=2018, workers=1, use_cache=False)
         assert list(tmp_path.iterdir()) == []
 
     def test_no_cache_dir_means_no_cache_calls(self, universe, tmp_path,

@@ -2,12 +2,21 @@
 
 A production library fails loudly and specifically on bad inputs rather
 than producing silently-wrong geography.  These tests feed each loader
-and pipeline deliberately broken data.
+and pipeline deliberately broken data, and kill or race whole runs that
+share one ``--cache-dir``.
 """
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.data.cells import CellUniverse
 from repro.data.dirs import simulate_dirs
 from repro.data.universe import SyntheticUS, UniverseConfig
@@ -132,3 +141,119 @@ class TestHostileConfigs:
         fires = small_universe().fire_season(2010).fires[:5]
         result = overlay_fires(empty, fires)
         assert result.n_in_perimeter == 0
+
+
+# ----------------------------------------------------------------------
+# A shared --cache-dir under kills and concurrent runs.  Each run is a
+# child process in its own session, killed by process group whatever
+# the test's outcome.
+# ----------------------------------------------------------------------
+
+_SRC = str(Path(repro.__file__).resolve().parent.parent)
+#: ``repro -n 2000``: the CLI's default seed and WHP resolution.
+_N2000 = UniverseConfig(n_transceivers=2000, whp_resolution_deg=0.1)
+
+
+def _repro(*argv: str) -> subprocess.Popen:
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = _SRC
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "-n", "2000", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        start_new_session=True)
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def _stdout(*procs: subprocess.Popen) -> list[bytes]:
+    """Each run's stdout; every run must exit 0."""
+    outs = []
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()[-2000:]
+            outs.append(out)
+    finally:
+        for proc in procs:
+            _kill_group(proc)
+    return outs
+
+
+def _entries_load(cache_dir: Path) -> None:
+    """Every entry in the directory is whole (no half-written file
+    under a final name)."""
+    entries = [p for p in cache_dir.glob("*.npz")
+               if not p.name.endswith(".tmp.npz")]
+    assert entries
+    for path in entries:
+        with np.load(path, allow_pickle=False) as npz:
+            for name in npz.files:
+                npz[name]
+
+
+@pytest.fixture(scope="module")
+def clean_all() -> bytes:
+    """Stdout of ``repro -n 2000 all`` without a cache."""
+    (out,) = _stdout(_repro("all"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def raced_dir(tmp_path_factory):
+    """One empty cache directory that two cold runs filled at once,
+    and their stdouts."""
+    cache_dir = tmp_path_factory.mktemp("raced")
+    outs = _stdout(*(_repro("--cache-dir", str(cache_dir), "all")
+                     for _ in range(2)))
+    return cache_dir, outs
+
+
+class TestSharedCacheDir:
+    def test_run_killed_after_first_universe_entry(self, tmp_path,
+                                                   clean_all):
+        """SIGKILL a cold run once its first universe entry (the
+        population surface) is in place; the rerun prints a clean
+        run's bytes."""
+        from repro.data.snapshot import component_key
+
+        first = tmp_path / f"{component_key('population', {}, _N2000)}.npz"
+        proc = _repro("--cache-dir", str(tmp_path), "all")
+        try:
+            deadline = time.monotonic() + 120
+            while not first.exists():
+                assert proc.poll() is None, \
+                    "the run ended before its first universe entry"
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+        finally:
+            _kill_group(proc)
+        assert proc.returncode == -signal.SIGKILL
+        _entries_load(tmp_path)
+        (out,) = _stdout(_repro("--cache-dir", str(tmp_path), "all"))
+        assert out == clean_all
+        _entries_load(tmp_path)
+
+    def test_two_cold_runs_on_one_dir(self, raced_dir, clean_all):
+        cache_dir, outs = raced_dir
+        assert outs == [clean_all, clean_all]
+        _entries_load(cache_dir)
+
+    def test_warm_run_after_the_race_misses_nothing(self, raced_dir,
+                                                    tmp_path):
+        from repro.obs import Ledger
+
+        cache_dir, _ = raced_dir
+        _stdout(_repro("--cache-dir", str(cache_dir), "--ledger-dir",
+                       str(tmp_path / "led"), "all"))
+        (run,) = Ledger(tmp_path / "led").runs()
+        assert run.counters.get("cache.misses", 0) == 0
+        assert run.counters["cache.hits"] > 0
