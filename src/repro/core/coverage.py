@@ -24,10 +24,16 @@ import numpy as np
 from ..data.universe import SyntheticUS
 from ..data.whp import WHPClass
 from ..geo.projection import meters_per_degree
+from ..geo.raster import gaussian_smooth
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["CoverageResult", "coverage_loss_analysis",
            "estimate_site_radii_m"]
+
+# Window cells evaluated per block of same-shape sites: bounds the
+# block's float, bool and index temporaries (~17 bytes a cell) at any
+# site count; each cell's arithmetic does not depend on the blocking.
+STAMP_TILE_CELLS = 1 << 20
 
 
 def estimate_site_radii_m(universe: SyntheticUS,
@@ -50,18 +56,16 @@ def estimate_site_radii_m(universe: SyntheticUS,
 def _compute_site_radii(session, min_radius_m: float = 1_500.0,
                         max_radius_m: float = 40_000.0) -> np.ndarray:
     """Per-site coverage radius from local site density."""
-    from scipy import ndimage
-
     universe = session.universe
     sites = universe.cells.sites()
     pop = universe.population
     grid = pop.grid
 
-    counts = np.zeros(grid.shape)
     rows, cols = grid.rowcol(sites.lons, sites.lats)
     ok = grid.inside(rows, cols)
-    np.add.at(counts, (rows[ok], cols[ok]), 1.0)
-    smoothed = ndimage.gaussian_filter(counts, sigma=2.0)
+    counts = np.bincount(rows[ok] * grid.width + cols[ok],
+                         minlength=grid.height * grid.width)
+    smoothed = gaussian_smooth(counts.reshape(grid.shape), sigma=2.0)
 
     density = smoothed[np.clip(rows, 0, grid.height - 1),
                        np.clip(cols, 0, grid.width - 1)]
@@ -149,16 +153,19 @@ def _compute_coverage(
 def _coverage_mask(pop, site_lons, site_lats, radii_m) -> np.ndarray:
     """Boolean population-grid mask of cells within any site's radius.
 
-    Stamps an elliptical footprint per site (lon/lat anisotropy at the
-    site's latitude); O(sites × footprint cells).
+    Each site covers the cells of its clamped grid window whose centres
+    fall in its ellipse (lon/lat anisotropy at the site's latitude).
+    Sites are grouped by window shape ``(rows, cols)`` and each group is
+    evaluated in blocks of at most ``STAMP_TILE_CELLS`` window cells
+    with the same float expression per cell; OR does not depend on
+    order, so every covered cell of a block is set with one scatter.
     """
     grid = pop.grid
-    covered = np.zeros(grid.shape, dtype=bool)
+    width = grid.width
+    covered = np.zeros(grid.height * width, dtype=bool)
     site_lons = np.asarray(site_lons, dtype=float)
     site_lats = np.asarray(site_lats, dtype=float)
     radii_m = np.asarray(radii_m, dtype=float)
-    # Ellipse radii and grid windows for every site at once; the loop
-    # below only stamps footprints.
     _, m_lat = meters_per_degree(0.0)
     m_lon = m_lat * np.cos(np.radians(site_lats))
     rlons = radii_m / m_lon
@@ -167,23 +174,35 @@ def _coverage_mask(pop, site_lons, site_lats, radii_m) -> np.ndarray:
     rows1, cols1 = grid.rowcol(site_lons + rlons, site_lats - rlats)
     rows0 = np.maximum(rows0, 0)
     cols0 = np.maximum(cols0, 0)
-    rows1 = np.minimum(rows1, grid.height - 1)
-    cols1 = np.minimum(cols1, grid.width - 1)
+    n_rows = np.minimum(rows1, grid.height - 1) - rows0 + 1
+    n_cols = np.minimum(cols1, width - 1) - cols0 + 1
+    stamped = np.flatnonzero((n_rows > 0) & (n_cols > 0))
+    shape_key = n_rows[stamped] * (width + 1) + n_cols[stamped]
+    order = np.argsort(shape_key, kind="stable")
+    stamped = stamped[order]
+    bounds = np.flatnonzero(np.diff(shape_key[order])) + 1
     # The grid is separable (lon depends on col only, lat on row only),
-    # so the ellipse test is an outer sum of two 1-D terms over slices
-    # of the cell-center axes — no meshgrid, no 2-D center arrays.
+    # so the ellipse test is an outer sum of two 1-D terms per site
+    # over the cell-center axes — no 2-D center arrays.
     center_lons, center_lats = grid.axes()
-    for lon, lat, rlon, rlat, row0, col0, row1, col1 in zip(
-            site_lons.tolist(), site_lats.tolist(), rlons.tolist(),
-            rlats.tolist(), rows0.tolist(), cols0.tolist(),
-            rows1.tolist(), cols1.tolist()):
-        if row0 > row1 or col0 > col1:
+    for group in np.split(stamped, bounds):
+        if not len(group):
             continue
-        u = ((center_lons[col0:col1 + 1] - lon) / rlon) ** 2
-        v = ((center_lats[row0:row1 + 1] - lat) / rlat) ** 2
-        inside = (u[None, :] + v[:, None]) <= 1.0
-        covered[row0:row1 + 1, col0:col1 + 1] |= inside
-    return covered
+        rows_n = int(n_rows[group[0]])
+        cols_n = int(n_cols[group[0]])
+        step = max(1, STAMP_TILE_CELLS // (rows_n * cols_n))
+        for t0 in range(0, len(group), step):
+            block = group[t0:t0 + step]
+            rows = rows0[block, None] + np.arange(rows_n)
+            cols = cols0[block, None] + np.arange(cols_n)
+            u = ((center_lons[cols] - site_lons[block, None])
+                 / rlons[block, None]) ** 2
+            v = ((center_lats[rows] - site_lats[block, None])
+                 / rlats[block, None]) ** 2
+            inside = (u[:, None, :] + v[:, :, None]) <= 1.0
+            cells = rows[:, :, None] * width + cols[:, None, :]
+            covered[cells[inside]] = True
+    return covered.reshape(grid.shape)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .geometry import BBox, Polygon
 from .projection import meters_per_degree
 
 __all__ = ["GridSpec", "Raster", "rasterize_polygon", "disk_footprint",
-           "dilate_ellipse"]
+           "dilate_ellipse", "gaussian_smooth"]
 
 # Point-sampling tile size.  Bounding the per-tile working set keeps the
 # row/col/mask temporaries (5 int64/bool arrays per tile) out of the
@@ -300,27 +300,73 @@ def dilate_ellipse(mask: np.ndarray, rx: float, ry: float) -> np.ndarray:
     border).  Each footprint row is one run centred on the footprint's
     middle column, so the dilation is the OR, over row offsets ``dy``,
     of the mask run-dilated along its rows by that row's length and
-    shifted by ``dy``: one 1-D maximum filter per distinct run length
-    instead of a 2-D pass per footprint cell.  The run lengths come
-    from :func:`_footprint_run_lengths`, so the footprint itself is
-    never built.
-    """
-    from scipy import ndimage
+    shifted by ``dy``.  The run lengths come from
+    :func:`_footprint_run_lengths`, so the footprint itself is never
+    built.
 
+    Runs are grown in increasing length: a run of length ``n`` OR-ed
+    with itself shifted ``d <= n`` columns each way is the run of
+    length ``n + 2d``, two boolean ORs per step.  The growing runs
+    spill past the mask's side edges, and a later step shifts that
+    spill back in, so they are grown on a copy of the mask zero-padded
+    by half the longest run: no run shorter than the longest reaches
+    past the padding, so the zero fill at the copy's edges is exact.
+    """
     mask = np.asarray(mask, dtype=bool)
     height, width = mask.shape
     lengths = _footprint_run_lengths(rx, ry, height, width)
     ny = len(lengths) // 2
+    pad = int(lengths.max()) // 2
+    grown = np.zeros((height, width + 2 * pad), dtype=bool)
+    grown[:, pad:pad + width] = mask
+    length = 1
     out = np.zeros(mask.shape, dtype=bool)
-    for length in np.unique(lengths[lengths > 0]):
-        grown = ndimage.maximum_filter1d(mask, size=int(length), axis=1,
-                                         mode="constant", cval=0)
-        for dy in np.flatnonzero(lengths == length) - ny:
+    for target in np.unique(lengths[lengths > 0]).tolist():
+        while length < target:
+            d = min(length, (target - length) // 2)
+            wider = grown.copy()
+            wider[:, d:] |= grown[:, :-d]
+            wider[:, :-d] |= grown[:, d:]
+            grown = wider
+            length += 2 * d
+        run = grown[:, pad:pad + width]
+        for dy in np.flatnonzero(lengths == target) - ny:
             if dy >= 0:
-                out[dy:] |= grown[:height - dy]
+                out[dy:] |= run[:height - dy]
             else:
-                out[:dy] |= grown[-dy:]
+                out[:dy] |= run[-dy:]
     return out
+
+
+def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
+    """``ndimage.gaussian_filter(data, sigma)`` in NumPy, bit for bit.
+
+    The same kernel (``exp(-0.5 / sigma**2 * x**2)`` over ``|x| <=
+    int(4 * sigma + 0.5)``, normalised by its sum), the same border
+    (scipy's ``reflect`` is NumPy's ``symmetric`` padding, repeated
+    when an axis is shorter than the radius) and the same float order
+    as scipy's symmetric-kernel correlation: the centre tap first, then
+    ``(left + right) * weight`` for each tap pair from the outermost
+    inward, along axis 0 and then axis 1.  Returns a new float64 array.
+    """
+    out = np.asarray(data, dtype=np.float64)
+    sigma = float(sigma)
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    weights = weights / weights.sum()
+    for axis in range(out.ndim):
+        widths = [(0, 0)] * out.ndim
+        widths[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(out, widths, mode="symmetric"),
+                             axis, 0)
+        n = out.shape[axis]
+        acc = padded[radius:radius + n] * weights[radius]
+        for k in range(radius, 0, -1):
+            acc += (padded[radius - k:radius - k + n]
+                    + padded[radius + k:radius + k + n]) * weights[radius - k]
+        out = np.moveaxis(acc, 0, axis)
+    return np.ascontiguousarray(out)
 
 
 def rasterize_polygon(grid: GridSpec, polygon: Polygon) -> np.ndarray:

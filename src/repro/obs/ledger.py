@@ -80,10 +80,21 @@ class Ledger:
         self.skipped = 0
 
     def append(self, manifest: RunManifest) -> Path:
-        """Append one manifest as a canonical JSON line."""
+        """Append one manifest as a canonical JSON line, in one write.
+
+        If the file does not end in a newline, its last line was torn;
+        the write then starts with one, so the torn line stays the only
+        one lost instead of swallowing this manifest too.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(manifest.to_json() + "\n")
+        line = (manifest.to_json() + "\n").encode("utf-8")
+        with open(self.path, "a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
         return self.path
 
     def runs(self) -> list[RunManifest]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import coverage as coverage_mod
 from repro.core.coverage import (
     _coverage_mask,
     coverage_loss_analysis,
@@ -46,6 +47,40 @@ def _coverage_mask_loop(pop, site_lons, site_lats, radii_m):
         covered[row0:row1 + 1, col0:col1 + 1] |= (u[None, :]
                                                   + v[:, None]) <= 1.0
     return covered
+
+
+def _edge_site_cases(grid):
+    """Site arrays ``(lons, lats, radii_m)`` where the windows are not
+    plain interior rectangles."""
+    b = grid.bbox
+    rng = np.random.default_rng(11)
+    n = 300
+    side = rng.integers(0, 4, n)
+    lons = rng.uniform(b.min_lon, b.max_lon, n)
+    lats = rng.uniform(b.min_lat, b.max_lat, n)
+    # Sites within 0.5 degrees of an edge, on either side of it.
+    near = rng.uniform(-0.5, 0.5, n)
+    lons = np.where(side == 0, b.min_lon + near, lons)
+    lons = np.where(side == 1, b.max_lon + near, lons)
+    lats = np.where(side == 2, b.min_lat + near, lats)
+    lats = np.where(side == 3, b.max_lat + near, lats)
+    corner_lons = np.array([b.min_lon, b.max_lon] * 2) \
+        + rng.uniform(-0.2, 0.2, 4)
+    corner_lats = np.repeat([b.min_lat, b.max_lat], 2) \
+        + rng.uniform(-0.2, 0.2, 4)
+    # Off the grid by up to 3 degrees: most windows miss it entirely.
+    far = rng.uniform(0.05, 3.0, n) * np.where(side < 2, -1.0, 1.0)
+    off_lons = np.where(side % 2 == 0, b.min_lon + far, b.max_lon - far)
+    off_lats = np.where(side % 2 == 0, b.max_lat + far, b.min_lat - far)
+    clamps = np.where(rng.random(n) < 0.5, 1_500.0, 40_000.0)
+    return {
+        "edge-clipped": (np.concatenate([lons, corner_lons]),
+                         np.concatenate([lats, corner_lats]),
+                         rng.uniform(1_500.0, 40_000.0, n + 4)),
+        "off-grid": (off_lons, off_lats, clamps[::-1].copy()),
+        "clamped-radii": (lons, lats, clamps),
+        "empty": (np.empty(0), np.empty(0), np.empty(0)),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -159,10 +194,12 @@ class TestCoverage:
 
     @pytest.mark.parametrize("floor", [WHPClass.MODERATE, WHPClass.HIGH],
                              ids=["moderate", "high"])
-    def test_matches_two_pass_loop(self, universe, floor):
+    def test_matches_two_pass_loop(self, universe, floor, monkeypatch):
         """The one-pass stamps equal the two passes (every site, then the
         safe ones) of the per-site ``cell_center`` loop, with site
-        classes from the ``np.split`` grouping."""
+        classes from the ``np.split`` grouping; so do the shape-grouped
+        stamps of sites off the grid, at its edges, at both radius
+        clamps and of no site, in blocks of any size."""
         cells = universe.cells
         pop = universe.population
         classes = session_of(universe).artifact("whp_classes")
@@ -189,6 +226,18 @@ class TestCoverage:
             == float(weights[after].sum())
         assert result.population_lost \
             == float(weights[before & ~after].sum())
+        cases = {"universe": (lons, lats, radii),
+                 **_edge_site_cases(pop.grid)}
+        wants = {case: _coverage_mask_loop(pop, *sites)
+                 for case, sites in cases.items()}
+        assert [case for case, want in wants.items()
+                if not want.any()] == ["empty"]
+        for budget in (coverage_mod.STAMP_TILE_CELLS,
+                       7 if floor is WHPClass.HIGH else 1):
+            monkeypatch.setattr(coverage_mod, "STAMP_TILE_CELLS", budget)
+            for case, sites in cases.items():
+                assert np.array_equal(_coverage_mask(pop, *sites),
+                                      wants[case]), (case, budget)
 
     def test_higher_floor_less_loss(self, universe, result):
         vh_only = coverage_loss_analysis(universe,

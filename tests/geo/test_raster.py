@@ -148,10 +148,13 @@ class TestRaster:
         (2.0, 9.0, (4, 30)),    # mask shorter than the footprint
         (9.0, 9.0, (1, 12)),
         (6.5, 2.0, (30, 3)),    # and narrower than it
+        (40.0, 3.0, (20, 30)),  # runs spill past both side edges
+        (40.0, 3.0, (500, 800)),
     ])
     def test_dilate_ellipse_equals_binary_dilation(self, rx, ry, shape):
         """The row-run dilation equals ``binary_dilation`` by the same
-        footprint on the edge cases of its row decomposition."""
+        footprint on the edge cases of its row decomposition, among
+        them lone pixels whose runs grow past a side edge and back."""
         from scipy import ndimage
 
         footprint = disk_footprint(rx, ry)
@@ -162,8 +165,10 @@ class TestRaster:
         edges[0, 0] = edges[-1, -1] = True
         centre = np.zeros(shape, dtype=bool)
         centre[shape[0] // 2, shape[1] // 2] = True
-        for mask in (rng.random(shape) < 0.02, rng.random(shape) < 0.3,
-                     edges, centre, np.zeros(shape, dtype=bool),
+        for mask in (rng.random(shape) < 0.001,
+                     rng.random(shape) < 0.02, rng.random(shape) < 0.3,
+                     edges, centre, *_lone_pixels_near_the_sides(shape),
+                     np.zeros(shape, dtype=bool),
                      np.ones(shape, dtype=bool)):
             want = ndimage.binary_dilation(mask, structure=footprint)
             assert np.array_equal(dilate_ellipse(mask, rx, ry), want)
@@ -174,6 +179,8 @@ class TestRaster:
         (1.5, 30.25, (8, 40)),      # rows past the mask's height
         (25.0, 0.0, (6, 10)),
         (0.0, 25.0, (6, 10)),
+        (40.0, 3.0, (20, 30)),      # wider than the mask
+        (120.0, 3.0, (50, 80)),
     ])
     def test_radii_larger_than_the_mask(self, rx, ry, shape):
         """A footprint larger than the mask dilates exactly as
@@ -184,7 +191,8 @@ class TestRaster:
         rng = np.random.default_rng(int(rx + 10 * ry))
         single = np.zeros(shape, dtype=bool)
         single[-1, 0] = True
-        for mask in (rng.random(shape) < 0.05, single,
+        for mask in (rng.random(shape) < 0.001, rng.random(shape) < 0.05,
+                     single, *_lone_pixels_near_the_sides(shape),
                      np.zeros(shape, dtype=bool)):
             want = ndimage.binary_dilation(mask, structure=footprint)
             assert np.array_equal(dilate_ellipse(mask, rx, ry), want)
@@ -211,7 +219,7 @@ class TestRaster:
 
         mask = np.zeros((50, 50), dtype=bool)
         mask[10, 20] = True
-        dilate_ellipse(mask, 1.0, 1.0)      # import scipy outside the trace
+        dilate_ellipse(mask, 1.0, 1.0)      # first call outside the trace
         tracemalloc.start()
         try:
             out = dilate_ellipse(mask, 1_250.0, 1_250.0)
@@ -226,6 +234,39 @@ class TestRaster:
         r2 = r.copy()
         r2.data[0, 0] = 99.0
         assert r.data[0, 0] == 1.0
+
+
+def _lone_pixels_near_the_sides(shape):
+    """One mask per lone pixel 1 and 2 columns in from each side edge,
+    on the middle row."""
+    height, width = shape
+    for col in sorted({1, 2, width - 2, width - 3}):
+        if 0 <= col < width:
+            mask = np.zeros(shape, dtype=bool)
+            mask[height // 2, col] = True
+            yield mask
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 9), (3, 40), (5, 7),
+                                   (64, 64), (249, 579), (311, 517)])
+@pytest.mark.parametrize("sigma", [0.8, 2.0, 3.7])
+def test_gaussian_smooth_equals_gaussian_filter(shape, sigma):
+    """``gaussian_smooth`` equals scipy's ``gaussian_filter`` byte for
+    byte, on site-count-like integer grids and on random floats; the
+    small shapes have axes shorter than the radius, where the
+    reflection repeats."""
+    from scipy import ndimage
+
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    counts = rng.poisson(0.7, shape).astype(float)
+    for data in (counts, rng.random(shape) * 1e3):
+        want = ndimage.gaussian_filter(data, sigma=sigma)
+        got = raster_mod.gaussian_smooth(data, sigma)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    ints = rng.integers(0, 5, shape)
+    assert raster_mod.gaussian_smooth(ints, sigma).tobytes() \
+        == ndimage.gaussian_filter(ints.astype(float), sigma).tobytes()
 
 
 def _sample_at_centers(raster: Raster, grid: GridSpec, outside=None):

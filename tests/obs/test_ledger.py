@@ -58,6 +58,19 @@ class TestLedgerIO:
         assert [r.run_id for r in runs] == ["r1", "r2"]
         assert ledger.skipped == 1
 
+    def test_append_after_a_torn_line_keeps_the_new_run(self, tmp_path):
+        """A run appended after a torn last line (cut mid-line, no
+        newline) reads back whole: only the torn run is lost."""
+        ledger = Ledger(tmp_path)
+        ledger.append(_run("r1"))
+        ledger.append(_run("r2"))
+        data = ledger.path.read_bytes()
+        second = data.index(b"\n") + 1
+        ledger.path.write_bytes(data[:second + (len(data) - second) // 2])
+        ledger.append(_run("r3"))
+        assert [r.run_id for r in ledger.runs()] == ["r1", "r3"]
+        assert ledger.skipped == 1
+
     def test_missing_ledger_reads_empty(self, tmp_path):
         assert Ledger(tmp_path / "nope").runs() == []
 

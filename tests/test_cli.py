@@ -42,6 +42,24 @@ def test_imports_and_lists_without_scipy():
     assert "table1" in proc.stdout
 
 
+def test_warm_all_runs_without_scipy(tmp_path):
+    """Only universe synthesis needs scipy: a warm ``all`` from a primed
+    ``--cache-dir`` runs with it blocked and prints the cold bytes."""
+    argv = ["--scale", "tiny", "--cache-dir", str(tmp_path), "all"]
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    cold = subprocess.run([sys.executable, "-m", "repro", *argv],
+                          capture_output=True, timeout=300, env=env)
+    assert cold.returncode == 0, cold.stderr.decode()[-2000:]
+    code = ("import sys; sys.modules['scipy'] = None; import repro.cli; "
+            "sys.exit(repro.cli.main(sys.argv[1:]))")
+    warm = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, timeout=300, env=env)
+    assert warm.returncode == 0, warm.stderr.decode()[-2000:]
+    assert warm.stdout == cold.stdout
+
+
 class _FakeClock:
     """A span clock that advances one millisecond per read, so a run's
     timers follow its span structure instead of the host's speed."""
