@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geo.geometry import Polygon
+from ..geo.geometry import BBox, Polygon
 from ..geo.projection import acres_to_sqmeters, meters_per_degree
 from .cities import city_by_name
 from .historical_stats import year_stats
@@ -34,12 +34,15 @@ from .whp import WhpModel
 
 __all__ = ["FirePerimeter", "FireSeason", "generate_fire_season",
            "scripted_2019_fires", "scripted_2019_growth",
-           "interpolated_perimeter", "star_polygon",
-           "SCRIPTED_LA_FIRES_2019"]
+           "interpolated_perimeter", "star_polygon", "star_polygons",
+           "SCRIPTED_LA_FIRES_2019", "STAR_VERTICES"]
 
 #: Names of the two scripted fires that reproduce the paper's §3.4
 #: Los Angeles anomaly.
 SCRIPTED_LA_FIRES_2019 = ("Saddle Ridge", "Tick")
+
+#: Vertices of a wildfire perimeter.
+STAR_VERTICES = 24
 
 #: Per-vertex-count cache of the deterministic star-polygon geometry
 #: (theta grid, its cos/sin, and sin of the angular step).  Thousands of
@@ -91,57 +94,100 @@ class FireSeason:
         return sum(f.acres for f in self.fires)
 
 
-def star_polygon(lon: float, lat: float, acres: float,
-                 rng: np.random.Generator, n_vertices: int = 24,
-                 roughness: float = 0.45, elongation: float = 1.0,
-                 bearing_deg: float = 0.0) -> Polygon:
-    """An irregular star-convex polygon of the given area.
+def star_polygons(lons, lats, acres, noise: np.ndarray, *,
+                  roughness: float = 0.45, elongation=1.0,
+                  bearing_deg=0.0) -> list[Polygon]:
+    """Irregular star-convex polygons of the given areas, one per fire.
 
-    Radii are 1 + roughness * smoothed noise around a base radius chosen
-    so the polygon's true (equal-area-projected) area equals ``acres``.
+    Fire ``i`` is centred on ``(lons[i], lats[i])``.  Its radii are 1 +
+    roughness * (row ``i`` of the ``(n, V)`` ``noise`` block, smoothed
+    circularly over 5 vertices and scaled by its largest magnitude)
+    around a base radius chosen so the polygon's true
+    (equal-area-projected) area equals ``acres[i]``.
 
-    ``elongation`` > 1 stretches the shape along ``bearing_deg``
-    (clockwise from north) and compresses it across, preserving area —
-    the footprint of a wind-driven fire (Santa Ana events stretch
-    perimeters 2-4x along the wind).
+    ``elongation`` > 1 stretches a fire along ``bearing_deg`` (clockwise
+    from north) and compresses it across, preserving area — the
+    footprint of a wind-driven fire (Santa Ana events stretch
+    perimeters 2-4x along the wind).  Both take one value per fire or
+    one for all.
+
+    Every fire is computed at once in ``(n, V)`` arrays, with the float
+    operations of a one-fire outline in the same order, so a ring's
+    bytes do not depend on the fires that share its block.  The
+    per-fire scalars (metres per degree, the rotation's cosine and
+    sine) come from :mod:`math`, one fire at a time.
     """
-    if acres <= 0:
+    noise = np.asarray(noise, dtype=np.float64)
+    n, n_vertices = noise.shape
+    lons = np.asarray(lons, dtype=np.float64)
+    lats = np.asarray(lats, dtype=np.float64)
+    acres = np.asarray(acres, dtype=np.float64)
+    elongation = np.broadcast_to(np.asarray(elongation, dtype=np.float64),
+                                 (n,))
+    bearing_deg = np.broadcast_to(
+        np.asarray(bearing_deg, dtype=np.float64), (n,))
+    if (acres <= 0).any():
         raise ValueError("fire area must be positive")
-    if elongation < 1.0:
+    if (elongation < 1.0).any():
         raise ValueError("elongation must be >= 1")
     from scipy import ndimage
 
-    noise = rng.standard_normal(n_vertices)
-    # Circular smoothing keeps the outline coherent rather than spiky.
-    noise = ndimage.uniform_filter1d(noise, size=5, mode="wrap")
-    noise = noise / max(np.abs(noise).max(), 1e-9)
+    # Circular smoothing keeps the outline coherent rather than spiky;
+    # scipy filters each row on its own.
+    noise = ndimage.uniform_filter1d(noise, size=5, axis=1, mode="wrap")
+    noise = noise / np.maximum(np.abs(noise).max(axis=1), 1e-9)[:, None]
     # Same values as np.clip(..., 0.25, None) without the clip wrapper.
     radii_rel = np.maximum(1.0 + roughness * noise, 0.25)
 
     cos_theta, sin_theta, sin_dtheta = _star_trig(n_vertices)
     # Polygon area for radial function r(θ): A = 1/2 Σ r_i r_{i+1} sin Δθ.
-    radii_next = np.concatenate((radii_rel[1:], radii_rel[:1]))
-    unit_area = 0.5 * float(np.sum(radii_rel * radii_next) * sin_dtheta)
-    base_r = math.sqrt(acres_to_sqmeters(acres) / unit_area)
+    # Each row of the C-ordered product is summed as a lone ring is.
+    radii_next = np.roll(radii_rel, -1, axis=1)
+    unit_area = 0.5 * ((radii_rel * radii_next).sum(axis=1) * sin_dtheta)
+    base_r = np.sqrt(acres_to_sqmeters(acres) / unit_area)[:, None]
 
     x = base_r * radii_rel * cos_theta
     y = base_r * radii_rel * sin_theta
-    if elongation > 1.0:
-        # Area-preserving anisotropic scaling along the wind bearing.
-        stretch = math.sqrt(elongation)
-        wind = math.radians(90.0 - bearing_deg)  # bearing -> math angle
-        ca, sa = math.cos(wind), math.sin(wind)
-        along = (x * ca + y * sa) * stretch
-        across = (-x * sa + y * ca) / stretch
-        x = along * ca - across * sa
-        y = along * sa + across * ca
+    windy = np.flatnonzero(elongation > 1.0)
+    if windy.size:
+        # Area-preserving anisotropic scaling along the wind bearing
+        # (bearing -> math angle).
+        stretch = np.sqrt(elongation[windy])[:, None]
+        wind = [math.radians(90.0 - b) for b in bearing_deg[windy].tolist()]
+        ca = np.array([math.cos(w) for w in wind])[:, None]
+        sa = np.array([math.sin(w) for w in wind])[:, None]
+        wx, wy = x[windy], y[windy]
+        along = (wx * ca + wy * sa) * stretch
+        across = (-wx * sa + wy * ca) / stretch
+        x[windy] = along * ca - across * sa
+        y[windy] = along * sa + across * ca
 
-    mx, my = meters_per_degree(lat)
-    lons = lon + x / mx
-    lats = lat + y / my
-    # The ring is CCW by construction (theta increases counter-clockwise,
-    # radii are positive) and open, so the trusted constructor applies.
-    return Polygon.from_ccw_ring(np.column_stack([lons, lats]))
+    mx, my = np.array([meters_per_degree(lat) for lat in lats.tolist()]
+                      ).reshape(n, 2).T
+    rings = np.empty((n, n_vertices, 2))
+    rings[:, :, 0] = lons[:, None] + x / mx[:, None]
+    rings[:, :, 1] = lats[:, None] + y / my[:, None]
+    rings.setflags(write=False)
+    lows = rings.min(axis=1).tolist()
+    highs = rings.max(axis=1).tolist()
+    # Each ring is CCW by construction (theta increases counter-clockwise,
+    # radii are positive) and open, so the trusted constructor applies;
+    # min and max are exact, so each box is the one it would take.
+    return [Polygon.from_ccw_ring(ring, BBox(*low, *high))
+            for ring, low, high in zip(rings, lows, highs)]
+
+
+def star_polygon(lon: float, lat: float, acres: float,
+                 rng: np.random.Generator,
+                 n_vertices: int = STAR_VERTICES,
+                 roughness: float = 0.45, elongation: float = 1.0,
+                 bearing_deg: float = 0.0) -> Polygon:
+    """One :func:`star_polygons` fire on ``n_vertices`` standard normals
+    drawn from ``rng``."""
+    return star_polygons([lon], [lat], [acres],
+                         rng.standard_normal((1, n_vertices)),
+                         roughness=roughness, elongation=elongation,
+                         bearing_deg=bearing_deg)[0]
 
 
 def _pareto_sizes(n: int, total_acres: float, rng: np.random.Generator,
@@ -164,7 +210,7 @@ def generate_fire_season(year: int, whp: WhpModel, seed: int | None = None,
     ``total_acres`` defaults to the year's historical record; the number
     of tracked perimeters defaults to a size-dependent few hundred.
     ``elongation_range`` samples a wind-driven stretch factor per fire
-    (default isotropic); see :func:`star_polygon`.
+    (default isotropic); see :func:`star_polygons`.
     """
     stats = year_stats(year)
     if total_acres is None:
@@ -186,17 +232,25 @@ def generate_fire_season(year: int, whp: WhpModel, seed: int | None = None,
     lons = lons + rng.uniform(-half, half, size=n_perimeter_fires)
     lats = lats + rng.uniform(-half, half, size=n_perimeter_fires)
 
-    fires = []
+    # Each fire draws its start day, stretch, bearing and outline noise
+    # in this order; the pinned perimeters depend on it.
+    starts = []
+    elongations = np.empty(n_perimeter_fires)
+    bearings = np.empty(n_perimeter_fires)
+    noise = np.empty((n_perimeter_fires, STAR_VERTICES))
     for i in range(n_perimeter_fires):
         # Scalar min/max equals np.clip on floats, minus ~8us of ufunc
         # dispatch per call — this loop runs tens of thousands of times.
-        start = int(min(max(rng.normal(225, 45), 32), 340))
+        starts.append(int(min(max(rng.normal(225, 45), 32), 340)))
+        elongations[i] = rng.uniform(*elongation_range)
+        bearings[i] = rng.uniform(0, 360)
+        rng.standard_normal(out=noise[i])
+    polygons = star_polygons(lons, lats, sizes, noise,
+                             elongation=elongations, bearing_deg=bearings)
+
+    fires = []
+    for i, (start, poly) in enumerate(zip(starts, polygons)):
         duration = int(min(max(2 + sizes[i] ** 0.33, 2), 90))
-        elongation = float(rng.uniform(*elongation_range))
-        poly = star_polygon(float(lons[i]), float(lats[i]),
-                            float(sizes[i]), rng,
-                            elongation=elongation,
-                            bearing_deg=float(rng.uniform(0, 360)))
         fires.append(FirePerimeter(
             name=f"FIRE-{year}-{i:04d}",
             year=year,
@@ -244,17 +298,15 @@ def scripted_2019_fires(seed: int = 2019) -> list[FirePerimeter]:
     urban fringe and highway corridor north of LA.
     """
     rng = np.random.default_rng(seed)
-    fires = []
-    for (name, agency, anchor, dlon, dlat, acres,
-         start, end) in _SCRIPTED_2019:
-        city = city_by_name(anchor)
-        fires.append(FirePerimeter(
-            name=name, year=2019, start_doy=start, end_doy=end,
-            acres=acres,
-            polygon=star_polygon(city.lon + dlon, city.lat + dlat,
-                                 acres, rng),
-            agency=agency))
-    return fires
+    lons, lats = zip(*_scripted_centers())
+    noise = rng.standard_normal((len(_SCRIPTED_2019), STAR_VERTICES))
+    polygons = star_polygons(lons, lats, [row[5] for row in _SCRIPTED_2019],
+                             noise)
+    return [FirePerimeter(name=name, year=2019, start_doy=start,
+                          end_doy=end, acres=acres, polygon=poly,
+                          agency=agency)
+            for (name, agency, _, _, _, acres, start, end), poly
+            in zip(_SCRIPTED_2019, polygons)]
 
 
 def interpolated_perimeter(fire: FirePerimeter, center_lon: float,

@@ -166,7 +166,7 @@ class Polygon:
         and has no duplicated closing vertex.  Produces a polygon
         bit-identical to ``Polygon(exterior)`` for such input; generators
         that emit thousands of perimeters (see
-        :func:`repro.data.wildfires.star_polygon`) use it to stay off
+        :func:`repro.data.wildfires.star_polygons`) use it to stay off
         the per-ring shoelace/closure checks.  A caller that already
         holds the ring's bounding box (a stored season reduces every
         ring's at once) passes it as ``bbox``.

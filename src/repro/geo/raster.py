@@ -248,11 +248,15 @@ class Raster:
 
 def _ellipse_inside(xs, ys, rx: float, ry: float) -> np.ndarray:
     """Whether integer offsets ``(xs, ys)`` lie in the ellipse with
-    radii ``(rx, ry)`` >= 0; a zero radius admits no offset."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inside = ((xs / rx) ** 2 if rx > 0 else (xs != 0) * np.inf) + \
-                 ((ys / ry) ** 2 if ry > 0 else (ys != 0) * np.inf)
-    return inside <= 1.0
+    radii ``(rx, ry)`` >= 0; a zero radius admits only offset 0 on its
+    axis."""
+    def term(offsets, radius):
+        if radius > 0:
+            return (offsets / radius) ** 2
+        return np.where(offsets != 0, np.inf, 0.0)
+
+    with np.errstate(over="ignore"):
+        return term(xs, rx) + term(ys, ry) <= 1.0
 
 
 def disk_footprint(rx: float, ry: float) -> np.ndarray:

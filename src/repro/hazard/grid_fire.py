@@ -26,10 +26,11 @@ import math
 import numpy as np
 
 from ..data.wildfires import (
+    STAR_VERTICES,
     FirePerimeter,
     _pareto_sizes,
     interpolated_perimeter,
-    star_polygon,
+    star_polygons,
 )
 from ..session import session_of
 from .base import EventSet, Hazard
@@ -116,23 +117,32 @@ class GridIgnitedFireHazard(Hazard):
         picks = rng.choice(len(risky), size=self.n_events, p=prob)
         ts = rng.uniform(0.05, 0.95, size=self.n_events)
         sizes = _pareto_sizes(self.n_events, self.total_acres, rng)
+        dx = bx[picks] - ax[picks]
+        dy = by[picks] - ay[picks]
+        lons = ax[picks] + ts * dx
+        lats = ay[picks] + ts * dy
+        # Line bearing, clockwise from north — the wind direction the
+        # perimeter is stretched along.
+        bearings = [math.degrees(math.atan2(x, y)) % 360.0
+                    for x, y in zip(dx.tolist(), dy.tolist())]
+
+        # Each event draws its start day, stretch and outline noise in
+        # this order; the pinned perimeters depend on it.
+        starts = []
+        elongations = np.empty(self.n_events)
+        noise = np.empty((self.n_events, STAR_VERTICES))
+        for i in range(self.n_events):
+            starts.append(int(min(max(rng.normal(250, 30), 200), 340)))
+            elongations[i] = rng.uniform(*self.elongation_range)
+            rng.standard_normal(out=noise[i])
+        polygons = star_polygons(lons, lats, sizes, noise,
+                                 elongation=elongations,
+                                 bearing_deg=bearings)
 
         events = []
-        for i in range(self.n_events):
-            j = picks[i]
-            lon = float(ax[j] + ts[i] * (bx[j] - ax[j]))
-            lat = float(ay[j] + ts[i] * (by[j] - ay[j]))
-            # Line bearing, clockwise from north — the wind direction
-            # the perimeter is stretched along.
-            bearing = math.degrees(
-                math.atan2(float(bx[j] - ax[j]),
-                           float(by[j] - ay[j]))) % 360.0
-            start = int(min(max(rng.normal(250, 30), 200), 340))
+        for i, (start, poly, center) in enumerate(
+                zip(starts, polygons, zip(lons.tolist(), lats.tolist()))):
             duration = int(min(max(2 + sizes[i] ** 0.33, 2), 60))
-            poly = star_polygon(
-                lon, lat, float(sizes[i]), rng,
-                elongation=float(rng.uniform(*self.elongation_range)),
-                bearing_deg=bearing)
             events.append((FirePerimeter(
                 name=f"GRIDFIRE-{year}-{member:02d}-{i:03d}",
                 year=year,
@@ -141,7 +151,7 @@ class GridIgnitedFireHazard(Hazard):
                 acres=float(sizes[i]),
                 polygon=poly,
                 agency="UTILITY",
-                method="SCADA"), (lon, lat)))
+                method="SCADA"), center))
         return events
 
     # -- streaming -----------------------------------------------------

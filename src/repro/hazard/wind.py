@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.wildfires import _pareto_sizes, star_polygon
+from ..data.wildfires import _pareto_sizes, star_polygons
 from .base import EventSet, FootprintEvent, Hazard
 
 __all__ = ["WindFieldSurface", "WindFootprintHazard"]
+
+#: Vertices of a storm-swath outline.
+_SWATH_VERTICES = 20
 
 
 class WindFieldSurface:
@@ -118,20 +121,23 @@ class WindFootprintHazard(Hazard):
         sizes = _pareto_sizes(self.n_events, self.total_acres, rng,
                               alpha=0.8, min_acres=5_000.0,
                               max_acres=400_000.0)
-        events = []
+        # Each swath draws its start day, stretch, bearing and outline
+        # noise in this order; the pinned perimeters depend on it.
+        starts = []
+        elongations = np.empty(self.n_events)
+        bearings = np.empty(self.n_events)
+        noise = np.empty((self.n_events, _SWATH_VERTICES))
         for i in range(self.n_events):
-            start = int(rng.integers(1, 350))
-            poly = star_polygon(
-                float(lons[i]), float(lats[i]), float(sizes[i]), rng,
-                n_vertices=20, roughness=0.15,
-                elongation=float(rng.uniform(4.0, 8.0)),
-                bearing_deg=float(rng.uniform(40.0, 140.0)))
-            events.append(FootprintEvent(
-                name=f"WIND-{year}-{member:02d}-{i:03d}",
-                year=year,
-                start_doy=start,
-                end_doy=min(start + 2, 364),
-                acres=float(sizes[i]),
-                polygon=poly,
-                kind="wind-swath"))
-        return events
+            starts.append(int(rng.integers(1, 350)))
+            elongations[i] = rng.uniform(4.0, 8.0)
+            bearings[i] = rng.uniform(40.0, 140.0)
+            rng.standard_normal(out=noise[i])
+        polygons = star_polygons(lons, lats, sizes, noise, roughness=0.15,
+                                 elongation=elongations,
+                                 bearing_deg=bearings)
+        return [FootprintEvent(name=f"WIND-{year}-{member:02d}-{i:03d}",
+                               year=year, start_doy=start,
+                               end_doy=min(start + 2, 364),
+                               acres=float(sizes[i]), polygon=poly,
+                               kind="wind-swath")
+                for i, (start, poly) in enumerate(zip(starts, polygons))]

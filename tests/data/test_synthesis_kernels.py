@@ -4,11 +4,14 @@ Each fast kernel is compared bit for bit with the per-cell or
 per-element code it replaced, kept here as the reference: the windowed
 outer-sum wildland fronts, the memoized ignition CDF against
 ``Generator.choice``, the batched per-site fill against its scalar
-loop, the PLMN lookup and the code-based radio draw.
+loop, the PLMN lookup, the code-based radio draw, and the batched
+star-polygon perimeters against the per-fire ``star_polygon`` body.
+Every perimeter generator's output is pinned by digest as well.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -34,8 +37,20 @@ from repro.data.radios import (
 )
 from repro.data.states import conus_bbox
 from repro.data.whp import WhpModel, _wildland_front_field, build_whp
+from repro.data.wildfires import (
+    _star_trig,
+    generate_fire_season,
+    scripted_2019_fires,
+    star_polygon,
+    star_polygons,
+)
+from repro.geo.geometry import Polygon
+from repro.geo.projection import acres_to_sqmeters, meters_per_degree
 from repro.geo.raster import GridSpec, Raster
+from repro.hazard import GridIgnitedFireHazard, WindFootprintHazard
+from repro.hazard.scenarios import get_scenario
 from repro.runtime.stats import STATS
+from tests.hazard.test_protocol import _event_token
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -294,3 +309,174 @@ def test_radio_draw_by_name_handles_unknown_groups():
                                        np.random.default_rng(3))
     got = draw_radio_types(names, ruralness, np.random.default_rng(3))
     assert _same_bits(got, want)
+
+
+# Star-polygon perimeters ----------------------------------------------
+
+def _star_polygon_reference(lon: float, lat: float, acres: float,
+                            rng: np.random.Generator, n_vertices: int = 24,
+                            roughness: float = 0.45, elongation: float = 1.0,
+                            bearing_deg: float = 0.0) -> Polygon:
+    """The per-fire ``star_polygon`` body the batched kernel replaced."""
+    from scipy import ndimage
+
+    if acres <= 0:
+        raise ValueError("fire area must be positive")
+    if elongation < 1.0:
+        raise ValueError("elongation must be >= 1")
+    noise = rng.standard_normal(n_vertices)
+    noise = ndimage.uniform_filter1d(noise, size=5, mode="wrap")
+    noise = noise / max(np.abs(noise).max(), 1e-9)
+    radii_rel = np.maximum(1.0 + roughness * noise, 0.25)
+
+    cos_theta, sin_theta, sin_dtheta = _star_trig(n_vertices)
+    radii_next = np.concatenate((radii_rel[1:], radii_rel[:1]))
+    unit_area = 0.5 * float(np.sum(radii_rel * radii_next) * sin_dtheta)
+    base_r = math.sqrt(acres_to_sqmeters(acres) / unit_area)
+
+    x = base_r * radii_rel * cos_theta
+    y = base_r * radii_rel * sin_theta
+    if elongation > 1.0:
+        stretch = math.sqrt(elongation)
+        wind = math.radians(90.0 - bearing_deg)
+        ca, sa = math.cos(wind), math.sin(wind)
+        along = (x * ca + y * sa) * stretch
+        across = (-x * sa + y * ca) / stretch
+        x = along * ca - across * sa
+        y = along * sa + across * ca
+
+    mx, my = meters_per_degree(lat)
+    lons = lon + x / mx
+    lats = lat + y / my
+    return Polygon.from_ccw_ring(np.column_stack([lons, lats]))
+
+
+_FIRE = st.tuples(
+    st.floats(-125.0, -65.0),                                  # lon
+    st.floats(20.0, 55.0),                                     # lat
+    st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),             # acres
+    st.one_of(st.just(1.0),                                    # elongation
+              st.floats(1.0, 8.0, exclude_min=True)),
+    st.floats(-720.0, 720.0),                                  # bearing
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fires=st.lists(_FIRE, min_size=1, max_size=6),
+       n_vertices=st.integers(3, 64),
+       roughness=st.sampled_from([0.15, 0.45]),
+       seed=st.integers(0, 2**32 - 1))
+def test_star_polygons_equal_the_per_fire_body(fires, n_vertices,
+                                               roughness, seed):
+    """Each row of one batched call is the ring and box a lone fire got
+    from the per-fire body, whatever fires share the block."""
+    lons, lats, acres, elongation, bearing = map(list, zip(*fires))
+    noise = np.stack([np.random.default_rng([seed, i])
+                      .standard_normal(n_vertices)
+                      for i in range(len(fires))])
+    got = star_polygons(lons, lats, acres, noise, roughness=roughness,
+                        elongation=elongation, bearing_deg=bearing)
+    assert len(got) == len(fires)
+    for i, poly in enumerate(got):
+        want = _star_polygon_reference(
+            lons[i], lats[i], acres[i], np.random.default_rng([seed, i]),
+            n_vertices, roughness, elongation[i], bearing[i])
+        assert poly.exterior.dtype == want.exterior.dtype
+        assert poly.exterior.shape == want.exterior.shape
+        assert poly.exterior.tobytes() == want.exterior.tobytes()
+        assert poly.bbox == want.bbox
+        assert not poly.exterior.flags.writeable
+
+
+def test_star_polygon_is_one_batched_row():
+    """The public one-fire call draws its noise as the old body did."""
+    for seed, kwargs in ((1, {}), (2, {"elongation": 3.0,
+                                       "bearing_deg": 225.0}),
+                         (3, {"n_vertices": 20, "roughness": 0.15,
+                              "elongation": 6.5, "bearing_deg": 80.0})):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        got = star_polygon(-118.0, 34.0, 20_000.0, rngs[0], **kwargs)
+        want = _star_polygon_reference(-118.0, 34.0, 20_000.0, rngs[1],
+                                       **kwargs)
+        assert got.exterior.tobytes() == want.exterior.tobytes()
+        assert got.bbox == want.bbox
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_star_polygons_reject_what_the_body_rejected():
+    noise = np.zeros((2, 24))
+    with pytest.raises(ValueError, match="area"):
+        star_polygons([-110.0, -111.0], [40.0, 41.0], [10.0, 0.0], noise)
+    with pytest.raises(ValueError, match="elongation"):
+        star_polygons([-110.0, -111.0], [40.0, 41.0], [10.0, 5.0], noise,
+                      elongation=[1.0, 0.5])
+    assert star_polygons([], [], [], np.zeros((0, 24))) == []
+
+
+# Fire perimeter pins --------------------------------------------------
+
+#: The engine benchmark's grid-ignition weight (``e2ebench/engine.py``).
+_ENGINE_GRID_FIRE = {"n_events": 1500, "total_acres": 40_000_000.0}
+
+
+def _scenario_member_0(universe, name):
+    scenario = get_scenario(name)
+    events = list(scenario.hazard.ensemble_member(universe, scenario.year,
+                                                  0))
+    for extra in scenario.extra_hazards:
+        events.extend(extra.ensemble_member(universe, scenario.year, 0))
+    return events
+
+
+#: Every perimeter generator's output on the shared small universe, as
+#: the ``_event_token`` digest it had when each fire still made its own
+#: ``star_polygon`` call: the batched kernel must not move one byte.
+#: The ``grid-ignition-season`` scenario's member 0 is ``grid_fire-0``
+#: (the default hazard in 2019), so it has no pin of its own.
+_PERIMETER_PINS = {
+    "season-2000": (
+        lambda u: u.fire_season(2000).fires,
+        "c720e233e3c74e706d934b7062fdc03d71b6eaef6324bf537943d0aa8e2dd699"),
+    "season-2018": (
+        lambda u: u.fire_season(2018).fires,
+        "8c83501b80b99c48b8c81a5b6cc9c68790e4e3dbf82a1b334897ecc2594b98b8"),
+    "season-2019": (
+        lambda u: u.fire_season(2019).fires,
+        "b09877f7491e2a49fd4f5cb37a8bbcbe5f278756600a722cd588f91431ba53e3"),
+    "season-2017-elongated": (
+        lambda u: generate_fire_season(2017, u.whp, seed=5,
+                                       elongation_range=(1.0, 4.0)).fires,
+        "c6191e388a904ba5ea43575e2b9d1e890925707904b43872077086e0003e4bc2"),
+    "scripted-2019": (
+        lambda u: scripted_2019_fires(),
+        "444d1c839e6b5651dc1045aa1cb8c3b7baf9219b385fdab91807bb616236f1e4"),
+    "grid_fire-0": (
+        lambda u: GridIgnitedFireHazard().ensemble_member(u, 2019, 0),
+        "210f57e4156609b6273fa87997560549b4af9431b3b420c5e3d56f38935f7e38"),
+    "grid_fire-1": (
+        lambda u: GridIgnitedFireHazard().ensemble_member(u, 2019, 1),
+        "6c46c58cd1f784b6f57c36eeb3b24270e7ab20dcc343e0103a7f9d80e26ed743"),
+    "grid_fire-engine-0": (
+        lambda u: GridIgnitedFireHazard(**_ENGINE_GRID_FIRE)
+        .ensemble_member(u, 2019, 0),
+        "61ebf01e515b623d0192854d86b70b70509ab2cbe7c0c47cbe0e94ff9bc16c8c"),
+    "grid_fire-engine-1": (
+        lambda u: GridIgnitedFireHazard(**_ENGINE_GRID_FIRE)
+        .ensemble_member(u, 2019, 1),
+        "d1826300ada29de5590b0800b2fcbcee050c78c2cab6271daa69caed0f566c78"),
+    "wind-0": (
+        lambda u: WindFootprintHazard().ensemble_member(u, 2019, 0),
+        "1dfb8d18a0fe01764006a14b03844a8bbfb8fe55ef896002a1e864d9488daa7b"),
+    "scenario-2025-la-style-0": (
+        lambda u: _scenario_member_0(u, "2025-la-style"),
+        "89f4b9226221b34d91efbcf5723b392797a0c75b642807324bc24c776a3ad3c1"),
+    "scenario-wui-expansion-0": (
+        lambda u: _scenario_member_0(u, "wui-expansion"),
+        "4584463ae8202b2d7de7a5071115d61872bbb54f413e9910da0d327ffe639930"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PERIMETER_PINS))
+def test_perimeters_are_pinned(universe, key):
+    events, digest = _PERIMETER_PINS[key]
+    assert _event_token(events(universe)) == digest

@@ -141,8 +141,8 @@ class TestRaster:
         assert got.sum() > edges.sum() or footprint.sum() == 1
 
     @pytest.mark.parametrize("rx, ry, shape", [
-        (0.0, 3.0, (30, 30)),   # rx = 0 with ry > 0: one column
-        (3.0, 0.0, (30, 30)),   # ry = 0 with rx > 0: one row
+        (0.0, 3.0, (30, 30)),   # rx = 0 with ry > 0: a 7-cell column
+        (3.0, 0.0, (30, 30)),   # ry = 0 with rx > 0: a 7-cell row
         (2.5, 1.5, (30, 30)),   # non-integer radii: outer rows empty
         (4.7, 3.2, (30, 30)),
         (2.0, 9.0, (4, 30)),    # mask shorter than the footprint
@@ -418,6 +418,39 @@ class TestDiskFootprint:
     def test_anisotropic(self):
         fp = disk_footprint(3.0, 1.0)
         assert fp.shape == (3, 7)
+
+    def test_zero_radius_keeps_the_other_axis(self):
+        """A zero radius admits only offset 0 on its own axis, so the
+        footprint is a row or a column as long as the other radius
+        allows (literal arrays: a footprint-based oracle would share
+        the expression under test)."""
+        row = np.array([[1, 1, 1, 1, 1, 1, 1]], dtype=bool)
+        assert np.array_equal(disk_footprint(3.0, 0.0), row)
+        assert np.array_equal(disk_footprint(2.5, 0.0),
+                              np.array([[0, 1, 1, 1, 1, 1, 0]], dtype=bool))
+        assert np.array_equal(disk_footprint(0.0, 2.0),
+                              np.ones((5, 1), dtype=bool))
+        assert np.array_equal(disk_footprint(0.0, 0.0),
+                              np.ones((1, 1), dtype=bool))
+        lengths = raster_mod._footprint_run_lengths
+        assert lengths(3.0, 0.0, 30, 30).tolist() == [7]
+        assert lengths(0.0, 2.0, 30, 30).tolist() == [1, 1, 1, 1, 1]
+        assert lengths(25.0, 0.0, 6, 10).tolist() == [21]
+
+    @pytest.mark.parametrize("rx, ry, structure", [
+        (3.0, 0.0, np.ones((1, 7), dtype=bool)),
+        (0.0, 2.0, np.ones((5, 1), dtype=bool)),
+    ])
+    def test_zero_radius_dilation(self, rx, ry, structure):
+        """``dilate_ellipse`` with one zero radius dilates by a literal
+        row or column structure."""
+        from scipy import ndimage
+
+        rng = np.random.default_rng(7)
+        for mask in (rng.random((30, 40)) < 0.02,
+                     rng.random((30, 40)) < 0.3):
+            want = ndimage.binary_dilation(mask, structure=structure)
+            assert np.array_equal(dilate_ellipse(mask, rx, ry), want)
 
 
 class TestRasterize:
