@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "aggregated pstats to FILE")
     parser.add_argument("--mem", action="store_true",
                         help="sample RSS / Python-heap peak per "
-                             "artifact build (adds span attributes)")
+                             "artifact build (adds span attributes; "
+                             "needs --trace, --log-json or trace)")
     parser.add_argument("--ledger-dir", metavar="DIR", default=None,
                         help="append a run manifest (provenance, "
                              "timings, output checksums) to the ledger "
@@ -452,6 +453,11 @@ def main(argv: list[str] | None = None, stream=None) -> int:
     stream = stream or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.mem and args.trace is None and args.log_json is None \
+            and args.command != "trace":
+        # Memory attributes live on spans, and only a tracer keeps them.
+        parser.error("argument --mem: needs a span sink (--trace FILE, "
+                     "--log-json FILE or the trace subcommand)")
 
     def out(text: str) -> None:
         stream.write(text + "\n")

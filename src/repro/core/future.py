@@ -16,7 +16,8 @@ import numpy as np
 
 from ..data.ecoregions import slc_denver_ecoregions, slc_denver_window
 from ..data.universe import SyntheticUS
-from ..data.whp import WHPClass
+from ..data.whp import WHPClass, class_counts
+from ..geo.geometry import first_containing
 from ..session import artifact, register_stage, session_of
 
 __all__ = ["EcoregionExposure", "future_risk_analysis"]
@@ -55,21 +56,20 @@ def _compute_future_risk(session) -> list[EcoregionExposure]:
     universe = session.universe
     cells = universe.cells
     classes = session.artifact("whp_classes")
-    window = slc_denver_window()
-    in_window = window.contains_many(cells.lons, cells.lats)
+    regions = slc_denver_ecoregions()
+    # The rectangles partition the window under the vector kernel, so
+    # each cell is in at most one region and the first-wins code is it.
+    idx = np.flatnonzero(slc_denver_window().contains_many(cells.lons,
+                                                           cells.lats))
+    region_of = np.full(len(cells), -1, dtype=np.int64)
+    region_of[idx] = first_containing([r.polygon for r in regions],
+                                      cells.lons[idx], cells.lats[idx])
+    counts = class_counts(region_of, len(regions), classes)
 
     rows = []
-    for region in slc_denver_ecoregions():
-        inside = np.zeros(len(cells), dtype=bool)
-        idx = np.nonzero(in_window)[0]
-        if len(idx):
-            hit = region.polygon.contains_many(cells.lons[idx],
-                                               cells.lats[idx])
-            inside[idx[hit]] = True
-        n = universe.scaled(inside.sum())
-        at_risk_raw = int((inside
-                           & (classes >= int(WHPClass.MODERATE))).sum())
-        at_risk = universe.scaled(at_risk_raw)
+    for region, row in zip(regions, counts):
+        n = universe.scaled(row.sum())
+        at_risk = universe.scaled(int(row[int(WHPClass.MODERATE):].sum()))
         projected = int(round(
             max(at_risk * (1.0 + region.delta_2040_pct / 100.0), 0.0)))
         rows.append(EcoregionExposure(

@@ -29,7 +29,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from ..geo.geometry import BBox
+from ..geo.geometry import BBox, first_containing
 from .cities import conus_cities
 from .population import PopulationSurface
 from .states import StateAssigner
@@ -86,11 +86,17 @@ class County:
 
 
 class CountyLayer:
-    """All counties plus fast point-to-county assignment.
+    """All counties plus table-driven point-to-county assignment.
 
-    Named (metro) counties carry realistic extents and take priority;
-    the remaining area is covered by grid tiles, so assignment is a
-    vectorized pass over ~90 named boxes plus O(1) tile arithmetic.
+    Named (metro) counties carry realistic extents and take priority:
+    the first named box that holds a point wins.  Every other point
+    reads the tile table, one row per grid tile, listing the tile
+    counties whose centres fall in that tile:
+
+    * one entry: that county, with no box test;
+    * several entries (a subdivided tile): the first whose closed box
+      holds the point;
+    * no entry: -1.
     """
 
     def __init__(self, counties: list[County], tile_deg: float, bbox: BBox,
@@ -100,13 +106,23 @@ class CountyLayer:
         self.bbox = bbox
         self.n_named = n_named
         self._ncols = int(np.ceil(bbox.width / tile_deg))
-        # base tile key -> list of county indices inside that tile
-        self._by_tile: dict[int, list[int]] = {}
+        self._named = [c.bbox for c in counties[:n_named]]
+        self._boxes = np.array([[c.bbox.min_lon, c.bbox.min_lat,
+                                 c.bbox.max_lon, c.bbox.max_lat]
+                                for c in counties]).reshape(-1, 4)
+        # Sorted tile keys, and per key its counties in index order,
+        # padded with -1 to the most counties any tile holds.
         centers = [c.bbox.center for c in counties[n_named:]]
         keys = self._tile_key([p.lon for p in centers],
                               [p.lat for p in centers])
-        for i, key in enumerate(keys.tolist(), start=n_named):
-            self._by_tile.setdefault(key, []).append(i)
+        order = np.argsort(keys, kind="stable")
+        self._keys, first, self._counts = np.unique(
+            keys[order], return_index=True, return_counts=True)
+        rows = np.repeat(np.arange(len(self._keys)), self._counts)
+        self._slots = np.full((len(self._keys), self._counts.max(initial=0)),
+                              -1, dtype=np.int64)
+        self._slots[rows, np.arange(len(order)) - first[rows]] = \
+            order + n_named
 
     def _tile_key(self, lon, lat):
         col = np.floor((np.asarray(lon) - self.bbox.min_lon)
@@ -117,41 +133,36 @@ class CountyLayer:
 
     def assign(self, lon: float, lat: float) -> int:
         """County index for one point; -1 if no county covers it."""
-        for i in range(self.n_named):
-            if self.counties[i].bbox.contains(lon, lat):
-                return i
-        entries = self._by_tile.get(int(self._tile_key(lon, lat)), [])
-        if len(entries) == 1:
-            return entries[0]
-        for i in entries:
-            if self.counties[i].bbox.contains(lon, lat):
-                return i
-        return -1
+        return int(self.assign_many([lon], [lat])[0])
 
     def assign_many(self, lons, lats) -> np.ndarray:
         """County index per point; -1 where no county covers the point."""
         lons = np.atleast_1d(np.asarray(lons, dtype=float))
         lats = np.atleast_1d(np.asarray(lats, dtype=float))
-        out = np.full(len(lons), -1, dtype=np.int64)
-        # Named counties first (priority), vectorized per box.
-        for i in range(self.n_named):
-            box = self.counties[i].bbox
-            hit = (out < 0) & box.contains_many(lons, lats)
-            out[hit] = i
-        # Remaining points fall into grid tiles.
-        rest = np.nonzero(out < 0)[0]
-        keys = np.atleast_1d(self._tile_key(lons[rest], lats[rest]))
-        for j, key in zip(rest.tolist(), keys.tolist()):
-            entries = self._by_tile.get(key)
-            if not entries:
-                continue
-            if len(entries) == 1:
-                out[j] = entries[0]
-                continue
-            for i in entries:
-                if self.counties[i].bbox.contains(lons[j], lats[j]):
-                    out[j] = i
-                    break
+        out = first_containing(self._named, lons, lats)
+        rest = np.flatnonzero(out < 0)
+        out[rest] = self._from_tiles(lons[rest], lats[rest])
+        return out
+
+    def _from_tiles(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+        """Tile-table county per point (the rules in the class doc)."""
+        keys = self._tile_key(lons, lats)
+        row = np.searchsorted(self._keys, keys)
+        found = row < len(self._keys)
+        found[found] = self._keys[row[found]] == keys[found]
+        out = np.full(len(keys), -1, dtype=np.int64)
+        idx = np.flatnonzero(found)
+        out[idx] = self._slots[row[idx], 0]
+        idx = idx[self._counts[row[idx]] > 1]
+        x, y = lons[idx], lats[idx]
+        pick = np.full(len(idx), -1, dtype=np.int64)
+        for slot in self._slots[row[idx]].T:
+            box = self._boxes[slot]
+            holds = ((pick < 0) & (slot >= 0)
+                     & (box[:, 0] <= x) & (x <= box[:, 2])
+                     & (box[:, 1] <= y) & (y <= box[:, 3]))
+            pick[holds] = slot[holds]
+        out[idx] = pick
         return out
 
     def categories(self) -> np.ndarray:
@@ -254,26 +265,25 @@ def build_counties(pop: PopulationSurface, tile_deg: float = 0.35,
     # assign_many is total (nearest-centroid fallback), so re-check which
     # tile centers are actually on land via the population surface.
     on_land = pop.density_at(centers_lon, centers_lat) > 0.0
-    in_named = np.zeros(len(tiles), dtype=bool)
-    for county in named:
-        in_named |= county.bbox.contains_many(centers_lon, centers_lat)
+    named_boxes = [county.bbox for county in named]
+    in_named = first_containing(named_boxes, centers_lon, centers_lat) >= 0
 
-    # Named-county boxes as parallel arrays: each quad-center containment
-    # test below is one vectorized comparison instead of a Python scan
-    # over every named county.
-    nb = np.array([[c.bbox.min_lon, c.bbox.min_lat,
-                    c.bbox.max_lon, c.bbox.max_lat] for c in named])
+    # Every quad of every land tile outside the named boxes, then one
+    # named-box test over all their centres.
+    quads = [(quad, population, code)
+             for tile, code, land, covered in zip(tiles, codes, on_land,
+                                                  in_named)
+             if land and not covered
+             for quad, population in _subdivide(tile, pop,
+                                                min_subdivision_deg)]
+    quad_centers = [quad.center for quad, _, _ in quads]
+    free = first_containing(named_boxes,
+                            [p.lon for p in quad_centers],
+                            [p.lat for p in quad_centers]) < 0
 
     counties: list[County] = list(named)
-    for tile, code, land, covered in zip(tiles, codes, on_land, in_named):
-        if not land or covered:
-            continue
-        for quad, population in _subdivide(tile, pop, min_subdivision_deg):
-            qc = quad.center
-            if bool(((nb[:, 0] <= qc.lon) & (qc.lon <= nb[:, 2])
-                     & (nb[:, 1] <= qc.lat)
-                     & (qc.lat <= nb[:, 3])).any()):
-                continue
+    for (quad, population, code), keep in zip(quads, free):
+        if keep:
             abbr = assigner.abbrs[code]
             name = f"{abbr}-{len(counties):04d}"
             counties.append(County(name=name, state=abbr, bbox=quad,

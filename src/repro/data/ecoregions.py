@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..geo.geometry import BBox, Polygon
+from ..geo.geometry import BBox, Polygon, first_containing
 
 __all__ = ["Ecoregion", "slc_denver_window", "slc_denver_ecoregions",
            "ecoregion_at"]
@@ -87,8 +87,11 @@ def slc_denver_ecoregions() -> tuple[Ecoregion, ...]:
 
 
 def ecoregion_at(lon: float, lat: float) -> Ecoregion | None:
-    """The ecoregion containing a point, or None outside the window."""
-    for region in slc_denver_ecoregions():
-        if region.polygon.contains(lon, lat):
-            return region
-    return None
+    """The ecoregion containing a point, or None outside the window.
+
+    The vector kernel's rule, as in the Figure 14/15 counts: a point on
+    an edge two rectangles share lies in exactly one of them.
+    """
+    regions = slc_denver_ecoregions()
+    code = first_containing([r.polygon for r in regions], [lon], [lat])[0]
+    return regions[code] if code >= 0 else None

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..geo.geometry import BBox, MultiPolygon, Polygon
+from ..geo.geometry import BBox, MultiPolygon, Polygon, first_containing
 from ..geo.index import STRTree
 
 __all__ = ["State", "conus_states", "conus_bbox", "StateAssigner",
@@ -330,21 +330,10 @@ class StateAssigner:
 
     def containing(self, lons, lats) -> np.ndarray:
         """Code of the first state, in table order, whose polygons hold
-        each point; -1 where no polygon does.
-
-        One vectorized containment pass per state, over the points no
-        earlier state took.
-        """
-        lons = np.asarray(lons, dtype=float)
-        lats = np.asarray(lats, dtype=float)
-        codes = np.full(lons.shape, -1, dtype=np.int64)
-        for code, st in enumerate(self.states.values()):
-            idx = np.flatnonzero(codes < 0)
-            if len(idx) == 0:
-                break
-            hit = st.geometry.contains_many(lons[idx], lats[idx])
-            codes[idx[hit]] = code
-        return codes
+        each point; -1 where no polygon does (:func:`first_containing`
+        over the states' geometries)."""
+        return first_containing(
+            [st.geometry for st in self.states.values()], lons, lats)
 
     def assign_many(self, lons, lats) -> np.ndarray:
         """State code per point: :meth:`containing`, then the nearest

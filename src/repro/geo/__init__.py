@@ -3,11 +3,10 @@
 This subpackage is the substrate that replaces ArcGIS Pro in the original
 study: vector geometry with point-in-polygon joins, an equal-area
 projection for acreage math, spatial indexes for millions of points,
-affine rasters with polygon rasterization and metric dilation, vector
-buffering, and GeoJSON I/O.
+affine rasters with polygon rasterization and metric dilation, and
+GeoJSON I/O.
 """
 
-from .buffer import buffer_point, buffer_polygon
 from .geojson import (
     dump_features,
     feature,
@@ -23,7 +22,7 @@ from .geometry import (
     Point,
     Polygon,
     PreparedPolygon,
-    simplify_ring,
+    first_containing,
 )
 from .index import STRTree, UniformGridIndex
 from .predicates import (
@@ -39,7 +38,6 @@ from .projection import (
     CONUS_ALBERS,
     EARTH_RADIUS_M,
     AlbersEqualArea,
-    LocalEquirectangular,
     acres_to_sqmeters,
     destination_point,
     haversine_m,
@@ -53,14 +51,13 @@ from .raster import GridSpec, Raster, disk_footprint, rasterize_polygon
 __all__ = [
     "BBox", "LineString", "MultiPolygon", "Point", "Polygon",
     "PreparedPolygon", "PreparedRing", "prepare_ring",
-    "simplify_ring",
+    "first_containing",
     "STRTree", "UniformGridIndex",
     "GridSpec", "Raster", "disk_footprint", "rasterize_polygon",
-    "buffer_point", "buffer_polygon",
     "point_in_ring", "points_in_ring", "ring_area_signed",
     "segments_intersect", "is_ccw",
     "CONUS_ALBERS", "EARTH_RADIUS_M", "AlbersEqualArea",
-    "LocalEquirectangular", "haversine_m", "destination_point",
+    "haversine_m", "destination_point",
     "meters_per_degree", "miles_to_meters", "meters_to_miles",
     "acres_to_sqmeters", "sqmeters_to_acres",
     "geometry_to_geojson", "geometry_from_geojson", "feature",

@@ -6,6 +6,8 @@ holes.  Coordinates are lon/lat degrees throughout the package; areas are
 computed on the CONUS Albers equal-area plane so they are true areas.
 
 The types interoperate with GeoJSON via :mod:`repro.geo.geojson`.
+:func:`first_containing` puts points in the first of an ordered list of
+regions that holds them (states, counties, ecoregions).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .predicates import (
     is_ccw,
     point_in_ring,
     points_in_ring,
-    point_segment_distance,
     prepare_ring,
     ring_area_signed,
 )
@@ -33,7 +34,7 @@ __all__ = [
     "Polygon",
     "PreparedPolygon",
     "MultiPolygon",
-    "simplify_ring",
+    "first_containing",
 ]
 
 
@@ -129,17 +130,6 @@ class LineString:
     @property
     def bbox(self) -> BBox:
         return BBox.of_coords(self.coords[:, 0], self.coords[:, 1])
-
-    def distance_to(self, lon, lat) -> np.ndarray | float:
-        """Min distance in degrees from point(s) to the polyline."""
-        lon = np.asarray(lon, dtype=float)
-        best = np.full(lon.shape, np.inf)
-        for (x1, y1), (x2, y2) in zip(self.coords[:-1], self.coords[1:]):
-            d = point_segment_distance(lon, lat, x1, y1, x2, y2)
-            best = np.minimum(best, d)
-        if best.ndim == 0:
-            return float(best)
-        return best
 
 
 class Polygon:
@@ -254,13 +244,6 @@ class Polygon:
         cy = float(((ys + y_next) * cross).sum() / (3.0 * area2))
         return Point(cx, cy)
 
-    def simplified(self, tolerance_deg: float) -> "Polygon":
-        """Douglas-Peucker simplification of all rings."""
-        ext = simplify_ring(self.exterior, tolerance_deg)
-        holes = [simplify_ring(h, tolerance_deg) for h in self.holes]
-        holes = [h for h in holes if len(h) >= 3]
-        return Polygon(ext, holes)
-
 
 class PreparedPolygon:
     """A polygon with every per-query array precomputed.
@@ -362,52 +345,37 @@ class MultiPolygon:
         return sqmeters_to_acres(self.area_sqm())
 
 
-def _dp_keep(coords: np.ndarray, tol: float, first: int, last: int,
-             keep: np.ndarray) -> None:
-    """Recursive Douglas-Peucker marking pass."""
-    if last <= first + 1:
-        return
-    x1, y1 = coords[first]
-    x2, y2 = coords[last]
-    seg = coords[first + 1:last]
-    d = point_segment_distance(seg[:, 0], seg[:, 1], x1, y1, x2, y2)
-    i = int(np.argmax(d))
-    if d[i] > tol:
-        split = first + 1 + i
-        keep[split] = True
-        _dp_keep(coords, tol, first, split, keep)
-        _dp_keep(coords, tol, split, last, keep)
+def first_containing(shapes: Sequence, lons, lats) -> np.ndarray:
+    """Index of the first shape, in order, that holds each point; -1
+    where none does.
 
-
-def simplify_ring(ring, tolerance: float) -> np.ndarray:
-    """Douglas-Peucker simplification of a closed ring.
-
-    Keeps at least 4 vertices so the result remains a valid ring.  The
-    tolerance is in the ring's own coordinate units (degrees here).
+    ``shapes`` are :class:`BBox` objects or geometries with a ``bbox``
+    and a vectorized ``contains_many`` (:class:`Polygon`,
+    :class:`MultiPolygon`, ...).  The points are sorted by longitude
+    once, so each shape's box test reads only the still-unassigned
+    points in its longitude band, and its exact test runs only on the
+    points inside the box; a :class:`BBox` is its own exact test.
+    Point for point, the codes equal testing every shape's
+    ``contains_many`` over all points and keeping the first hit.
+    Points with a NaN coordinate fall in no box.
     """
-    coords = np.asarray(ring, dtype=float)
-    if len(coords) >= 2 and np.allclose(coords[0], coords[-1]):
-        coords = coords[:-1]
-    n = len(coords)
-    if n <= 4 or tolerance <= 0:
-        return coords.copy()
-    # Split the ring at its two extreme vertices so DP has open polylines.
-    anchor = 0
-    far = int(np.argmax(np.hypot(coords[:, 0] - coords[anchor, 0],
-                                 coords[:, 1] - coords[anchor, 1])))
-    keep = np.zeros(n, dtype=bool)
-    keep[anchor] = keep[far] = True
-    lo, hi = sorted((anchor, far))
-    _dp_keep(coords, tolerance, lo, hi, keep)
-    # Second half wraps around; rotate so it is contiguous.
-    rotated = np.roll(coords, -hi, axis=0)
-    keep_rot = np.zeros(n, dtype=bool)
-    keep_rot[0] = keep_rot[(lo - hi) % n] = True
-    _dp_keep(rotated, tolerance, 0, (lo - hi) % n, keep_rot)
-    keep |= np.roll(keep_rot, hi)
-    out = coords[keep]
-    if len(out) < 4:
-        # Fall back to quartile vertices to preserve a valid ring.
-        idx = np.unique(np.linspace(0, n - 1, 4).astype(int))
-        out = coords[idx]
-    return out
+    lons = np.asarray(lons, dtype=float)
+    lats = np.asarray(lats, dtype=float)
+    order = np.argsort(lons, axis=None)
+    by_lon = lons.reshape(-1)[order]
+    lat_by_lon = lats.reshape(-1)[order]
+    found = np.full(order.size, -1, dtype=np.int64)
+    for code, shape in enumerate(shapes):
+        box = shape if isinstance(shape, BBox) else shape.bbox
+        lo = np.searchsorted(by_lon, box.min_lon, side="left")
+        hi = np.searchsorted(by_lon, box.max_lon, side="right")
+        band = lat_by_lon[lo:hi]
+        idx = lo + np.flatnonzero((found[lo:hi] < 0)
+                                  & (band >= box.min_lat)
+                                  & (band <= box.max_lat))
+        if idx.size and box is not shape:     # a BBox is exact already
+            idx = idx[shape.contains_many(by_lon[idx], lat_by_lon[idx])]
+        found[idx] = code
+    codes = np.empty(lons.shape, dtype=np.int64)
+    codes.reshape(-1)[order] = found
+    return codes

@@ -2,7 +2,7 @@
 
 These are the inner loops of the spatial-join engine: point-in-ring tests
 (both a scalar version and a numpy-vectorized version used for millions of
-transceivers at once), segment intersection, and point-to-segment distance.
+transceivers at once) and segment intersection.
 
 All functions operate on plain coordinates; the coordinate system is
 whichever the caller uses consistently (lon/lat degrees everywhere in this
@@ -29,7 +29,6 @@ __all__ = [
     "points_in_ring_serial",
     "on_segment",
     "segments_intersect",
-    "point_segment_distance",
     "ring_area_signed",
     "is_ccw",
     "ring_self_intersects",
@@ -264,26 +263,6 @@ def segments_intersect(a1, a2, b1, b2) -> bool:
     if d4 == 0 and on_segment(bx2, by2, ax1, ay1, ax2, ay2):
         return True
     return False
-
-
-def point_segment_distance(px, py, x1, y1, x2, y2):
-    """Distance from point(s) to a segment, in coordinate units.
-
-    Accepts scalar or array ``px, py``.
-    """
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
-    dx = x2 - x1
-    dy = y2 - y1
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0.0:
-        d = np.hypot(px - x1, py - y1)
-    else:
-        t = np.clip(((px - x1) * dx + (py - y1) * dy) / seg_len2, 0.0, 1.0)
-        d = np.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
-    if d.ndim == 0:
-        return float(d)
-    return d
 
 
 def ring_area_signed(ring) -> float:

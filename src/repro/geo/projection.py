@@ -34,7 +34,6 @@ __all__ = [
     "acres_to_sqmeters",
     "haversine_m",
     "destination_point",
-    "LocalEquirectangular",
     "AlbersEqualArea",
     "CONUS_ALBERS",
     "meters_per_degree",
@@ -108,32 +107,6 @@ def meters_per_degree(lat: float) -> tuple[float, float]:
     m_per_deg_lat = math.pi * EARTH_RADIUS_M / 180.0
     m_per_deg_lon = m_per_deg_lat * math.cos(math.radians(lat))
     return m_per_deg_lon, m_per_deg_lat
-
-
-class LocalEquirectangular:
-    """A tiny local planar projection around a reference point.
-
-    Suitable for geometry within a few hundred kilometers of the reference
-    (fire perimeters, metro extracts).  x/y are meters east/north of the
-    reference point.
-    """
-
-    def __init__(self, lon0: float, lat0: float):
-        self.lon0 = float(lon0)
-        self.lat0 = float(lat0)
-        self._mx, self._my = meters_per_degree(lat0)
-
-    def forward(self, lon, lat):
-        """Project lon/lat degrees to local (x, y) meters."""
-        lon = np.asarray(lon, dtype=float)
-        lat = np.asarray(lat, dtype=float)
-        return (lon - self.lon0) * self._mx, (lat - self.lat0) * self._my
-
-    def inverse(self, x, y):
-        """Unproject local (x, y) meters back to lon/lat degrees."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return self.lon0 + x / self._mx, self.lat0 + y / self._my
 
 
 class AlbersEqualArea:

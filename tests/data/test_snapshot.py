@@ -90,8 +90,10 @@ def assert_same_universe(a: SyntheticUS, b: SyntheticUS) -> None:
                           getattr(b.validation_cells(8), name))
     ca, cb = a.counties, b.counties
     assert ca.counties == cb.counties
-    assert (ca.tile_deg, ca.bbox, ca.n_named, ca._by_tile) == \
-        (cb.tile_deg, cb.bbox, cb.n_named, cb._by_tile)
+    assert (ca.tile_deg, ca.bbox, ca.n_named) == \
+        (cb.tile_deg, cb.bbox, cb.n_named)
+    assert_same_array(ca._keys, cb._keys)
+    assert_same_array(ca._slots, cb._slots)
     for year in YEARS:
         sa, sb = a.fire_season(year), b.fire_season(year)
         assert sa.year == sb.year == year

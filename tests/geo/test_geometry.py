@@ -9,7 +9,7 @@ from repro.geo.geometry import (
     MultiPolygon,
     Point,
     Polygon,
-    simplify_ring,
+    first_containing,
 )
 from repro.geo.projection import meters_per_degree
 
@@ -65,11 +65,6 @@ class TestLineString:
     def test_bbox(self):
         ls = LineString([(0, 0), (2, 1), (1, 3)])
         assert ls.bbox == BBox(0, 0, 2, 3)
-
-    def test_distance_to(self):
-        ls = LineString([(0, 0), (2, 0)])
-        assert ls.distance_to(1.0, 1.0) == pytest.approx(1.0)
-        assert ls.distance_to(3.0, 0.0) == pytest.approx(1.0)
 
     def test_immutable_coords(self):
         ls = LineString([(0, 0), (1, 1)])
@@ -134,13 +129,6 @@ class TestPolygon:
         with pytest.raises(ValueError):
             Polygon([(0, 0), (1, 1)])
 
-    def test_simplified_preserves_square(self):
-        p = Polygon(SQUARE)
-        s = p.simplified(0.01)
-        assert len(s.exterior) >= 3
-        assert s.area_sqm() == pytest.approx(p.area_sqm(), rel=0.05)
-
-
 class TestMultiPolygon:
     def test_requires_polygons(self):
         with pytest.raises(ValueError):
@@ -173,25 +161,80 @@ class TestMultiPolygon:
         np.testing.assert_array_equal(got, [True, True, False])
 
 
-class TestSimplifyRing:
-    def test_collinear_points_removed(self):
-        ring = [(0, 0), (0.5, 0.0), (1, 0), (1, 1), (0, 1)]
-        out = simplify_ring(ring, 0.01)
-        assert len(out) == 4
+def _first_hit_loop(shapes, lons, lats):
+    """Oracle: every shape's ``contains_many`` over every point, the
+    first hit kept."""
+    want = np.full(np.shape(lons), -1, dtype=np.int64)
+    for code, shape in enumerate(shapes):
+        want[(want < 0) & shape.contains_many(lons, lats)] = code
+    return want
 
-    def test_keeps_detail_above_tolerance(self):
-        ring = [(0, 0), (0.5, 0.3), (1, 0), (1, 1), (0, 1)]
-        out = simplify_ring(ring, 0.05)
-        assert len(out) == 5
 
-    def test_zero_tolerance_noop(self):
-        ring = np.array([(0, 0), (0.5, 0.0), (1, 0), (1, 1), (0, 1)],
-                        dtype=float)
-        out = simplify_ring(ring, 0.0)
-        assert len(out) == len(ring)
+class _Recording:
+    """A shape that records the points each test is asked about."""
 
-    def test_minimum_vertices(self):
-        theta = np.linspace(0, 2 * np.pi, 50, endpoint=False)
-        circle = np.column_stack([np.cos(theta), np.sin(theta)])
-        out = simplify_ring(circle, 10.0)  # absurd tolerance
-        assert len(out) >= 3
+    def __init__(self, shape):
+        self.shape = shape
+        self.bbox = shape.bbox
+        self.asked = []
+
+    def contains_many(self, lons, lats):
+        self.asked.append(len(lons))
+        return self.shape.contains_many(lons, lats)
+
+
+class TestFirstContaining:
+    SHAPES = [
+        BBox(-100.5, 35.2, -99.4, 35.7),
+        Polygon(SQUARE),
+        MultiPolygon([Polygon([(-99.5, 35.5), (-98.0, 35.5),
+                               (-98.5, 36.5)]),
+                      Polygon([(-101.0, 34.0), (-100.2, 34.0),
+                               (-100.2, 34.8)])]),
+        BBox(-101.0, 34.0, -98.0, 37.0),
+    ]
+
+    def test_box_edges_and_shared_vertices(self):
+        """Closed boxes: edge and corner points go to the first box;
+        the polygon after it takes only what the box left."""
+        lons = np.array([-100.5, -99.4, -100.0, -99.0, -99.4, -98.0])
+        lats = np.array([35.2, 35.7, 35.0, 36.0, 35.1, 37.0])
+        got = first_containing(self.SHAPES, lons, lats)
+        assert np.array_equal(got, _first_hit_loop(self.SHAPES, lons, lats))
+        assert got[:2].tolist() == [0, 0]
+        assert got[-1] == 3
+
+    def test_shape_of_the_input_is_kept(self, rng):
+        lons = rng.uniform(-101.5, -97.5, (40, 30))
+        lats = rng.uniform(33.5, 37.5, (40, 30))
+        got = first_containing(self.SHAPES, lons, lats)
+        assert got.shape == (40, 30)
+        assert np.array_equal(got.ravel(), first_containing(
+            self.SHAPES, lons.ravel(), lats.ravel()))
+
+    def test_no_shapes_no_points_and_nan(self):
+        assert first_containing([], [1.0, 2.0], [3.0, 4.0]).tolist() \
+            == [-1, -1]
+        assert first_containing(self.SHAPES, [], []).shape == (0,)
+        got = first_containing(self.SHAPES, [np.nan, -99.5, np.nan],
+                               [35.5, np.nan, np.nan])
+        assert got.tolist() == [-1, -1, -1]
+
+    def test_exact_test_sees_only_free_points_in_its_box(self, rng):
+        """Each exact test gets the points inside its shape's box that
+        no earlier shape took, and nothing once every point is taken."""
+        lons = rng.uniform(-101.5, -97.5, 5_000)
+        lats = rng.uniform(33.5, 37.5, 5_000)
+        first = _Recording(self.SHAPES[1])
+        second = _Recording(self.SHAPES[2])
+        everything = BBox(-180.0, -90.0, 180.0, 90.0)
+        last = _Recording(Polygon(SQUARE))
+        first_containing([self.SHAPES[0], first, second, everything, last],
+                         lons, lats)
+        taken = self.SHAPES[0].contains_many(lons, lats)
+        assert first.asked == [int(
+            (~taken & first.bbox.contains_many(lons, lats)).sum())]
+        taken |= self.SHAPES[1].contains_many(lons, lats)
+        assert second.asked == [int(
+            (~taken & second.bbox.contains_many(lons, lats)).sum())]
+        assert last.asked == []

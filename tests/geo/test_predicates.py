@@ -7,7 +7,6 @@ from repro.geo.predicates import (
     is_ccw,
     on_segment,
     point_in_ring,
-    point_segment_distance,
     points_in_ring,
     ring_area_signed,
     segments_intersect,
@@ -95,25 +94,6 @@ class TestSegments:
         assert on_segment(0.5, 0.5, 0, 0, 1, 1)
         assert not on_segment(0.5, 0.6, 0, 0, 1, 1)
         assert not on_segment(1.5, 1.5, 0, 0, 1, 1)
-
-
-class TestDistance:
-    def test_perpendicular(self):
-        assert point_segment_distance(0.5, 1.0, 0, 0, 1, 0) \
-            == pytest.approx(1.0)
-
-    def test_beyond_endpoint_clamps(self):
-        assert point_segment_distance(2.0, 0.0, 0, 0, 1, 0) \
-            == pytest.approx(1.0)
-
-    def test_degenerate_segment(self):
-        assert point_segment_distance(3.0, 4.0, 0, 0, 0, 0) \
-            == pytest.approx(5.0)
-
-    def test_vectorized(self):
-        d = point_segment_distance(np.array([0.5, 2.0]),
-                                   np.array([1.0, 0.0]), 0, 0, 1, 0)
-        np.testing.assert_allclose(d, [1.0, 1.0])
 
 
 class TestAreaWinding:

@@ -9,7 +9,6 @@ from repro.geo.projection import (
     CONUS_ALBERS,
     EARTH_RADIUS_M,
     AlbersEqualArea,
-    LocalEquirectangular,
     acres_to_sqmeters,
     destination_point,
     haversine_m,
@@ -136,25 +135,3 @@ class TestAlbers:
         x, y = proj.forward(-102.5, 41.0)
         lon, lat = proj.inverse(x, y)
         assert (lon, lat) == (pytest.approx(-102.5), pytest.approx(41.0))
-
-
-class TestLocalEquirectangular:
-    def test_roundtrip(self):
-        proj = LocalEquirectangular(-118.0, 34.0)
-        x, y = proj.forward(-118.2, 34.3)
-        lon, lat = proj.inverse(x, y)
-        assert lon == pytest.approx(-118.2)
-        assert lat == pytest.approx(34.3)
-
-    def test_origin_is_zero(self):
-        proj = LocalEquirectangular(-118.0, 34.0)
-        x, y = proj.forward(-118.0, 34.0)
-        assert float(x) == 0.0
-        assert float(y) == 0.0
-
-    def test_scale_matches_haversine_nearby(self):
-        proj = LocalEquirectangular(-118.0, 34.0)
-        x, y = proj.forward(-118.01, 34.01)
-        d_planar = math.hypot(float(x), float(y))
-        d_true = haversine_m(-118.0, 34.0, -118.01, 34.01)
-        assert d_planar == pytest.approx(d_true, rel=1e-3)

@@ -3,8 +3,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.geo.buffer import buffer_point
-from repro.geo.geometry import BBox, Polygon, PreparedPolygon, simplify_ring
+from repro.geo.geometry import (
+    BBox,
+    MultiPolygon,
+    Polygon,
+    PreparedPolygon,
+    first_containing,
+)
 from repro.geo.index import STRTree, UniformGridIndex
 from repro.geo.predicates import (
     point_in_ring,
@@ -85,13 +90,6 @@ def test_winding_does_not_change_area(ring):
     assert abs(a - b) <= 1e-6 * max(a, 1.0)
 
 
-@given(star_rings(), st.floats(min_value=0.001, max_value=0.2))
-@settings(max_examples=60, deadline=None)
-def test_simplify_never_gains_vertices(ring, tol):
-    out = simplify_ring(ring, tol)
-    assert 3 <= len(out) <= len(ring)
-
-
 @given(star_rings())
 @settings(max_examples=60, deadline=None)
 def test_contains_many_matches_scalar(ring):
@@ -158,16 +156,47 @@ def test_prepared_polygon_matches_exhaustive_scan(ring, seed):
     assert (vec == exhaustive).all()
 
 
-# Buffer properties -----------------------------------------------------
+@st.composite
+def region_shapes(draw):
+    """A mix of boxes, polygons and multipolygons that overlap."""
+    shapes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["box", "polygon", "multi"]))
+        if kind == "box":
+            lon = draw(st.floats(min_value=-111, max_value=-90))
+            lat = draw(st.floats(min_value=29, max_value=45))
+            w = draw(st.floats(min_value=0.0, max_value=4.0))
+            h = draw(st.floats(min_value=0.0, max_value=4.0))
+            shapes.append(BBox(lon, lat, lon + w, lat + h))
+        elif kind == "polygon":
+            shapes.append(Polygon(draw(star_rings())))
+        else:
+            shapes.append(MultiPolygon([Polygon(draw(star_rings())),
+                                        Polygon(draw(star_rings()))]))
+    return shapes
 
-@given(conus_lon, conus_lat,
-       st.floats(min_value=100.0, max_value=50_000.0))
-@settings(max_examples=60, deadline=None)
-def test_buffer_point_area_scales(lon, lat, radius):
-    c = buffer_point(lon, lat, radius, n_vertices=64)
-    assert c.area_sqm() == np.pi * radius * radius \
-        * (1 + np.clip(c.area_sqm() / (np.pi * radius * radius) - 1,
-                       -0.05, 0.05))  # within 5% of pi r^2
+
+@given(region_shapes(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_first_containing_equals_the_first_hit(shapes, seed):
+    """Codes equal testing every shape over every point and keeping the
+    first hit; box corners and ring vertices are among the points."""
+    rng = np.random.default_rng(seed)
+    lons = list(rng.uniform(-112, -86, 400))
+    lats = list(rng.uniform(28, 49, 400))
+    for shape in shapes:
+        box = shape if isinstance(shape, BBox) else shape.bbox
+        lons += [box.min_lon, box.max_lon, box.min_lon, box.max_lon]
+        lats += [box.min_lat, box.min_lat, box.max_lat, box.max_lat]
+        for poly in getattr(shape, "polygons", [shape]):
+            if isinstance(poly, Polygon):
+                lons += poly.exterior[:, 0].tolist()
+                lats += poly.exterior[:, 1].tolist()
+    lons, lats = np.array(lons), np.array(lats)
+    want = np.full(len(lons), -1)
+    for code, shape in enumerate(shapes):
+        want[(want < 0) & shape.contains_many(lons, lats)] = code
+    assert np.array_equal(first_containing(shapes, lons, lats), want)
 
 
 # Index properties -------------------------------------------------------

@@ -531,6 +531,20 @@ class TestObservabilityFlags:
         assert arts
         assert any("rss_kb_after" in e["args"] for e in arts)
 
+    @pytest.mark.parametrize("argv", [["--mem", "table2"],
+                                      ["--mem", "--stats", "fig7"]])
+    def test_mem_without_a_span_sink_is_a_usage_error(self, argv, capsys):
+        """Memory attributes live on spans, so ``--mem`` with no tracer
+        would pay for tracemalloc and report nothing."""
+        with pytest.raises(SystemExit) as exc:
+            main([*ARGS, *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            "error: argument --mem: needs a span sink (--trace FILE, "
+            "--log-json FILE or the trace subcommand)")
+
     def test_tracing_off_leaves_no_spans(self):
         from repro import obs, runtime
 
