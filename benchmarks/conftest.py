@@ -70,6 +70,20 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def planned_workers(cells, requested: int, events: list,
+                    units: int | None = None) -> int:
+    """Workers ``dispatch.plan`` resolves for a join of ``events``: its
+    work is their candidate count; ``units`` defaults to one per
+    event."""
+    from repro.runtime import dispatch
+
+    boxes = [(b.min_lon, b.min_lat, b.max_lon, b.max_lat)
+             for b in (event.polygon.bbox for event in events)]
+    return dispatch.plan(requested, len(cells),
+                         cells.index().candidate_count(boxes),
+                         len(events) if units is None else units)
+
+
 def skipped_asserts(check: str, *, resolved: int,
                     fell_back: bool) -> list[str]:
     """Whether a parallel-speed assert can apply on this machine.

@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from conftest import print_result, record_timing
+from conftest import planned_workers, print_result, record_timing
 
 from repro.core import historical_analysis
 from repro.core.overlay import overlay_fires
@@ -134,7 +134,6 @@ def test_paper_scale_stream_tick():
     from repro.core.overlay import FireDelta, overlay_fires, update_overlay
     from repro.data.universe import universe_for_scale
     from repro.data.wildfires import scripted_2019_growth
-    from repro.runtime import dispatch
 
     paper = universe_for_scale("paper")    # cached across this module
     cells = paper.cells
@@ -177,8 +176,8 @@ def test_paper_scale_stream_tick():
     total_buckets = len(index._uniq_keys)
     dirty_fraction = dirty / max(total_buckets, 1)
     speedup = rebuild_s / max(tick_s, 1e-9)
-    resolved = dispatch.plan(workers, len(cells),
-                             len(cells) * len(deltas), len(deltas))
+    resolved = planned_workers(cells, workers,
+                               [delta.fire for delta in deltas])
 
     record_timing(
         "stream_tick_paper",

@@ -12,6 +12,7 @@ import time
 
 from conftest import (
     available_cores,
+    planned_workers,
     print_result,
     record_timing,
     skipped_asserts,
@@ -75,8 +76,7 @@ def test_runtime_overlay_modes(universe, tmp_path):
     assert serial.per_fire_counts == parallel.per_fire_counts \
         == warm.per_fire_counts
 
-    resolved = dispatch.plan(workers, len(cells),
-                             len(cells) * len(fires), len(fires))
+    resolved = planned_workers(cells, workers, fires)
     if resolved == 1:
         # The adaptive dispatcher resolved the workers=N call to the
         # strictly-serial path (work below the crossover on this
@@ -173,35 +173,55 @@ def test_runtime_index_build(universe):
 
 
 def test_runtime_query_polygon_batch(universe):
-    """A season's worth of polygon queries against the warm index.
+    """A season's worth of polygon queries against the warm index: one
+    ``query_polygon`` call per perimeter next to one batched
+    ``query_rings`` call on the packed season.
 
     This is the inner loop of every overlay: bbox candidates from the
-    CSR window walk, then the prepared-ring crossing test.  Counter
+    CSR window walk, then the crossing test.  Both sides must return
+    the same hits and count the same ``index.*`` totals; counter
     deltas record how selective the prefilter was.
     """
+    import numpy as np
+
+    from repro.core.overlay import pack_task
+
     cells = universe.cells
     idx = cells.index()
     fires = universe.fire_season(2017).fires
 
     before = STATS.snapshot()
     t0 = time.perf_counter()
-    total_hits = 0
-    for fire in fires:
-        total_hits += len(idx.query_polygon(fire.polygon))
-    batch_s = time.perf_counter() - t0
-    delta = STATS.delta_since(before)["counters"]
+    loop_hits = [idx.query_polygon(fire.polygon) for fire in fires]
+    loop_s = time.perf_counter() - t0
+    loop_delta = STATS.delta_since(before)["counters"]
 
-    candidates = delta.get("index.candidates", 0)
+    before = STATS.snapshot()
+    t0 = time.perf_counter()
+    task = pack_task([(fire, None) for fire in fires])
+    counts, hits = idx.query_rings(task.coords, task.offsets, task.boxes)
+    kernel_s = time.perf_counter() - t0
+    kernel_delta = STATS.delta_since(before)["counters"]
+
+    assert np.array_equal(hits, np.concatenate(loop_hits))
+    assert counts.tolist() == [len(h) for h in loop_hits]
+    assert {k: v for k, v in kernel_delta.items()
+            if k.startswith("index.")} == \
+        {k: v for k, v in loop_delta.items() if k.startswith("index.")}
+    total_hits = len(hits)
+    candidates = kernel_delta.get("index.candidates", 0)
     record_timing(
         "query_polygon_batch",
-        n_points=len(cells), n_queries=len(fires), batch_s=batch_s,
-        queries_per_s=len(fires) / max(batch_s, 1e-9),
+        n_points=len(cells), n_queries=len(fires), batch_s=loop_s,
+        kernel_s=kernel_s,
+        queries_per_s=len(fires) / max(loop_s, 1e-9),
+        kernel_queries_per_s=len(fires) / max(kernel_s, 1e-9),
         candidates=candidates, hits=total_hits,
         selectivity=total_hits / max(candidates, 1))
     print_result(
         "RUNTIME — polygon query batch",
-        f"{len(fires)} queries in {batch_s * 1000:.1f}ms "
-        f"({len(fires) / max(batch_s, 1e-9):,.0f}/s) | "
+        f"{len(fires)} queries: loop {loop_s * 1000:.1f}ms, one kernel "
+        f"call (packing included) {kernel_s * 1000:.1f}ms | "
         f"{candidates:,} candidates -> {total_hits:,} hits")
 
 
@@ -316,8 +336,8 @@ def test_runtime_stream_tick(universe):
     skipped = counters.get("index.skipped_buckets", 0)
     total_buckets = len(index._uniq_keys)
     dirty_fraction = dirty / max(total_buckets, 1)
-    resolved = dispatch.plan(workers, len(cells),
-                             len(cells) * len(deltas), len(deltas))
+    resolved = planned_workers(cells, workers,
+                               [delta.fire for delta in deltas])
     speedup = rebuild_s / max(tick_s, 1e-9)
 
     record_timing(
@@ -392,9 +412,9 @@ def test_runtime_scenario_ensemble(universe):
     assert pooled_impacts == serial_impacts, \
         "pooled ensemble must match the serial joins bit for bit"
 
-    eff_workers = dispatch.plan(
-        workers, len(cells),
-        len(cells) * sum(map(len, member_events)), n_members)
+    eff_workers = planned_workers(
+        cells, workers, [e for events in member_events for e in events],
+        n_members)
     cores = available_cores()
     fell_back = delta.get("parallel.fallbacks", 0) > 0
     speedup = serial_s / max(wall_s, 1e-9)

@@ -49,7 +49,10 @@ SHA that every manifest embeds.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
+import threading
 import time
 
 from . import obs, runtime
@@ -448,8 +451,50 @@ def _finalize_obs(args: argparse.Namespace, state: dict, out) -> None:
         obs.disable()
 
 
+class Terminated(BaseException):
+    """SIGTERM reached the main process.  Raised from the handler so
+    every ``finally`` block on the way out runs (a cache entry's temp
+    file is removed, the trace and metrics sinks close); not an
+    ``Exception``, so no handler meant for errors swallows it."""
+
+
+def _terminate(signum, frame):
+    # A second SIGTERM while the first unwinds ends the process as the
+    # default action would.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    raise Terminated
+
+
+def _default_sigterm_in_child() -> None:
+    """Forked pool workers keep SIGTERM's default action."""
+    if signal.getsignal(signal.SIGTERM) is _terminate:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+os.register_at_fork(after_in_child=_default_sigterm_in_child)
+
+
 def main(argv: list[str] | None = None, stream=None) -> int:
-    """CLI entry point.  Returns a process exit code."""
+    """CLI entry point.  Returns a process exit code.
+
+    In the main thread, SIGTERM becomes one ``repro: terminated`` line
+    on stderr and exit status 143 (128 + SIGTERM), after the run's
+    ``finally`` blocks have run.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return _main(argv, stream)
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _main(argv, stream)
+    except Terminated:
+        sys.stderr.write("repro: terminated\n")
+        return 128 + signal.SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM,
+                      signal.SIG_DFL if previous is None else previous)
+
+
+def _main(argv: list[str] | None, stream) -> int:
     stream = stream or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)

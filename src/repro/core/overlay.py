@@ -18,19 +18,21 @@ nothing in the code requires fire-shaped inputs.
 
 Execution is delegated to :mod:`repro.runtime`:
 
-* the adaptive dispatcher (:mod:`repro.runtime.dispatch`) estimates the
-  work of each join and stays serial below the measured crossover, so
-  requesting workers can never make a join slower;
+* the adaptive dispatcher (:mod:`repro.runtime.dispatch`) plans each
+  join from its candidate count and stays serial below the measured
+  crossover, so requesting workers can never make a join slower;
 * above the crossover, the perimeter overlay shards **by fire** over a
   persistent worker pool (:mod:`repro.runtime.pool`).  The parent
   builds the grid index before the pool starts, so forked workers
   inherit the universe and its index copy-on-write and reuse them for
-  every fire of every season of a 19-year sweep; a task ships only a
-  slice of the fire list and returns per-fire counts plus global hit
-  indices.  Every join — batch overlay, delta tick, scenario
-  ensemble — runs through one helper, :func:`fan_out`, pooled or
-  serial, and the same per-item loop, :func:`join_items`; the WHP
-  classification samples its raster in-process;
+  every fire of every season of a 19-year sweep; a task ships a slice
+  of the fire list packed into plain arrays (:class:`JoinTask`) and
+  returns per-fire counts plus global hit indices.  Every join — batch
+  overlay, delta tick, scenario ensemble — runs through one helper,
+  :func:`fan_out`, pooled or serial, and the same join,
+  :func:`join_items`: one batched
+  :meth:`~repro.geo.index.UniformGridIndex.query_rings` call for the
+  task's rings; the WHP classification samples its raster in-process;
 * with a cache directory configured, results are read from and
   written to the content-addressed disk cache, keyed by the inputs'
   bytes.
@@ -46,14 +48,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate
-from typing import TYPE_CHECKING, Callable
+from itertools import accumulate, chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ..data.cells import PointSet
+from ..geo.geometry import Polygon
 from ..geo.index import UniformGridIndex
 from ..runtime import (
     active_cache,
@@ -72,7 +75,8 @@ if TYPE_CHECKING:
 
 __all__ = ["FireOverlayResult", "FireDelta", "overlay_fires",
            "overlay_fires_bruteforce", "update_overlay", "empty_overlay",
-           "classify_cells", "fires_token", "join_items", "fan_out"]
+           "classify_cells", "fires_token", "JoinTask", "pack_task",
+           "join_items", "fan_out"]
 
 #: Task slices per worker and pool run.  More slices than workers keeps
 #: the pool load-balanced when perimeter sizes vary wildly (they do).
@@ -168,81 +172,177 @@ def _init_worker(cells: PointSet) -> None:
     _WORKER_CELLS = cells
 
 
-def join_items(index: UniformGridIndex, items: list) \
-        -> tuple[np.ndarray, np.ndarray]:
-    """Join ``(event, prev_hits | None)`` items against ``index``.
+class JoinTask(NamedTuple):
+    """One join task packed into plain arrays.
 
-    The one per-item loop every join runs, serially in the parent or
-    as a pool task.  An item with an answered footprint (``prev_hits``)
-    runs the dirty-bucket delta query, any other the full polygon
-    query.  Returns per-item hit counts and the hits concatenated in
-    item order.
+    Every full-query item whose polygon is a hole-free
+    :class:`~repro.geo.geometry.Polygon` is a ring: its exterior
+    vertices, concatenated into ``coords`` at ``offsets``, and its
+    ``bbox`` as a row of ``boxes``, at item position ``ring_pos``.
+    The other items (delta items with an answered footprint, holed or
+    multi-part geometries) stay in ``rest`` as ``(position, polygon,
+    prev_hits | None)``.  A task pickles as arrays, not event objects.
     """
-    hits = [index.query_polygon(event.polygon) if prev is None
-            else index.query_polygon_delta(event.polygon, prev)
-            for event, prev in items]
-    counts = np.array([len(h) for h in hits], dtype=np.int64)
-    return counts, (np.concatenate(hits) if hits
-                    else np.empty(0, dtype=np.int64))
+
+    n_items: int
+    ring_pos: np.ndarray
+    coords: np.ndarray
+    offsets: np.ndarray
+    boxes: np.ndarray
+    rest: tuple
 
 
-def _join_task(items: list):
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+#: ``ring_pos, coords, offsets, boxes`` of a task without rings.
+_NO_RINGS = tuple(_read_only(np.zeros(shape, dtype=dtype))
+                  for shape, dtype in ((0, np.int64), ((0, 2), float),
+                                       (1, np.int64), ((0, 4), float)))
+
+#: A ``BBox``'s fields as one ``boxes`` row.
+_BOX_ROW = attrgetter("min_lon", "min_lat", "max_lon", "max_lat")
+
+
+def pack_task(items: list) -> JoinTask:
+    """Pack ``(event, prev_hits | None)`` items into a :class:`JoinTask`."""
+    polygons = [event.polygon for event, _ in items]
+    prevs = [prev for _, prev in items]
+    if (all(prev is None for prev in prevs)
+            and set(map(type, polygons)) <= {Polygon}
+            and not any(map(attrgetter("holes"), polygons))):
+        rest = ()       # every item a full query of a hole-free Polygon
+    else:
+        rest = tuple((pos, polygon, prev) for pos, (polygon, prev)
+                     in enumerate(zip(polygons, prevs))
+                     if prev is not None or type(polygon) is not Polygon
+                     or polygon.holes)
+    if len(rest) == len(items):     # a delta-only tick packs nothing
+        return JoinTask(len(items), *_NO_RINGS, rest)
+    if not rest:
+        ring_pos = np.arange(len(items), dtype=np.int64)
+    else:
+        ring_pos = np.setdiff1d(np.arange(len(items), dtype=np.int64),
+                                [pos for pos, _, _ in rest])
+        polygons = [polygons[pos] for pos in ring_pos.tolist()]
+    rings = [polygon.exterior for polygon in polygons]
+    offsets = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rings), dtype=np.int64,
+                          count=len(rings)), out=offsets[1:])
+    boxes = np.fromiter(
+        chain.from_iterable(map(_BOX_ROW, [p.bbox for p in polygons])),
+        dtype=float, count=4 * len(polygons)).reshape(-1, 4)
+    return JoinTask(len(items), ring_pos, np.concatenate(rings), offsets,
+                    boxes, rest)
+
+
+def join_items(index: UniformGridIndex, task: JoinTask) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Join one packed task against ``index``.
+
+    The one join every fan-out runs, serially in the parent or as a
+    pool task.  The rings go through one
+    :meth:`UniformGridIndex.query_rings` call; an item with an answered
+    footprint (``prev_hits``) runs the dirty-bucket delta query, and a
+    holed or multi-part geometry the full polygon query.  Returns
+    per-item hit counts and the hits concatenated in item order.
+    """
+    pieces: list = [None] * task.n_items
+    if len(task.ring_pos):
+        ring_counts, ring_hits = index.query_rings(
+            task.coords, task.offsets, task.boxes)
+        if not task.rest:
+            return ring_counts, ring_hits
+        for pos, hits in zip(task.ring_pos.tolist(),
+                             _split(ring_hits, ring_counts)):
+            pieces[pos] = hits
+    elif not task.rest:
+        return np.zeros(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for pos, polygon, prev in task.rest:
+        pieces[pos] = (index.query_polygon(polygon) if prev is None
+                       else index.query_polygon_delta(polygon, prev))
+    counts = np.array([len(h) for h in pieces], dtype=np.int64)
+    return counts, np.concatenate(pieces)
+
+
+def _join_task(task: JoinTask):
     """Pool task: :func:`join_items` against the worker-resident index,
     plus the worker's stats delta."""
     before = STATS.snapshot()
-    with trace_span("overlay.chunk", n_fires=len(items)) as sp:
-        counts, hits = join_items(_WORKER_CELLS.index(), items)
+    with trace_span("overlay.chunk", n_fires=task.n_items) as sp:
+        counts, hits = join_items(_WORKER_CELLS.index(), task)
         sp.set(hits=int(counts.sum()))
     return (counts, hits), STATS.delta_since(before)
 
 
-def fan_out(cells: PointSet, requested: int | None, work: int,
-            units: int, tasks: Callable[[int], list], *,
-            span=None) -> list:
+def fan_out(cells: PointSet, requested: int | None, tasks: list[list],
+            *, split: bool = False, span=None) -> list:
     """Run one perimeter join, pooled when it pays, and return its
     ``(counts, hits)`` parts in task order.
 
-    Plans the workers (:func:`repro.runtime.plan`; ``requested=None``
-    asks for the runtime config's ``workers``) and builds the item
-    lists with ``tasks(workers)``.  Above the crossover the lists run
-    as :func:`join_items` tasks on the persistent ``overlay`` pool,
-    whose workers join against the index built here, before a new pool
-    forks, and the workers' stats deltas are merged.  Below it, or
-    after a pool failure, the lists of ``tasks(1)`` run in-process.
+    ``tasks`` are ``(event, prev_hits | None)`` item lists, each packed
+    once, here, into a :class:`JoinTask`; with ``split`` the one list
+    may be cut into slices, several per worker.  The workers are
+    planned (:func:`repro.runtime.plan`; ``requested=None`` asks for the
+    runtime config's ``workers``) from the join's candidate count.  A
+    count never exceeds points × items, so a join below the crossover
+    at that bound stays serial without counting.  Above the crossover
+    the tasks run as :func:`join_items` tasks on the persistent
+    ``overlay`` pool, whose workers join against the index built here,
+    before a new pool forks, and the workers' stats deltas are merged.
+    Below it, or after a pool failure, the tasks run in-process.
     ``span`` (the caller's join span) records the planned workers.
     """
     if requested is None:
         requested = get_config().workers
-    workers = plan(requested, len(cells), work, units)
+    n_points, n_items = len(cells), sum(map(len, tasks))
+    units = n_items if split else len(tasks)
+    index = cells.index()
+    packed = [pack_task(items) for items in tasks]
+    workers = 1
+    if plan(requested, n_points, n_points * n_items, units) > 1:
+        workers = plan(requested, n_points,
+                       sum(_candidates(index, task) for task in packed),
+                       units)
     if span is not None:
         span.set(workers=workers)
-    index = cells.index()
     if workers > 1:
+        shipped = _slices(packed[0], workers) if split else packed
         results = run_tasks("overlay", workers, cells.content_token(),
-                            _join_task, tasks(workers),
+                            _join_task, shipped,
                             initializer=_init_worker, initargs=(cells,))
         if results is not None:
             for _, delta in results:
                 STATS.merge(delta)
             return [payload for payload, _ in results]
-    return [join_items(index, items) for items in tasks(1)]
+    return [join_items(index, task) for task in packed]
 
 
-def _fire_slices(items: list, workers: int) -> list[list]:
-    """Contiguous slices of ``items``, several per pool worker; one
-    slice of all of them for the serial join."""
-    if workers <= 1:
-        return [items]
-    size = -(-len(items) // (workers * _SLICES_PER_WORKER))
-    return [items[lo:hi] for lo, hi in chunk_spans(len(items), size)]
+def _candidates(index: UniformGridIndex, task: JoinTask) -> int:
+    """A task's join work: the candidates its items' boxes gather."""
+    rest = [polygon.bbox for _, polygon, _ in task.rest]
+    return index.candidate_count(task.boxes) + index.candidate_count(
+        [(b.min_lon, b.min_lat, b.max_lon, b.max_lat) for b in rest])
 
 
-def _join_fires(cells: PointSet, items: list, requested: int | None,
-                span) -> list:
-    """``(counts, hits)`` parts of an overlay or delta join: fire
-    slices planned under the one overlay rule."""
-    return fan_out(cells, requested, len(cells) * len(items), len(items),
-                   partial(_fire_slices, items), span=span)
+def _slices(task: JoinTask, workers: int) -> list[JoinTask]:
+    """Contiguous item slices of ``task``, several per pool worker."""
+    size = -(-task.n_items // (workers * _SLICES_PER_WORKER))
+    return [_cut(task, lo, hi) for lo, hi in chunk_spans(task.n_items, size)]
+
+
+def _cut(task: JoinTask, lo: int, hi: int) -> JoinTask:
+    """Items ``lo..hi-1`` of ``task`` as a task of their own."""
+    a, b = np.searchsorted(task.ring_pos, [lo, hi]).tolist()
+    first, last = int(task.offsets[a]), int(task.offsets[b])
+    return JoinTask(hi - lo, task.ring_pos[a:b] - lo,
+                    task.coords[first:last], task.offsets[a:b + 1] - first,
+                    task.boxes[a:b],
+                    tuple((pos - lo, polygon, prev)
+                          for pos, polygon, prev in task.rest
+                          if lo <= pos < hi))
 
 
 def _split(hits: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
@@ -299,8 +399,8 @@ def overlay_fires(cells: PointSet, fires: list[HazardEvent],
 
     with trace_span("overlay_fires", year=resolved_year,
                     n_points=len(cells), n_fires=len(fires)) as sp:
-        parts = _join_fires(cells, [(fire, None) for fire in fires],
-                            workers, sp)
+        parts = fan_out(cells, workers, [[(fire, None) for fire in fires]],
+                        split=True, span=sp)
         result = empty_overlay(cells, resolved_year)
         result.n_fires = len(fires)
         _fold(result, fires, parts)
@@ -338,8 +438,8 @@ def update_overlay(cells: PointSet, prev: FireOverlayResult,
 
     The mask update relies on monotone growth (``prev`` hits stay
     hits), the same contract ``query_polygon_delta`` documents.  A tick
-    is planned exactly as :func:`overlay_fires` plans a season, on
-    ``points × changed fires``: large ticks dispatch through the
+    is planned exactly as :func:`overlay_fires` plans a season, on the
+    changed fires' candidate count: large ticks dispatch through the
     persistent worker pool, small ones run serially.
     """
     if not deltas:
@@ -348,10 +448,10 @@ def update_overlay(cells: PointSet, prev: FireOverlayResult,
 
     with trace_span("update_overlay", year=prev.year,
                     n_points=len(cells), n_deltas=len(deltas)) as sp:
-        parts = _join_fires(
-            cells,
-            [(fire, prev.per_fire_hits.get(fire.name)) for fire in fires],
-            workers, sp)
+        parts = fan_out(
+            cells, workers,
+            [[(fire, prev.per_fire_hits.get(fire.name)) for fire in fires]],
+            split=True, span=sp)
 
     result = FireOverlayResult(
         year=prev.year, n_fires=prev.n_fires,

@@ -106,6 +106,7 @@ class CountyLayer:
         self.bbox = bbox
         self.n_named = n_named
         self._ncols = int(np.ceil(bbox.width / tile_deg))
+        self._nrows = int(np.ceil(bbox.height / tile_deg))
         self._named = [c.bbox for c in counties[:n_named]]
         self._boxes = np.array([[c.bbox.min_lon, c.bbox.min_lat,
                                  c.bbox.max_lon, c.bbox.max_lat]
@@ -125,11 +126,20 @@ class CountyLayer:
             order + n_named
 
     def _tile_key(self, lon, lat):
-        col = np.floor((np.asarray(lon) - self.bbox.min_lon)
-                       / self.tile_deg).astype(np.int64)
-        row = np.floor((np.asarray(lat) - self.bbox.min_lat)
-                       / self.tile_deg).astype(np.int64)
-        return row * self._ncols + col
+        """Tile key ``row * ncols + col`` per point; -1 for a point off
+        the tile grid or with a non-finite coordinate (no tile has it,
+        where a column past either edge would alias into the next or
+        previous row)."""
+        col = np.floor((np.asarray(lon, dtype=float) - self.bbox.min_lon)
+                       / self.tile_deg)
+        row = np.floor((np.asarray(lat, dtype=float) - self.bbox.min_lat)
+                       / self.tile_deg)
+        on_grid = ((col >= 0) & (col < self._ncols)
+                   & (row >= 0) & (row < self._nrows))
+        keys = np.full(on_grid.shape, -1, dtype=np.int64)
+        keys[on_grid] = (row[on_grid].astype(np.int64) * self._ncols
+                         + col[on_grid].astype(np.int64))
+        return keys
 
     def assign(self, lon: float, lat: float) -> int:
         """County index for one point; -1 if no county covers it."""

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..runtime.stats import STATS
 from .geometry import BBox, MultiPolygon, Polygon
+from .predicates import _CLOSE_ATOL, _CLOSE_RTOL, PIP_POINT_BLOCK
 
 __all__ = ["UniformGridIndex", "STRTree"]
 
@@ -194,6 +195,127 @@ class UniformGridIndex:
         STATS.count("index.pip_hits", len(out))
         return out
 
+    def _box_runs(self, boxes: np.ndarray):
+        """``(box, starts, ends)``: the CSR runs of many boxes at once.
+
+        The runs :meth:`_candidate_runs` finds for each row of the
+        ``(n, 4)`` ``boxes`` array (``min_lon, min_lat, max_lon,
+        max_lat``), concatenated in box order, each with its box's row
+        number.  The bucket windows take ``_bucket_range``'s float
+        ``//`` and clamps; clamping before the int cast keeps far-off
+        boxes in int64 range and their windows empty.
+        """
+        no_runs = np.empty(0, dtype=np.int64)
+        if self.bbox is None or len(boxes) == 0:
+            return no_runs, no_runs, no_runs
+        grid, cell = self.bbox, self.cell_deg
+        x0, y0, x1, y1 = boxes.T
+        c0 = np.clip((x0 - grid.min_lon) // cell, 0, self._ncols)
+        c1 = np.clip((x1 - grid.min_lon) // cell, -1, self._ncols - 1)
+        r0 = np.clip((y0 - grid.min_lat) // cell, 0, self._nrows)
+        r1 = np.clip((y1 - grid.min_lat) // cell, -1, self._nrows - 1)
+        meets = ~((x0 > grid.max_lon) | (x1 < grid.min_lon)
+                  | (y0 > grid.max_lat) | (y1 < grid.min_lat))
+        n_rows = np.where(meets & (c0 <= c1) & (r0 <= r1),
+                          r1 - r0 + 1, 0).astype(np.int64)
+        box = np.repeat(np.arange(len(boxes)), n_rows)
+        row_in_box = np.arange(len(box)) - np.repeat(
+            np.cumsum(n_rows) - n_rows, n_rows)
+        bases = (r0.astype(np.int64)[box] + row_in_box) * self._ncols
+        lo = np.searchsorted(self._uniq_keys,
+                             bases + c0.astype(np.int64)[box], side="left")
+        hi = np.searchsorted(self._uniq_keys,
+                             bases + c1.astype(np.int64)[box], side="right")
+        starts = self._bucket_ptr[lo]
+        ends = self._bucket_ptr[hi]
+        occupied = starts < ends
+        return box[occupied], starts[occupied], ends[occupied]
+
+    def candidate_count(self, boxes) -> int:
+        """Candidates that polygon queries with these ``(n, 4)`` boxes
+        gather, summed: the lengths of their CSR runs, the work of a
+        join.  Counts nothing itself."""
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        _, starts, ends = self._box_runs(boxes)
+        return int((ends - starts).sum())
+
+    def query_rings(self, coords, offsets, boxes) \
+            -> tuple[np.ndarray, np.ndarray]:
+        """Join a batch of hole-free one-ring polygons in one pass.
+
+        ``coords`` holds every ring's exterior vertices, concatenated:
+        ring ``i`` is ``coords[offsets[i]:offsets[i + 1]]``.  ``boxes``
+        is the ``(n, 4)`` array of each polygon's own ``bbox``.  Returns
+        per-ring hit counts and the hits concatenated in ring order.
+        Ring ``i``'s hits equal :meth:`query_polygon` of its polygon in
+        values, order and dtype, and every ``index.*`` counter total
+        equals that of one ``query_polygon`` call per ring:
+
+        * every ring's CSR runs come from one vectorized pass;
+        * candidates are gathered and box-tested in blocks of at most
+          ``PIP_POINT_BLOCK``, in ring order and run order;
+        * each survivor's crossing parity is taken over its own ring,
+          trimmed of a closing vertex as ``PreparedRing`` trims it,
+          with ``_pip_block``'s float expression.
+        """
+        coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        n = len(boxes)
+        counts = np.zeros(n, dtype=np.int64)
+        if n == 0:
+            return counts, np.empty(0, dtype=np.int64)
+        STATS.count("index.bbox_queries", n)
+        ring_of_run, starts, ends = self._box_runs(boxes)
+        run_len = ends - starts
+        run_end = np.cumsum(run_len)
+        total = int(run_end[-1]) if len(run_end) else 0
+        if total == 0:
+            return counts, np.empty(0, dtype=np.int64)
+        run_begin = run_end - run_len
+        shift = starts - run_begin
+        edges = _ring_edges(coords, offsets)
+        x0, y0, x1, y1 = (np.ascontiguousarray(b) for b in boxes.T)
+        hit_pos: list[np.ndarray] = []
+        hit_ring: list[np.ndarray] = []
+        queried = np.zeros(n, dtype=bool)
+        n_box_hits = 0
+        for b0 in range(0, total, PIP_POINT_BLOCK):
+            b1 = min(total, b0 + PIP_POINT_BLOCK)
+            # Candidates b0..b1-1 of the runs laid end to end: each
+            # overlapping run cut to the block.
+            lo = int(np.searchsorted(run_end, b0, side="right"))
+            hi = int(np.searchsorted(run_begin, b1, side="left"))
+            take = (np.minimum(run_end[lo:hi], b1)
+                    - np.maximum(run_begin[lo:hi], b0))
+            pos = np.arange(b0, b1) + np.repeat(shift[lo:hi], take)
+            rings = ring_of_run[lo:hi]
+            ring = np.repeat(rings, take)
+            lon, lat = self._slons[pos], self._slats[pos]
+            keep = ((lon >= np.repeat(x0[rings], take))
+                    & (lon <= np.repeat(x1[rings], take))
+                    & (lat >= np.repeat(y0[rings], take))
+                    & (lat <= np.repeat(y1[rings], take)))
+            pos, ring, lon, lat = pos[keep], ring[keep], lon[keep], lat[keep]
+            if len(pos) == 0:
+                continue
+            n_box_hits += len(pos)
+            queried[ring] = True
+            inside = _ring_parity(lon, lat, ring, *edges)
+            hit_pos.append(pos[inside])
+            hit_ring.append(ring[inside])
+        STATS.count("index.candidates", total)
+        STATS.count("index.hits", n_box_hits)
+        if n_box_hits == 0:
+            return counts, np.empty(0, dtype=np.int64)
+        hits = self._order[np.concatenate(hit_pos)]
+        counts = np.bincount(np.concatenate(hit_ring),
+                             minlength=n).astype(np.int64)
+        STATS.count("index.polygon_queries", int(queried.sum()))
+        STATS.count("index.pip_tests", n_box_hits)
+        STATS.count("index.pip_hits", len(hits))
+        return counts, hits
+
     def query_polygon_delta(self, polygon: Polygon | MultiPolygon,
                             prev_hits: np.ndarray) -> np.ndarray:
         """Indices inside ``polygon``, reusing an answered footprint.
@@ -292,6 +414,76 @@ class UniformGridIndex:
         STATS.count("index.pip_skipped", len(prev_hits))
         STATS.count("index.pip_hits", len(out))
         return out
+
+
+def _ring_edges(coords: np.ndarray, offsets: np.ndarray):
+    """``(first, n_edges, xs, ys, x_next, y_next)`` of concatenated rings.
+
+    Each ring is trimmed as ``PreparedRing`` trims it: a last vertex
+    within ``np.allclose`` of the first (``_coords_close``'s expression)
+    is dropped.  Edge ``k`` of ring ``r`` runs from vertex
+    ``first[r] + k`` to its ``x_next``/``y_next``, which wrap to the
+    ring's first vertex after its last kept one.
+    """
+    xs = np.ascontiguousarray(coords[:, 0])
+    ys = np.ascontiguousarray(coords[:, 1])
+    first = offsets[:-1]
+    n_edges = offsets[1:] - first
+    two = np.flatnonzero(n_edges >= 2)
+    a, b = first[two], first[two] + n_edges[two] - 1
+    closed = ((np.abs(xs[a] - xs[b])
+               <= _CLOSE_ATOL + _CLOSE_RTOL * np.abs(xs[b]))
+              & (np.abs(ys[a] - ys[b])
+                 <= _CLOSE_ATOL + _CLOSE_RTOL * np.abs(ys[b])))
+    n_edges[two[closed]] -= 1
+    nxt = np.minimum(np.arange(1, len(xs) + 1), max(len(xs) - 1, 0))
+    kept = np.flatnonzero(n_edges > 0)
+    nxt[first[kept] + n_edges[kept] - 1] = first[kept]
+    return first, n_edges, xs, ys, xs[nxt], ys[nxt]
+
+
+def _ring_parity(px, py, ring, first, n_edges, xs, ys, x_next, y_next) \
+        -> np.ndarray:
+    """Crossing parity of each point over the edges of its own ring.
+
+    ``_pip_block``'s test per (point, edge) pair: the straddle condition
+    ``(y1 > py) != (y2 > py)`` over tiles of at most ``PIP_POINT_BLOCK``
+    pairs (edge rows by point columns), then the crossing abscissa only
+    for the pairs that straddle, the pairs for which ``_pip_block``'s
+    masked value can be True.  Parity is a count mod 2, order-free, so
+    the result equals the per-ring kernel's bit for bit.  A ring with
+    fewer than 3 edges raises as preparing it would.
+    """
+    start, count = first[ring], n_edges[ring]
+    if (count < 3).any():
+        raise ValueError("ring needs at least 3 distinct vertices")
+    crossings = np.zeros(len(px), dtype=np.int64)
+    last = len(xs) - 1
+    e0, shortest = 0, int(count.min())
+    while True:
+        # Points whose ring has an edge e0: all of them below the
+        # shortest ring.
+        live = None if e0 < shortest else np.flatnonzero(count > e0)
+        if live is None:
+            lx, ly, ls, lc = px, py, start, count
+        elif len(live):
+            lx, ly, ls, lc = px[live], py[live], start[live], count[live]
+        else:
+            return (crossings & 1).astype(bool)
+        width = min(max(1, PIP_POINT_BLOCK // len(lx)), int(lc.max()) - e0)
+        j = np.arange(e0, e0 + width)[:, None]
+        edge = np.minimum(j + ls, last)
+        straddles = (ys[edge] > ly) != (y_next[edge] > ly)
+        if e0 + width > int(lc.min()):
+            straddles &= j < lc
+        pair = np.flatnonzero(straddles)
+        e, point = edge.ravel()[pair], pair % len(lx)
+        x1, y1, y = xs[e], ys[e], ly[point]
+        x_cross = (x_next[e] - x1) * (y - y1) / (y_next[e] - y1) + x1
+        point = point[lx[point] < x_cross]
+        crossings += np.bincount(point if live is None else live[point],
+                                 minlength=len(px))
+        e0 += width
 
 
 class STRTree:

@@ -163,11 +163,11 @@ def ensemble_impacts(universe, member_events: list[list], year: int, *,
     """Unique-transceiver impact count per member event list.
 
     Each member is one task on the persistent universe pool — the join
-    task the batch overlay ships in fire slices — so an N-member
-    ensemble costs one warm pool round-trip.  The fan-out follows the
-    overlay plan, with the members' events summed into the work
-    estimate; below the crossover, or after a pool failure, the members
-    run the identical join serially.  ``year`` labels the season; the
+    task the batch overlay ships in fire slices, packed into plain
+    arrays — so an N-member ensemble costs one warm pool round-trip.
+    The fan-out follows the overlay plan, its work the candidate count
+    summed over members; below the crossover, or after a pool failure,
+    the members run the identical join in-process.  ``year`` labels the season; the
     counts do not depend on it.
     """
     from ..core.overlay import fan_out
@@ -175,8 +175,7 @@ def ensemble_impacts(universe, member_events: list[list], year: int, *,
     cells = universe.cells
     tasks = [[(event, None) for event in events]
              for events in member_events]
-    parts = fan_out(cells, workers, len(cells) * sum(map(len, tasks)),
-                    len(tasks), lambda _: tasks)
+    parts = fan_out(cells, workers, tasks)
     return [int(np.unique(hits).size) for _, hits in parts]
 
 

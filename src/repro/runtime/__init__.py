@@ -10,7 +10,7 @@ as fast as the machine allows without changing a single result bit:
   ``fork``, so they share the parent's universe and its built index
   copy-on-write;
 * :mod:`.dispatch` — the one adaptive serial/parallel plan every
-  fan-out goes through: estimated work (points × events) against one
+  fan-out goes through: a join's candidate count against one
   measured crossover, capped by the machine's core count, so parallel
   never loses to serial;
 * :mod:`.cache` — a content-addressed on-disk result cache keyed by the

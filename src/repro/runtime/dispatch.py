@@ -1,13 +1,16 @@
 """Adaptive dispatch: one worker plan for every process fan-out.
 
-Forking pays only above a crossover: pool creation plus task shipping
-costs tens to hundreds of milliseconds, while a 150k-point season
-overlay finishes serially in under ten.  :func:`plan` decides per call
+Forking pays only above a crossover: shipping tasks to a warm pool
+and merging its answers costs milliseconds, while a whole season's
+perimeter join runs in-process in a few.  :func:`plan` decides per call
 whether a fan-out can possibly pay, from three inputs:
 
-* **estimated work** — ``points × events`` joined: a season's
-  perimeters, a tick's changed perimeters, or a scenario ensemble's
-  events summed over members;
+* **the join's work** — its candidate count: the points the CSR runs
+  of every perimeter's box gather (a season's perimeters, a tick's
+  changed perimeters, or a scenario ensemble's events summed over
+  members).  ``points × events`` no longer predicts the cost of the
+  batched join: the seed engine ensemble and the paper 2019 season
+  score alike on it, yet one pays for a pool and the other does not;
 * **the machine** — never resolve more workers than there are CPU
   cores; an oversubscribed pool on a small machine only adds context
   switches to the exact same amount of arithmetic;
@@ -41,11 +44,11 @@ __all__ = [
 #: Minimum universe size before the parallel path is worth the fork cost.
 MIN_PARALLEL_POINTS = 8_192
 
-#: A fork pays off once ``points × events`` exceeds
-#: ``MIN_PARALLEL_POINTS × OVERLAY_WORK_FACTOR`` (~100M work units at
-#: the default floor — full-universe scale).  Below that the serial
-#: join finishes before a pool could even start.
-OVERLAY_WORK_FACTOR = 12_288
+#: A pool pays off once a join's candidate count reaches
+#: ``MIN_PARALLEL_POINTS × OVERLAY_WORK_FACTOR`` (see the crossover
+#: sweep in ``docs/perf.md``).  Below that the in-process join
+#: finishes before pooled tasks could come back.
+OVERLAY_WORK_FACTOR = 64
 
 #: Test hook / deployment override for the visible core count.
 #: ``None`` means trust ``os.cpu_count()``.
@@ -62,9 +65,10 @@ def cpu_budget() -> int:
 def plan(requested: int, n_points: int, work: int, units: int) -> int:
     """Workers to actually use for one perimeter-join fan-out.
 
-    ``work`` is the estimated join work, ``points × events``, and
-    ``units`` the most tasks the join can split into (fires, changed
-    perimeters, ensemble members).  Returns 1 — strictly serial, no
+    ``work`` is the join's candidate count (never more than ``points
+    × events``, so a caller may pass that bound to rule a join out
+    without counting), and ``units`` the most tasks the join can split
+    into (fires, changed perimeters, ensemble members).  Returns 1 — strictly serial, no
     pool — unless the work clears the crossover *and* the machine has
     cores to spare.
     """

@@ -98,13 +98,20 @@ def _tile_loop_assign(layer, lons, lats):
     Returns the county per point and, per point, which entry of a
     several-entry tile took it (-1 for every other rule)."""
     ncols = int(np.ceil(layer.bbox.width / layer.tile_deg))
+    nrows = int(np.ceil(layer.bbox.height / layer.tile_deg))
 
     def tile_key(lon, lat):
+        # A point off the tile grid, or with a non-finite coordinate,
+        # has no tile (key -1).
         col = np.floor((np.asarray(lon) - layer.bbox.min_lon)
-                       / layer.tile_deg).astype(np.int64)
+                       / layer.tile_deg)
         row = np.floor((np.asarray(lat) - layer.bbox.min_lat)
-                       / layer.tile_deg).astype(np.int64)
-        return row * ncols + col
+                       / layer.tile_deg)
+        keys = np.full(np.shape(col), -1, dtype=np.int64)
+        for i, (c, r) in enumerate(zip(np.ravel(col), np.ravel(row))):
+            if 0 <= c < ncols and 0 <= r < nrows:
+                keys.flat[i] = int(r) * ncols + int(c)
+        return keys
 
     by_tile: dict[int, list[int]] = {}
     centers = [c.bbox.center for c in layer.counties[layer.n_named:]]
@@ -195,6 +202,37 @@ class TestTileTable:
     replaced is the oracle."""
 
     @pytest.mark.parametrize("scale", ["tiny", "seed"])
+    def test_points_off_the_tile_grid_get_no_county(self, scale):
+        """Just past each edge of the tile grid, on every row and
+        column, and at a NaN or infinite coordinate: no county.  A
+        column past the east or west edge must not alias into the next
+        or previous row's tiles."""
+        from repro.data import universe_for_scale
+
+        layer = universe_for_scale(scale).counties
+        bbox, deg = layer.bbox, layer.tile_deg
+        n_cols = int(np.ceil(bbox.width / deg))
+        n_rows = int(np.ceil(bbox.height / deg))
+        rows = bbox.min_lat + (np.arange(n_rows) + 0.5) * deg
+        cols = bbox.min_lon + (np.arange(n_cols) + 0.5) * deg
+        east = bbox.min_lon + n_cols * deg
+        north = bbox.min_lat + n_rows * deg
+        lons = np.concatenate([
+            np.full(n_rows, np.nextafter(bbox.min_lon, -np.inf)),
+            np.full(n_rows, east), np.full(n_rows, east + 0.5 * deg),
+            cols, cols,
+            [np.nan, -100.0, np.inf, -np.inf, -100.0, -100.0, np.nan]])
+        lats = np.concatenate([
+            rows, rows, rows,
+            np.full(n_cols, np.nextafter(bbox.min_lat, -np.inf)),
+            np.full(n_cols, north),
+            [40.0, np.nan, 40.0, 40.0, np.inf, -np.inf, np.nan]])
+        # Named (metro) boxes sit well inside the grid, so every probe
+        # reaches the tile table.
+        assert (layer.assign_many(lons, lats) == -1).all()
+        assert layer.assign(-66.55, 43.11) == -1
+
+    @pytest.mark.parametrize("scale", ["tiny", "seed"])
     def test_equals_the_tile_loop(self, scale):
         from repro.data import universe_for_scale
 
@@ -206,14 +244,16 @@ class TestTileTable:
             want, entry = _tile_loop_assign(layer, lons, lats)
         assert np.array_equal(got, want)
         # Every rule of the table is reached: a named box; a
-        # single-entry tile at a point outside its county's box; a
-        # later entry of a several-entry tile; no entry at all.
+        # single-entry tile, whose county box is the whole tile, so
+        # the point lies in it; a later entry of a several-entry tile;
+        # no entry at all.
         tile = got >= layer.n_named
         in_own_box = np.array([layer.counties[c].bbox.contains(x, y)
                                for c, x, y in zip(got[tile], lons[tile],
                                                   lats[tile])])
         assert ((got >= 0) & (got < layer.n_named)).any()
-        assert (~in_own_box & (entry[tile] < 0)).any()
+        single = entry[tile] < 0
+        assert single.any() and in_own_box[single].all()
         assert (entry > 0).any()
         assert (got < 0).sum() > 100
         sample = np.arange(0, len(lons), 997)

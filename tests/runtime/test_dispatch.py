@@ -4,8 +4,9 @@ The dispatcher's contract is one-sided: parallel must never be chosen
 where it would lose.  These tests pin the serial decisions below every
 gate of :func:`dispatch.plan` (work floor, crossover, unit count, core
 budget) and the resolved worker counts above them; check that a delta
-tick meets each gate exactly where an overlay of the same points ×
-fires does; and prove end to end that sub-crossover and core-starved
+tick meets each gate exactly where an overlay of the same fires does,
+the crossover pinned on both sides of the tick's candidate count; and
+prove end to end that sub-crossover and core-starved
 fan-outs with ``workers > 1``, and every WHP classification, never
 touch the pool.
 """
@@ -47,9 +48,9 @@ class TestCpuBudget:
 
 
 class TestOverlayWorkers:
-    """The one rule: work is points × events against the crossover
-    ``MIN_PARALLEL_POINTS × OVERLAY_WORK_FACTOR``; units are fires,
-    changed fires or ensemble members."""
+    """The one rule: work is the join's candidate count against the
+    crossover ``MIN_PARALLEL_POINTS × OVERLAY_WORK_FACTOR``; units are
+    fires, changed fires or ensemble members."""
 
     @property
     def crossover(self) -> int:
@@ -80,18 +81,19 @@ class TestOverlayWorkers:
 
 
 class TestDeltaWorkers:
-    """A delta tick pools exactly when an overlay of the same points ×
-    fires does, gate by gate.
+    """A delta tick pools exactly when an overlay of the same fires
+    does, gate by gate.
 
-    The crossover is lowered to 1,000 points × 4 fires, and the pool
-    is replaced by a recorder that reports it unavailable: each join
-    records the workers it planned, answers serially and forks
-    nothing.
+    Work is the join's candidate count: the crossover is set half a
+    candidate below the tick's count (the work clears it) or half a
+    candidate above it (it does not).  The pool is replaced by a
+    recorder that reports it unavailable: each join records the
+    workers it planned, answers serially and forks nothing.
     """
 
     @pytest.fixture(autouse=True)
     def _recorded_pool(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR", 4)
+        self.monkeypatch = monkeypatch
         self.requests: list[int] = []
 
         def unavailable(name, workers, token, fn, tasks, **kwargs):
@@ -106,8 +108,10 @@ class TestDeltaWorkers:
         self.requests.clear()
         return planned
 
-    def plan(self, requested: int, n_points: int, n_fires: int) -> int:
-        """Workers one growth tick of ``n_fires`` changed fronts plans;
+    def plan(self, requested: int, n_points: int, n_fires: int, *,
+             margin: float = -0.5) -> int:
+        """Workers one growth tick of ``n_fires`` changed fronts plans
+        with the crossover ``margin`` candidates off the tick's count;
         asserts an overlay of the same fires plans the same."""
         cells = random_universe(41, n_points)
         ticks = growth_snapshots(41, n_fires, n_ticks=2)
@@ -115,6 +119,13 @@ class TestDeltaWorkers:
                              use_cache=False)
         deltas = [FireDelta(fire=fire) for fire in ticks[1]]
         assert len(deltas) == n_fires
+        boxes = [(b.min_lon, b.min_lat, b.max_lon, b.max_lat)
+                 for b in (fire.polygon.bbox for fire in ticks[1])]
+        work = cells.index().candidate_count(boxes)
+        assert 0 < work <= n_points * n_fires
+        self.monkeypatch.setattr(dispatch, "OVERLAY_WORK_FACTOR",
+                                 (work + margin)
+                                 / dispatch.MIN_PARALLEL_POINTS)
         self.requests.clear()
         update_overlay(cells, prev, deltas, workers=requested)
         tick = self._planned()
@@ -130,7 +141,7 @@ class TestDeltaWorkers:
         assert self.plan(4, 999, 8) == 1
 
     def test_serial_below_crossover(self):
-        assert self.plan(4, 1_000, 3) == 1
+        assert self.plan(4, 1_000, 4, margin=0.5) == 1
 
     def test_parallel_at_crossover(self):
         assert self.plan(4, 1_000, 4) == 4

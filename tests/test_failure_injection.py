@@ -215,6 +215,30 @@ def raced_dir(tmp_path_factory):
     return cache_dir, outs
 
 
+class TestSigterm:
+    def test_sigterm_runs_finally_blocks_and_exits_143(self, tmp_path):
+        """SIGTERM a cold run once the cache directory holds an entry:
+        it exits 143 with one stderr line, after its ``finally``
+        blocks removed any half-written entry."""
+        proc = _repro("--cache-dir", str(tmp_path), "all")
+        try:
+            deadline = time.monotonic() + 120
+            while not [p for p in tmp_path.glob("*.npz")
+                       if not p.name.endswith(".tmp.npz")]:
+                assert proc.poll() is None, \
+                    "the run ended before its first cache entry"
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            _kill_group(proc)
+        assert proc.returncode == 143, err.decode()[-2000:]
+        assert err.decode().splitlines() == ["repro: terminated"]
+        assert not list(tmp_path.glob("*.tmp.npz"))
+        _entries_load(tmp_path)
+
+
 class TestSharedCacheDir:
     def test_run_killed_after_first_universe_entry(self, tmp_path,
                                                    clean_all):
