@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -226,14 +227,25 @@ class CellUniverse(PointSet):
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CellUniverse":
-        """Read an OpenCelliD-layout CSV (synthetic or real)."""
+        """Read an OpenCelliD-layout CSV (synthetic or real).
+
+        A ``lon`` or ``lat`` that is not a finite number raises
+        ``ValueError`` naming the file and line.
+        """
         radio_codes = {r.name: int(r) for r in RadioType}
         rows = {"lon": [], "lat": [], "site": [], "mcc": [], "mnc": [],
                 "radio": []}
         with open(path, newline="", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                rows["lon"].append(float(rec["lon"]))
-                rows["lat"].append(float(rec["lat"]))
+            reader = csv.DictReader(fh)
+            for rec in reader:
+                lon, lat = float(rec["lon"]), float(rec["lat"])
+                if not (math.isfinite(lon) and math.isfinite(lat)):
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: non-finite "
+                        f"coordinate lon={rec['lon']!r} "
+                        f"lat={rec['lat']!r}")
+                rows["lon"].append(lon)
+                rows["lat"].append(lat)
                 rows["site"].append(int(rec.get("area") or 0))
                 rows["mcc"].append(int(rec["mcc"]))
                 rows["mnc"].append(int(rec["net"]))

@@ -172,18 +172,14 @@ class PopulationSurface:
         grid = self.grid
         for lon, lat, size in zip(town_lon, town_lat, sizes):
             # Local window of +-4 sigma to keep this O(towns).
-            row0, col0 = grid.rowcol(lon - 4 * sigma_deg,
-                                     lat + 4 * sigma_deg)
-            row1, col1 = grid.rowcol(lon + 4 * sigma_deg,
-                                     lat - 4 * sigma_deg)
-            row0 = max(int(row0), 0)
-            col0 = max(int(col0), 0)
-            row1 = min(int(row1), grid.height - 1)
-            col1 = min(int(col1), grid.width - 1)
-            if row0 > row1 or col0 > col1:
+            window = grid.window(BBox(lon - 4 * sigma_deg,
+                                      lat - 4 * sigma_deg,
+                                      lon + 4 * sigma_deg,
+                                      lat + 4 * sigma_deg))
+            if window is None:
                 continue
-            rows = np.arange(row0, row1 + 1)
-            cols = np.arange(col0, col1 + 1)
+            rows = np.arange(window[0].start, window[0].stop)
+            cols = np.arange(window[1].start, window[1].stop)
             cmesh, rmesh = np.meshgrid(cols, rows)
             flat = (rmesh * grid.width + cmesh).ravel()
             clons, clats = grid.cell_center(rmesh.ravel(), cmesh.ravel())
@@ -201,16 +197,10 @@ class PopulationSurface:
 
     def population_in_bbox(self, bbox: BBox) -> float:
         """Total population inside a lon/lat box (cell-center rule)."""
-        grid = self.grid
-        r0, c0 = grid.rowcol(bbox.min_lon, bbox.max_lat)
-        r1, c1 = grid.rowcol(bbox.max_lon, bbox.min_lat)
-        r0 = max(int(r0), 0)
-        c0 = max(int(c0), 0)
-        r1 = min(int(r1), grid.height - 1)
-        c1 = min(int(c1), grid.width - 1)
-        if r0 > r1 or c0 > c1:
+        window = self.grid.window(bbox)
+        if window is None:
             return 0.0
-        return float(self.raster.data[r0:r1 + 1, c0:c1 + 1].sum())
+        return float(self.raster.data[window].sum())
 
     def population_in_polygon(self, polygon) -> float:
         """Total population inside a polygon (cell-center rule).
@@ -219,23 +209,11 @@ class PopulationSurface:
         the same rule :meth:`population_in_bbox` applies to boxes, so the
         two agree on polygons that happen to be rectangles.
         """
-        bbox = polygon.bbox
-        grid = self.grid
-        r0, c0 = grid.rowcol(bbox.min_lon, bbox.max_lat)
-        r1, c1 = grid.rowcol(bbox.max_lon, bbox.min_lat)
-        r0 = max(int(r0), 0)
-        c0 = max(int(c0), 0)
-        r1 = min(int(r1), grid.height - 1)
-        c1 = min(int(c1), grid.width - 1)
-        if r0 > r1 or c0 > c1:
+        found = self.grid.cells_inside(polygon)
+        if found is None:
             return 0.0
-        rows = np.arange(r0, r1 + 1)
-        cols = np.arange(c0, c1 + 1)
-        cmesh, rmesh = np.meshgrid(cols, rows)
-        clons, clats = grid.cell_center(rmesh.ravel(), cmesh.ravel())
-        inside = polygon.contains_many(clons, clats)
-        window = self.raster.data[r0:r1 + 1, c0:c1 + 1].ravel()
-        return float(window[inside].sum())
+        window, inside = found
+        return float(self.raster.data[window][inside].sum())
 
     def sample_points(self, n: int, rng: np.random.Generator,
                       exponent: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -21,16 +21,13 @@ from .geometry import (
     MultiPolygon,
     Point,
     Polygon,
-    PreparedPolygon,
     first_containing,
 )
 from .index import STRTree, UniformGridIndex
 from .predicates import (
-    PreparedRing,
     is_ccw,
     point_in_ring,
     points_in_ring,
-    prepare_ring,
     ring_area_signed,
     segments_intersect,
 )
@@ -50,7 +47,6 @@ from .raster import GridSpec, Raster, disk_footprint, rasterize_polygon
 
 __all__ = [
     "BBox", "LineString", "MultiPolygon", "Point", "Polygon",
-    "PreparedPolygon", "PreparedRing", "prepare_ring",
     "first_containing",
     "STRTree", "UniformGridIndex",
     "GridSpec", "Raster", "disk_footprint", "rasterize_polygon",

@@ -18,11 +18,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .predicates import (
+    _ring_edges,
+    _ring_parity,
     _validated_ring,
     is_ccw,
     point_in_ring,
-    points_in_ring,
-    prepare_ring,
     ring_area_signed,
 )
 from .projection import CONUS_ALBERS, sqmeters_to_acres
@@ -32,7 +32,6 @@ __all__ = [
     "BBox",
     "LineString",
     "Polygon",
-    "PreparedPolygon",
     "MultiPolygon",
     "first_containing",
 ]
@@ -136,7 +135,9 @@ class Polygon:
     """A polygon with an exterior ring and optional interior rings (holes).
 
     The exterior ring is normalized to counter-clockwise winding and holes
-    to clockwise, matching GeoJSON conventions.
+    to clockwise, matching GeoJSON conventions.  The first vectorized
+    query builds the edge table of the exterior and holes that every
+    later one reuses; pickles leave it out.
     """
 
     def __init__(self, exterior: Sequence[Sequence[float]],
@@ -144,7 +145,7 @@ class Polygon:
         self.exterior = self._normalize(exterior, ccw=True)
         self.holes = tuple(self._normalize(h, ccw=False) for h in holes)
         self._bbox = BBox.of_coords(self.exterior[:, 0], self.exterior[:, 1])
-        self._prepared: PreparedPolygon | None = None
+        self._edges: tuple | None = None
 
     @classmethod
     def from_ccw_ring(cls, exterior, bbox: BBox | None = None) \
@@ -167,7 +168,7 @@ class Polygon:
         poly.exterior = arr
         poly.holes = ()
         poly._bbox = bbox or BBox.of_coords(arr[:, 0], arr[:, 1])
-        poly._prepared = None
+        poly._edges = None
         return poly
 
     @staticmethod
@@ -184,8 +185,8 @@ class Polygon:
                 f"{len(self.holes)} holes)")
 
     def __getstate__(self):
-        # Prepared edge arrays are cheap to rebuild and only bloat pickles
-        # shipped to worker processes; drop them.
+        # The edge table is cheap to rebuild and only bloats pickles
+        # shipped to worker processes; drop it.
         return {"exterior": self.exterior, "holes": self.holes,
                 "_bbox": self._bbox}
 
@@ -193,27 +194,47 @@ class Polygon:
         self.exterior = state["exterior"]
         self.holes = state["holes"]
         self._bbox = state["_bbox"]
-        self._prepared = None
+        self._edges = None
 
     @property
     def bbox(self) -> BBox:
         return self._bbox
 
-    @property
-    def prepared(self) -> "PreparedPolygon":
-        """Prepared form of this polygon, built lazily and cached."""
-        if self._prepared is None:
-            self._prepared = PreparedPolygon(self.exterior, self.holes,
-                                             bbox=self._bbox)
-        return self._prepared
+    def _edge_table(self) -> tuple:
+        """The ``_ring_edges`` table of the exterior (ring 0) and the
+        holes, built on first use."""
+        if self._edges is None:
+            rings = (self.exterior, *self.holes)
+            offsets = np.cumsum([0, *map(len, rings)])
+            self._edges = _ring_edges(np.concatenate(rings), offsets)
+        return self._edges
 
     def contains(self, lon: float, lat: float) -> bool:
         """True if the point is inside the polygon (and not in a hole)."""
-        return self.prepared.contains(lon, lat)
+        if not self._bbox.contains(lon, lat):
+            return False
+        if not point_in_ring(lon, lat, self.exterior):
+            return False
+        return not any(point_in_ring(lon, lat, h) for h in self.holes)
 
     def contains_many(self, lons, lats) -> np.ndarray:
-        """Vectorized containment test for arrays of points."""
-        return self.prepared.contains_many(lons, lats)
+        """Vectorized containment test for arrays of points of one
+        shape; returns a boolean array of that shape.
+
+        The points inside the bbox take the crossing-number kernel over
+        the exterior and over each hole of the cached edge table.
+        """
+        lons = np.asarray(lons, dtype=float)
+        lats = np.asarray(lats, dtype=float)
+        result = self._bbox.contains_many(lons, lats)
+        if result.any():
+            px, py = lons[result], lats[result]
+            table = self._edge_table()
+            inside = _ring_parity(px, py, 0, *table)
+            for hole in range(1, 1 + len(self.holes)):
+                inside &= ~_ring_parity(px, py, hole, *table)
+            result[result] = inside
+        return result
 
     def area_sqm(self) -> float:
         """True (equal-area-projected) polygon area in square meters."""
@@ -233,9 +254,9 @@ class Polygon:
 
     def centroid(self) -> Point:
         """Area-weighted centroid of the exterior ring (lon/lat degrees)."""
-        ring = self.prepared.exterior
-        xs, ys = ring.xs, ring.ys
-        x_next, y_next = ring.x_next, ring.y_next
+        _, n_edges, xs, ys, x_next, y_next = self._edge_table()
+        n = n_edges[0]
+        xs, ys, x_next, y_next = xs[:n], ys[:n], x_next[:n], y_next[:n]
         cross = xs * y_next - x_next * ys
         area2 = cross.sum()
         if abs(area2) < 1e-15:
@@ -243,63 +264,6 @@ class Polygon:
         cx = float(((xs + x_next) * cross).sum() / (3.0 * area2))
         cy = float(((ys + y_next) * cross).sum() / (3.0 * area2))
         return Point(cx, cy)
-
-
-class PreparedPolygon:
-    """A polygon with every per-query array precomputed.
-
-    The spatial join tests each fire perimeter against thousands of
-    candidate chunks; preparing the rings once (edge arrays, closure trim,
-    bbox) turns the per-query cost into pure vectorized arithmetic.
-    Results are bit-identical to the unprepared path — preparation caches
-    arrays, it never changes an expression.
-
-    Satisfies the same query protocol the spatial indexes rely on
-    (``bbox``, ``contains``, ``contains_many``), so a ``PreparedPolygon``
-    can be passed anywhere a :class:`Polygon` is queried.
-    """
-
-    __slots__ = ("exterior", "holes", "bbox")
-
-    def __init__(self, exterior, holes: Iterable = (),
-                 bbox: BBox | None = None):
-        self.exterior = prepare_ring(exterior)
-        self.holes = tuple(prepare_ring(h) for h in holes)
-        if bbox is None:
-            bbox = BBox.of_coords(self.exterior.xs, self.exterior.ys)
-        self.bbox = bbox
-
-    @classmethod
-    def of(cls, polygon: "Polygon") -> "PreparedPolygon":
-        return polygon.prepared
-
-    def __repr__(self) -> str:
-        return (f"PreparedPolygon({self.exterior.n} vertices, "
-                f"{len(self.holes)} holes)")
-
-    def contains(self, lon: float, lat: float) -> bool:
-        """True if the point is inside the polygon (and not in a hole)."""
-        if not self.bbox.contains(lon, lat):
-            return False
-        if not point_in_ring(lon, lat, self.exterior):
-            return False
-        return not any(point_in_ring(lon, lat, h) for h in self.holes)
-
-    def contains_many(self, lons, lats) -> np.ndarray:
-        """Vectorized containment test for arrays of points."""
-        lons = np.asarray(lons, dtype=float)
-        lats = np.asarray(lats, dtype=float)
-        result = self.bbox.contains_many(lons, lats)
-        if not result.any():
-            return result
-        idx = np.nonzero(result)[0]
-        inside = points_in_ring(lons[idx], lats[idx], self.exterior)
-        for hole in self.holes:
-            in_hole = points_in_ring(lons[idx], lats[idx], hole)
-            inside &= ~in_hole
-        result[:] = False
-        result[idx[inside]] = True
-        return result
 
 
 class MultiPolygon:

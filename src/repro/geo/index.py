@@ -29,7 +29,7 @@ import numpy as np
 
 from ..runtime.stats import STATS
 from .geometry import BBox, MultiPolygon, Polygon
-from .predicates import _CLOSE_ATOL, _CLOSE_RTOL, PIP_POINT_BLOCK
+from .predicates import PIP_POINT_BLOCK, _ring_edges, _ring_parity
 
 __all__ = ["UniformGridIndex", "STRTree"]
 
@@ -254,9 +254,8 @@ class UniformGridIndex:
         * every ring's CSR runs come from one vectorized pass;
         * candidates are gathered and box-tested in blocks of at most
           ``PIP_POINT_BLOCK``, in ring order and run order;
-        * each survivor's crossing parity is taken over its own ring,
-          trimmed of a closing vertex as ``PreparedRing`` trims it,
-          with ``_pip_block``'s float expression.
+        * each survivor takes ``_ring_parity``'s crossing-number test
+          over its own ring, the test ``Polygon.contains_many`` runs.
         """
         coords = np.asarray(coords, dtype=float).reshape(-1, 2)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -414,76 +413,6 @@ class UniformGridIndex:
         STATS.count("index.pip_skipped", len(prev_hits))
         STATS.count("index.pip_hits", len(out))
         return out
-
-
-def _ring_edges(coords: np.ndarray, offsets: np.ndarray):
-    """``(first, n_edges, xs, ys, x_next, y_next)`` of concatenated rings.
-
-    Each ring is trimmed as ``PreparedRing`` trims it: a last vertex
-    within ``np.allclose`` of the first (``_coords_close``'s expression)
-    is dropped.  Edge ``k`` of ring ``r`` runs from vertex
-    ``first[r] + k`` to its ``x_next``/``y_next``, which wrap to the
-    ring's first vertex after its last kept one.
-    """
-    xs = np.ascontiguousarray(coords[:, 0])
-    ys = np.ascontiguousarray(coords[:, 1])
-    first = offsets[:-1]
-    n_edges = offsets[1:] - first
-    two = np.flatnonzero(n_edges >= 2)
-    a, b = first[two], first[two] + n_edges[two] - 1
-    closed = ((np.abs(xs[a] - xs[b])
-               <= _CLOSE_ATOL + _CLOSE_RTOL * np.abs(xs[b]))
-              & (np.abs(ys[a] - ys[b])
-                 <= _CLOSE_ATOL + _CLOSE_RTOL * np.abs(ys[b])))
-    n_edges[two[closed]] -= 1
-    nxt = np.minimum(np.arange(1, len(xs) + 1), max(len(xs) - 1, 0))
-    kept = np.flatnonzero(n_edges > 0)
-    nxt[first[kept] + n_edges[kept] - 1] = first[kept]
-    return first, n_edges, xs, ys, xs[nxt], ys[nxt]
-
-
-def _ring_parity(px, py, ring, first, n_edges, xs, ys, x_next, y_next) \
-        -> np.ndarray:
-    """Crossing parity of each point over the edges of its own ring.
-
-    ``_pip_block``'s test per (point, edge) pair: the straddle condition
-    ``(y1 > py) != (y2 > py)`` over tiles of at most ``PIP_POINT_BLOCK``
-    pairs (edge rows by point columns), then the crossing abscissa only
-    for the pairs that straddle, the pairs for which ``_pip_block``'s
-    masked value can be True.  Parity is a count mod 2, order-free, so
-    the result equals the per-ring kernel's bit for bit.  A ring with
-    fewer than 3 edges raises as preparing it would.
-    """
-    start, count = first[ring], n_edges[ring]
-    if (count < 3).any():
-        raise ValueError("ring needs at least 3 distinct vertices")
-    crossings = np.zeros(len(px), dtype=np.int64)
-    last = len(xs) - 1
-    e0, shortest = 0, int(count.min())
-    while True:
-        # Points whose ring has an edge e0: all of them below the
-        # shortest ring.
-        live = None if e0 < shortest else np.flatnonzero(count > e0)
-        if live is None:
-            lx, ly, ls, lc = px, py, start, count
-        elif len(live):
-            lx, ly, ls, lc = px[live], py[live], start[live], count[live]
-        else:
-            return (crossings & 1).astype(bool)
-        width = min(max(1, PIP_POINT_BLOCK // len(lx)), int(lc.max()) - e0)
-        j = np.arange(e0, e0 + width)[:, None]
-        edge = np.minimum(j + ls, last)
-        straddles = (ys[edge] > ly) != (y_next[edge] > ly)
-        if e0 + width > int(lc.min()):
-            straddles &= j < lc
-        pair = np.flatnonzero(straddles)
-        e, point = edge.ravel()[pair], pair % len(lx)
-        x1, y1, y = xs[e], ys[e], ly[point]
-        x_cross = (x_next[e] - x1) * (y - y1) / (y_next[e] - y1) + x1
-        point = point[lx[point] < x_cross]
-        crossings += np.bincount(point if live is None else live[point],
-                                 minlength=len(px))
-        e0 += width
 
 
 class STRTree:

@@ -1,20 +1,21 @@
 """Low-level geometric predicates.
 
-These are the inner loops of the spatial-join engine: point-in-ring tests
-(both a scalar version and a numpy-vectorized version used for millions of
-transceivers at once) and segment intersection.
+These are the inner loops of the spatial-join engine.  Every vectorized
+point-in-polygon test runs one crossing-number kernel,
+:func:`_ring_parity`, over an edge table of one or more rings built by
+:func:`_ring_edges`: ``Polygon.contains_many`` over its exterior and
+holes, :func:`points_in_ring` over one ring, the grid index's batched
+ring join over a whole task's perimeters, and the raster's cell-centre
+rule through ``contains_many``.  Beside it stand the scalar
+:func:`point_in_ring`, which counts boundary points as inside, the
+per-edge loop :func:`points_in_ring_serial`, kept as the differential
+oracle, and segment intersection.
 
 All functions operate on plain coordinates; the coordinate system is
 whichever the caller uses consistently (lon/lat degrees everywhere in this
 package — point-in-polygon is affine-invariant so degrees are fine).
-
-Rings may be given as plain (N, 2) array-likes or as :class:`PreparedRing`
-objects.  Preparation front-loads the validation, closure trim, and edge
-array construction that every predicate needs, so a ring queried thousands
-of times (one fire perimeter against every chunk of a 5M-point universe)
-pays that cost exactly once.  Prepared and unprepared paths produce
-bit-identical results: preparation only caches arrays, it never changes an
-arithmetic expression.
+A ring is an (N, 2) array-like; a trailing vertex within ``np.allclose``
+of the first is dropped when a ring is read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "PreparedRing",
-    "prepare_ring",
     "point_in_ring",
     "points_in_ring",
     "points_in_ring_serial",
@@ -39,6 +38,11 @@ __all__ = [
 _CLOSE_RTOL = 1.0e-5
 _CLOSE_ATOL = 1.0e-8
 
+#: (edge, point) pairs per tile of the crossing-number kernel, which
+#: bounds its 2-D temporaries, and candidates per block of the grid
+#: index's batched ring join.
+PIP_POINT_BLOCK = 65_536
+
 
 def _coords_close(ax: float, ay: float, bx: float, by: float) -> bool:
     """Scalar equivalent of ``np.allclose([ax, ay], [bx, by])``."""
@@ -46,11 +50,17 @@ def _coords_close(ax: float, ay: float, bx: float, by: float) -> bool:
             and abs(ay - by) <= _CLOSE_ATOL + _CLOSE_RTOL * abs(by))
 
 
-def _validated_ring(ring) -> np.ndarray:
-    """Validate an (N, 2) ring array-like; trim a closing vertex."""
+def _ring_coords(ring) -> np.ndarray:
+    """An (N, 2) ring array-like as a float array; raises otherwise."""
     arr = np.asarray(ring, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("ring must be an (N, 2) array of coordinates")
+    return arr
+
+
+def _validated_ring(ring) -> np.ndarray:
+    """Validate an (N, 2) ring array-like; trim a closing vertex."""
+    arr = _ring_coords(ring)
     if len(arr) >= 2 and _coords_close(arr[0, 0], arr[0, 1],
                                        arr[-1, 0], arr[-1, 1]):
         arr = arr[:-1]
@@ -59,55 +69,11 @@ def _validated_ring(ring) -> np.ndarray:
     return arr
 
 
-class PreparedRing:
-    """A ring with its per-query arrays computed once.
-
-    Holds the open (no duplicated closing vertex) coordinate arrays plus
-    the rolled-by-one edge endpoint arrays that every crossing-number and
-    shoelace computation needs.  ``edges`` is the same data as a list of
-    Python float 4-tuples, which the edge loop in :func:`points_in_ring`
-    iterates faster than numpy scalars.
-    """
-
-    __slots__ = ("xs", "ys", "x_next", "y_next", "edges", "n")
-
-    def __init__(self, ring):
-        if isinstance(ring, PreparedRing):
-            raise TypeError("ring is already prepared")
-        arr = _validated_ring(ring)
-        xs = np.ascontiguousarray(arr[:, 0])
-        ys = np.ascontiguousarray(arr[:, 1])
-        # Identical element values/order to np.roll(a, -1), much cheaper.
-        self.xs = xs
-        self.ys = ys
-        self.x_next = np.concatenate((xs[1:], xs[:1]))
-        self.y_next = np.concatenate((ys[1:], ys[:1]))
-        self.edges = list(zip(xs.tolist(), ys.tolist(),
-                              self.x_next.tolist(), self.y_next.tolist()))
-        self.n = len(xs)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:
-        return f"PreparedRing({self.n} vertices)"
-
-
-def prepare_ring(ring) -> PreparedRing:
-    """Prepare a ring, or return it unchanged if already prepared."""
-    if isinstance(ring, PreparedRing):
-        return ring
-    return PreparedRing(ring)
-
-
 def _ring_arrays(ring) -> tuple[np.ndarray, np.ndarray]:
     """Return (xs, ys) for a ring given as an (N, 2) array-like.
 
     A trailing vertex equal to the first is tolerated but not required.
-    Prepared rings return their cached arrays without revalidation.
     """
-    if isinstance(ring, PreparedRing):
-        return ring.xs, ring.ys
     arr = _validated_ring(ring)
     return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
@@ -134,88 +100,127 @@ def point_in_ring(x: float, y: float, ring) -> bool:
     return inside
 
 
-#: Edge rows per batched crossing-number block.  Together with
-#: ``PIP_POINT_BLOCK`` this bounds every 2-D temporary of the batch
-#: kernel to ``PIP_EDGE_BLOCK x PIP_POINT_BLOCK`` doubles (~64 MB at the
-#: defaults), so a 5M-point candidate set streams through bounded tiles.
-PIP_EDGE_BLOCK = 128
+def _ring_edges(coords: np.ndarray, offsets: np.ndarray):
+    """``(first, n_edges, xs, ys, x_next, y_next)`` of concatenated rings.
 
-#: Points per batched crossing-number block (columns of the 2-D tile).
-PIP_POINT_BLOCK = 65_536
+    Ring ``r`` is ``coords[offsets[r]:offsets[r + 1]]``.  A last vertex
+    within ``np.allclose`` of the ring's first (``_coords_close``'s
+    expression) is dropped, and a ring left with fewer than 3 edges
+    raises.  Edge ``k`` of ring ``r`` runs from vertex ``first[r] + k``
+    to its ``x_next``/``y_next``, which wrap to the ring's first vertex
+    after its last kept one.
+    """
+    xs = np.ascontiguousarray(coords[:, 0])
+    ys = np.ascontiguousarray(coords[:, 1])
+    first = offsets[:-1]
+    n_edges = offsets[1:] - first
+    two = np.flatnonzero(n_edges >= 2)
+    a, b = first[two], first[two] + n_edges[two] - 1
+    closed = ((np.abs(xs[a] - xs[b])
+               <= _CLOSE_ATOL + _CLOSE_RTOL * np.abs(xs[b]))
+              & (np.abs(ys[a] - ys[b])
+                 <= _CLOSE_ATOL + _CLOSE_RTOL * np.abs(ys[b])))
+    n_edges[two[closed]] -= 1
+    if (n_edges < 3).any():
+        raise ValueError("ring needs at least 3 distinct vertices")
+    nxt = np.minimum(np.arange(1, len(xs) + 1), len(xs) - 1)
+    nxt[first + n_edges - 1] = first
+    return first, n_edges, xs, ys, xs[nxt], ys[nxt]
+
+
+def _ring_parity(px, py, ring, first, n_edges, xs, ys, x_next, y_next) \
+        -> np.ndarray:
+    """Crossing-number test of each point over the edges of its ring.
+
+    ``ring`` is each point's ring number in the ``_ring_edges`` table
+    that follows it, or one number for all the points.  The straddle
+    condition ``(y1 > py) != (y2 > py)`` is taken over tiles of at most
+    ``PIP_POINT_BLOCK`` (edge, point) pairs, edge rows by point columns,
+    and the crossing abscissa ``x_cross = (x2 - x1) * (py - y1) / (y2 -
+    y1) + x1`` with its test ``px < x_cross`` only for the pairs that
+    straddle.  A horizontal edge never straddles, so its division never
+    runs, and a NaN coordinate straddles nothing.  Parity is a count
+    mod 2, so the order of the pairs does not matter.
+    """
+    start, count = first[ring], n_edges[ring]
+    crossings = np.zeros(len(px), dtype=np.int64)
+    shortest, longest = (int(count.min()), int(count.max())) if len(px) \
+        else (0, 0)
+    e0 = 0
+    while e0 < longest:
+        # The points whose ring has an edge e0: all of them below the
+        # shortest ring.
+        live = None if e0 < shortest else np.flatnonzero(count > e0)
+        if live is None:
+            lx, ly, ls, lc = px, py, start, count
+        else:
+            lx, ly, ls, lc = px[live], py[live], start[live], count[live]
+        width = min(max(1, PIP_POINT_BLOCK // len(lx)), longest - e0)
+        j = np.arange(e0, e0 + width)[:, None]
+        edge = j + ls
+        # Past a ring's last edge, a tile row reads a clamped stand-in
+        # edge whose pairs are masked out.
+        ragged = e0 + width > shortest
+        if ragged:
+            edge = np.minimum(edge, len(xs) - 1)
+        straddles = (ys[edge] > ly) != (y_next[edge] > ly)
+        if ragged:
+            straddles &= j < lc
+        row, point = np.divmod(np.flatnonzero(straddles), len(lx))
+        e = e0 + row + (ls[point] if np.ndim(ls) else ls)
+        x1, y1, y = xs[e], ys[e], ly[point]
+        x_cross = (x_next[e] - x1) * (y - y1) / (y_next[e] - y1) + x1
+        point = point[lx[point] < x_cross]
+        crossings += np.bincount(point if live is None else live[point],
+                                 minlength=len(px))
+        e0 += width
+    return (crossings & 1).astype(bool)
 
 
 def points_in_ring(xs, ys, ring) -> np.ndarray:
-    """Vectorized crossing-number test (batched 2-D kernel).
+    """Vectorized crossing-number test: :func:`_ring_parity` over one
+    ring.
 
-    Evaluates edges x points as bounded 2-D blocks and XOR-reduces the
-    crossing parity over the edge axis.  Every element runs the exact
-    arithmetic of the per-edge loop in :func:`points_in_ring_serial`
-    (``x_cross = (x2-x1)*(py-y1)/(y2-y1)+x1`` then ``px < x_cross``),
-    and XOR is order-independent, so the result is bit-identical to the
-    serial kernel — the scale-stratified differential tier enforces it.
+    Bit-identical to the per-edge loop :func:`points_in_ring_serial`;
+    the scale-stratified differential tier enforces it.
 
     Parameters
     ----------
     xs, ys:
-        1-D arrays of point coordinates.
+        Arrays of point coordinates, of one shape.
     ring:
-        (N, 2) array-like of ring vertices, or a :class:`PreparedRing`.
+        (N, 2) array-like of ring vertices.
 
     Returns
     -------
-    Boolean array, True where the point is strictly inside or (to floating
-    point tolerance of the crossing rule) on the boundary.
+    Boolean array of the points' shape, True where the point is strictly
+    inside or (to floating point tolerance of the crossing rule) on the
+    boundary.
     """
     px = np.asarray(xs, dtype=float)
     py = np.asarray(ys, dtype=float)
-    ring = prepare_ring(ring)
-
-    inside = np.zeros(px.shape, dtype=bool)
-    n = px.size
-    if n == 0:
-        return inside
-    flat_px = px.reshape(-1)
-    flat_py = py.reshape(-1)
-    flat_inside = inside.reshape(-1)
-    for p0 in range(0, n, PIP_POINT_BLOCK):
-        p1 = min(n, p0 + PIP_POINT_BLOCK)
-        _pip_block(ring, flat_px[p0:p1], flat_py[p0:p1],
-                   flat_inside[p0:p1])
-    return inside
-
-
-def _pip_block(ring: PreparedRing, px: np.ndarray, py: np.ndarray,
-               out: np.ndarray) -> None:
-    """Crossing parity of one point block, accumulated into ``out``."""
-    for e0 in range(0, ring.n, PIP_EDGE_BLOCK):
-        e1 = min(ring.n, e0 + PIP_EDGE_BLOCK)
-        x1 = ring.xs[e0:e1, None]
-        y1 = ring.ys[e0:e1, None]
-        x2 = ring.x_next[e0:e1, None]
-        y2 = ring.y_next[e0:e1, None]
-        cond = (y1 > py) != (y2 > py)
-        # Horizontal edges divide by zero; ``cond`` is False there, and
-        # a comparison against the resulting inf/nan is False too, so
-        # the masked value never reaches the parity.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = (x2 - x1) * (py - y1) / (y2 - y1) + x1
-        out ^= np.bitwise_xor.reduce(cond & (px < x_cross), axis=0)
+    coords = _ring_coords(ring)
+    table = _ring_edges(coords, np.array([0, len(coords)]))
+    inside = _ring_parity(px.reshape(-1), py.reshape(-1), 0, *table)
+    return inside.reshape(px.shape)
 
 
 def points_in_ring_serial(xs, ys, ring) -> np.ndarray:
     """Reference crossing-number kernel: per-edge loop over the ring.
 
     The original vectorized-over-points implementation, kept as the
-    differential oracle for :func:`points_in_ring` — the batch kernel
+    differential oracle for :func:`_ring_parity` — every batched test
     must reproduce this bit-for-bit on any input.
     """
     px = np.asarray(xs, dtype=float)
     py = np.asarray(ys, dtype=float)
-    ring = prepare_ring(ring)
+    x1s, y1s = _ring_arrays(ring)
+    x2s, y2s = np.roll(x1s, -1), np.roll(y1s, -1)
 
     inside = np.zeros(px.shape, dtype=bool)
     # Loop over edges (rings are small), vectorize over points (millions).
-    for x1, y1, x2, y2 in ring.edges:
+    for x1, y1, x2, y2 in zip(x1s.tolist(), y1s.tolist(),
+                              x2s.tolist(), y2s.tolist()):
         cond = (y1 > py) != (y2 > py)
         if not cond.any():
             continue
@@ -270,13 +275,9 @@ def ring_area_signed(ring) -> float:
 
     Positive for counter-clockwise rings.
     """
-    if isinstance(ring, PreparedRing):
-        xs, ys = ring.xs, ring.ys
-        x_next, y_next = ring.x_next, ring.y_next
-    else:
-        xs, ys = _ring_arrays(ring)
-        x_next = np.concatenate((xs[1:], xs[:1]))
-        y_next = np.concatenate((ys[1:], ys[:1]))
+    xs, ys = _ring_arrays(ring)
+    x_next = np.concatenate((xs[1:], xs[:1]))
+    y_next = np.concatenate((ys[1:], ys[:1]))
     return float(np.sum(xs * y_next - x_next * ys) / 2.0)
 
 

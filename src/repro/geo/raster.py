@@ -4,8 +4,9 @@ The Wildfire Hazard Potential product, the population surface, and the
 raster-space buffering in §3.8 of the paper all live on regular lon/lat
 grids.  :class:`Raster` wraps a numpy array with an affine geotransform
 and provides the operations the analyses need: vectorized point sampling,
-polygon rasterization (scanline), per-class statistics, and morphological
-dilation for the "extend very-high WHP by half a mile" experiment.
+polygon rasterization (the cell-centre rule), per-class statistics, and
+morphological dilation for the "extend very-high WHP by half a mile"
+experiment.
 
 Grid convention: row 0 is the *northernmost* row (image convention, as in
 GeoTIFF).  ``transform`` maps (col, row) pixel *centers* to lon/lat.
@@ -86,6 +87,35 @@ class GridSpec:
         _, lats = self.cell_center(np.arange(self.height), 0)
         return lons, lats
 
+    def window(self, bbox: BBox) -> tuple[slice, slice] | None:
+        """Row and column slices of the cells from the one holding
+        ``bbox``'s north-west corner to the one holding its south-east
+        corner, clipped to the grid; None when no cell is left."""
+        r0, c0 = self.rowcol(bbox.min_lon, bbox.max_lat)
+        r1, c1 = self.rowcol(bbox.max_lon, bbox.min_lat)
+        r0, c0 = max(int(r0), 0), max(int(c0), 0)
+        r1 = min(int(r1), self.height - 1)
+        c1 = min(int(c1), self.width - 1)
+        if r0 > r1 or c0 > c1:
+            return None
+        return slice(r0, r1 + 1), slice(c0, c1 + 1)
+
+    def cells_inside(self, polygon) -> tuple | None:
+        """``(window, inside)``: the :meth:`window` of the polygon's
+        bbox, and whether the polygon holds each of its cell centres
+        (``contains_many``, holes respected) as a boolean array of the
+        window's shape; None when the window is empty.  A cell outside
+        the window has its centre outside the bbox."""
+        window = self.window(polygon.bbox)
+        if window is None:
+            return None
+        rows, cols = window
+        lons, lats = self.cell_center(np.arange(rows.start, rows.stop),
+                                      np.arange(cols.start, cols.stop))
+        return window, polygon.contains_many(
+            lons[None, :].repeat(len(lats), axis=0),
+            lats[:, None].repeat(len(lons), axis=1))
+
     def box_mask(self, boxes) -> np.ndarray:
         """Boolean grid mask of every cell some box touches.
 
@@ -98,10 +128,9 @@ class GridSpec:
         """
         mask = np.zeros(self.shape, dtype=bool)
         for box in boxes:
-            r0, c0 = self.rowcol(box.min_lon, box.max_lat)
-            r1, c1 = self.rowcol(box.max_lon, box.min_lat)
-            mask[max(int(r0), 0):max(int(r1) + 1, 0),
-                 max(int(c0), 0):max(int(c1) + 1, 0)] = True
+            window = self.window(box)
+            if window is not None:
+                mask[window] = True
         return mask
 
     def inside(self, rows, cols) -> np.ndarray:
@@ -374,61 +403,15 @@ def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def rasterize_polygon(grid: GridSpec, polygon: Polygon) -> np.ndarray:
-    """Scanline-rasterize a polygon onto a grid.
+    """Rasterize a polygon onto a grid.
 
     Returns a boolean mask over ``grid.shape``; a cell is marked when its
-    center is inside the polygon.  Holes are respected.
+    center is inside the polygon (:meth:`GridSpec.cells_inside`).  Holes
+    are respected.
     """
     mask = np.zeros(grid.shape, dtype=bool)
-    bbox = polygon.bbox
-    row_min, col_min = grid.rowcol(bbox.min_lon, bbox.max_lat)
-    row_max, col_max = grid.rowcol(bbox.max_lon, bbox.min_lat)
-    row_min = max(int(row_min), 0)
-    col_min = max(int(col_min), 0)
-    row_max = min(int(row_max), grid.height - 1)
-    col_max = min(int(col_max), grid.width - 1)
-    if row_min > row_max or col_min > col_max:
-        return mask
-
-    # Edge arrays are row-invariant; build them once, not per scanline.
-    edge_arrays = []
-    for ring in [polygon.exterior, *polygon.holes]:
-        xs = ring[:, 0]
-        ys = ring[:, 1]
-        edge_arrays.append((xs, ys, np.roll(xs, -1), np.roll(ys, -1)))
-    # Cell-center longitudes depend only on the column (separable grid),
-    # so the scanline x-axis is shared by every row.
-    lons = grid.axes()[0][col_min:col_max + 1]
-
-    for row in range(row_min, row_max + 1):
-        _, lat = grid.cell_center(row, 0)
-        lat = float(lat)
-        crossings: list[float] = []
-        hole_crossings: list[list[float]] = []
-        for k, (xs, ys, x_next, y_next) in enumerate(edge_arrays):
-            cond = (ys > lat) != (y_next > lat)
-            if not cond.any():
-                if k > 0:
-                    hole_crossings.append([])
-                continue
-            xc = xs[cond] + (x_next[cond] - xs[cond]) * \
-                (lat - ys[cond]) / (y_next[cond] - ys[cond])
-            if k == 0:
-                crossings = sorted(xc.tolist())
-            else:
-                hole_crossings.append(sorted(xc.tolist()))
-        if not crossings:
-            continue
-        inside = _inside_from_crossings(lons, crossings)
-        for hc in hole_crossings:
-            if hc:
-                inside &= ~_inside_from_crossings(lons, hc)
-        mask[row, col_min:col_max + 1] = inside
+    found = grid.cells_inside(polygon)
+    if found is not None:
+        window, inside = found
+        mask[window] = inside
     return mask
-
-
-def _inside_from_crossings(xs: np.ndarray, crossings: list[float]) \
-        -> np.ndarray:
-    """Even-odd test given sorted scanline crossing x-coordinates."""
-    counts = np.searchsorted(np.asarray(crossings), xs, side="right")
-    return (counts % 2) == 1

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.cities import city_by_name
 from repro.data.population import CONUS_POPULATION, PopulationSurface
-from repro.geo.geometry import BBox
+from repro.geo.geometry import BBox, Polygon
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,57 @@ class TestSurface:
     def test_population_in_bbox_total(self, pop):
         total = pop.population_in_bbox(pop.grid.bbox)
         assert total == pytest.approx(CONUS_POPULATION, rel=1e-6)
+
+
+def _meshgrid_population(surface, polygon) -> float:
+    """Oracle: the meshgrid sum ``population_in_polygon`` ran before
+    the cell-centre rule moved into ``GridSpec.cells_inside``, kept
+    verbatim."""
+    bbox = polygon.bbox
+    grid = surface.grid
+    r0, c0 = grid.rowcol(bbox.min_lon, bbox.max_lat)
+    r1, c1 = grid.rowcol(bbox.max_lon, bbox.min_lat)
+    r0 = max(int(r0), 0)
+    c0 = max(int(c0), 0)
+    r1 = min(int(r1), grid.height - 1)
+    c1 = min(int(c1), grid.width - 1)
+    if r0 > r1 or c0 > c1:
+        return 0.0
+    rows = np.arange(r0, r1 + 1)
+    cols = np.arange(c0, c1 + 1)
+    cmesh, rmesh = np.meshgrid(cols, rows)
+    clons, clats = grid.cell_center(rmesh.ravel(), cmesh.ravel())
+    inside = polygon.contains_many(clons, clats)
+    window = surface.raster.data[r0:r1 + 1, c0:c1 + 1].ravel()
+    return float(window[inside].sum())
+
+
+class TestPopulationInPolygon:
+    def test_equals_the_meshgrid_sum(self, universe):
+        """Fire perimeters, holed stars and shapes partly or wholly off
+        the grid sum to the oracle's float, bit for bit."""
+        surface = universe.population
+        rng = np.random.default_rng(11)
+        shapes = [fire.polygon for year in (2017, 2019)
+                  for fire in universe.fire_season(year).fires[:40]]
+        edge = surface.grid.bbox
+        for cx, cy in [(-118.2, 34.1), (-98.0, 38.0),
+                       (edge.min_lon, edge.max_lat),
+                       (edge.max_lon + 0.5, edge.min_lat - 0.5),
+                       (0.0, 0.0)]:
+            theta = np.linspace(0, 2 * np.pi, 17, endpoint=False)
+            radii = rng.uniform(0.3, 1.5, 17)
+
+            def ring(k):
+                return np.column_stack([cx + k * radii * np.cos(theta),
+                                        cy + k * radii * np.sin(theta)])
+
+            shapes += [Polygon(ring(1.0)),
+                       Polygon(ring(1.0), holes=[ring(0.4)])]
+        got = [surface.population_in_polygon(p) for p in shapes]
+        want = [_meshgrid_population(surface, p) for p in shapes]
+        assert got == want
+        assert any(w > 0 for w in want) and want[-1] == 0.0
 
 
 class TestSampling:

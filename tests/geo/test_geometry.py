@@ -100,6 +100,19 @@ class TestPolygon:
         vec = p.contains_many([-99.5, -99.9], [35.5, 35.9])
         np.testing.assert_array_equal(vec, [False, True])
 
+    def test_contains_many_keeps_a_2d_shape(self):
+        """A (2, 2) query answers in a (2, 2) array, as
+        ``BBox.contains_many`` does, holes and all."""
+        hole = [(-99.7, 35.3), (-99.3, 35.3), (-99.3, 35.7), (-99.7, 35.7)]
+        lons = np.array([[-99.5, -99.9], [-98.0, -99.1]])
+        lats = np.array([[35.5, 35.9], [35.5, 35.1]])
+        want = np.array([[False, True], [False, True]])
+        for shape in (Polygon(SQUARE, holes=[hole]),
+                      MultiPolygon([Polygon(SQUARE, holes=[hole])])):
+            got = shape.contains_many(lons, lats)
+            assert got.shape == (2, 2)
+            np.testing.assert_array_equal(got, want)
+
     def test_area_one_degree_cell(self):
         p = Polygon(SQUARE)
         mx, my = meters_per_degree(35.5)

@@ -1,20 +1,21 @@
 """Property-based tests (hypothesis) for the geometry engine."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geo.geometry import (
     BBox,
     MultiPolygon,
     Polygon,
-    PreparedPolygon,
     first_containing,
 )
 from repro.geo.index import STRTree, UniformGridIndex
 from repro.geo.predicates import (
+    PIP_POINT_BLOCK,
     point_in_ring,
     points_in_ring,
-    prepare_ring,
+    points_in_ring_serial,
     ring_area_signed,
 )
 from repro.geo.projection import CONUS_ALBERS, haversine_m
@@ -27,6 +28,13 @@ conus_lat = st.floats(min_value=25.0, max_value=49.0,
                       allow_nan=False, allow_infinity=False)
 
 
+def _star(cx, cy, radii):
+    theta = np.linspace(0, 2 * np.pi, len(radii), endpoint=False)
+    r = np.asarray(radii)
+    return np.column_stack([cx + r * np.cos(theta),
+                            cy + r * np.sin(theta)])
+
+
 @st.composite
 def star_rings(draw):
     """Random star-shaped rings (always simple polygons)."""
@@ -35,10 +43,7 @@ def star_rings(draw):
     cy = draw(st.floats(min_value=30, max_value=45))
     radii = draw(st.lists(
         st.floats(min_value=0.05, max_value=2.0), min_size=n, max_size=n))
-    theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    r = np.asarray(radii)
-    return np.column_stack([cx + r * np.cos(theta),
-                            cy + r * np.sin(theta)])
+    return _star(cx, cy, radii)
 
 
 # Projection properties ------------------------------------------------
@@ -118,42 +123,153 @@ def test_points_in_ring_subset_of_bbox(ring):
     assert not (inside & ~in_box).any()
 
 
-# Prepared-geometry properties ------------------------------------------
+# One-kernel properties ---------------------------------------------------
+#
+# ``Polygon.contains_many`` and ``points_in_ring`` run one crossing-number
+# kernel over an edge table.  Their oracle is the per-edge loop
+# ``points_in_ring_serial`` over every point, with no bbox prefilter, and
+# holes and parts combined by hand.
 
-@given(star_rings(), st.integers(min_value=0, max_value=2**31 - 1))
+def _oracle(shape, lons, lats) -> np.ndarray:
+    if isinstance(shape, MultiPolygon):
+        out = np.zeros(lons.shape, dtype=bool)
+        for part in shape.polygons:
+            out |= _oracle(part, lons, lats)
+        return out
+    inside = points_in_ring_serial(lons, lats, shape.exterior)
+    for hole in shape.holes:
+        inside &= ~points_in_ring_serial(lons, lats, hole)
+    return inside
+
+
+@st.composite
+def holed_stars(draw):
+    """A star polygon with up to two holes: the ring shrunk about its
+    centre, which keeps it inside, or a free star ring anywhere."""
+    n = draw(st.integers(min_value=3, max_value=24))
+    cx = draw(st.floats(min_value=-110, max_value=-90))
+    cy = draw(st.floats(min_value=30, max_value=45))
+    radii = np.asarray(draw(st.lists(
+        st.floats(min_value=0.05, max_value=2.0), min_size=n, max_size=n)))
+    holes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if draw(st.booleans()):
+            k = draw(st.floats(min_value=0.1, max_value=0.9))
+            holes.append(_star(cx, cy, k * radii))
+        else:
+            holes.append(draw(star_rings()))
+    return Polygon(_star(cx, cy, radii), holes=holes)
+
+
+@st.composite
+def skylines(draw):
+    """An axis-parallel skyline polygon on a 0.25-degree lattice, with a
+    hole in its first bar: many horizontal edges, and exact vertex
+    coordinates for the lattice query points to land on."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=4),
+                          min_size=k, max_size=k))
+    heights = draw(st.lists(st.integers(min_value=2, max_value=8),
+                            min_size=k, max_size=k))
+    xs = -100.0 + 0.25 * np.concatenate([[0], np.cumsum(steps)])
+    ys = 35.0 + 0.25 * np.asarray(heights, dtype=float)
+    ring = [(xs[0], 35.0), (xs[-1], 35.0)]
+    for i in range(k - 1, -1, -1):
+        ring += [(xs[i + 1], ys[i]), (xs[i], ys[i])]
+    holes = []
+    if draw(st.booleans()) and steps[0] >= 3 and heights[0] >= 3:
+        holes.append([(xs[0] + 0.25, 35.25), (xs[1] - 0.25, 35.25),
+                      (xs[1] - 0.25, ys[0] - 0.25),
+                      (xs[0] + 0.25, ys[0] - 0.25)])
+    return Polygon(ring, holes=holes)
+
+
+def _query_points(shape, rng):
+    """Random points around the shape, every ring vertex, every edge
+    midpoint, the 1/8-degree lattice over the box (points on horizontal
+    edges and on horizontal rays through vertices among them) and NaN
+    coordinates."""
+    box = shape.bbox.expand(0.5)
+    lons = [rng.uniform(box.min_lon, box.max_lon, 200)]
+    lats = [rng.uniform(box.min_lat, box.max_lat, 200)]
+    for part in getattr(shape, "polygons", [shape]):
+        for ring in (part.exterior, *part.holes):
+            mid = (ring + np.roll(ring, -1, axis=0)) / 2
+            lons += [ring[:, 0], mid[:, 0]]
+            lats += [ring[:, 1], mid[:, 1]]
+    gx = np.arange(np.floor(box.min_lon * 8), np.ceil(box.max_lon * 8)) / 8
+    gy = np.arange(np.floor(box.min_lat * 8), np.ceil(box.max_lat * 8)) / 8
+    if gx.size * gy.size <= 20_000:
+        mx, my = np.meshgrid(gx, gy)
+        lons.append(mx.ravel())
+        lats.append(my.ravel())
+    lons.append([np.nan, box.min_lon, np.nan])
+    lats.append([box.min_lat, np.nan, np.nan])
+    return np.concatenate(lons), np.concatenate(lats)
+
+
+@given(st.one_of(holed_stars(), skylines()),
+       st.one_of(st.none(), holed_stars(), skylines()),
+       st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_contains_many_equals_the_serial_oracle(first, second, seed):
+    """Holed polygons and multipolygons answer as the serial oracle
+    does, on vertices, edge midpoints, horizontal edges and NaN too."""
+    shape = first if second is None else MultiPolygon([first, second])
+    lons, lats = _query_points(shape, np.random.default_rng(seed))
+    got = shape.contains_many(lons, lats)
+    assert got.dtype == bool and got.shape == lons.shape
+    assert np.array_equal(got, _oracle(shape, lons, lats))
+    assert not got[np.isnan(lons) | np.isnan(lats)].any()
+
+
+@pytest.mark.parametrize("n_vertices, n_holes", [(5, 0), (40, 1),
+                                                 (300, 2)])
+def test_more_points_than_one_tile(n_vertices, n_holes):
+    """A ring queried with more points than one ``PIP_POINT_BLOCK`` tile
+    holds answers as the serial oracle does."""
+    rng = np.random.default_rng(n_vertices)
+    radii = rng.uniform(0.2, 2.0, n_vertices)
+    polygon = Polygon(_star(-100.0, 38.0, radii),
+                      holes=[_star(-100.0, 38.0, k * radii)
+                             for k in (0.3, 0.6)[:n_holes]])
+    n = PIP_POINT_BLOCK + 4_321
+    box = polygon.bbox.expand(0.1)
+    lons = rng.uniform(box.min_lon, box.max_lon, n)
+    lats = rng.uniform(box.min_lat, box.max_lat, n)
+    assert np.array_equal(points_in_ring(lons, lats, polygon.exterior),
+                          points_in_ring_serial(lons, lats,
+                                                polygon.exterior))
+    assert np.array_equal(polygon.contains_many(lons, lats),
+                          _oracle(polygon, lons, lats))
+
+
+@given(star_rings(), st.floats(min_value=-0.5, max_value=0.5),
+       st.floats(min_value=-0.5, max_value=0.5),
+       st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_prepared_ring_matches_raw_ring(ring, seed):
-    """points_in_ring is bit-identical on prepared and raw rings."""
-    prepared = prepare_ring(ring)
-    assert ring_area_signed(prepared) == ring_area_signed(ring)
-    box = Polygon(ring).bbox.expand(0.5)
+def test_closing_vertex_within_allclose_is_trimmed(ring, fx, fy, seed):
+    """A last vertex within ``np.allclose`` of the first closes the
+    ring: every test answers as on the open ring, the trusted
+    ``Polygon.from_ccw_ring`` included."""
+    x0, y0 = ring[0]
+    closing = (x0 + fx * (1e-8 + 1e-5 * abs(x0)),
+               y0 + fy * (1e-8 + 1e-5 * abs(y0)))
+    assert np.allclose(closing, ring[0])
+    closed = np.vstack([ring, closing])
+    open_polygon = Polygon(ring)
+    box = open_polygon.bbox.expand(0.5)
     rng = np.random.default_rng(seed)
-    lons = rng.uniform(box.min_lon, box.max_lon, 96)
-    lats = rng.uniform(box.min_lat, box.max_lat, 96)
-    raw = points_in_ring(lons, lats, ring)
-    fast = points_in_ring(lons, lats, prepared)
-    assert (raw == fast).all()
-
-
-@given(star_rings(), st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_prepared_polygon_matches_exhaustive_scan(ring, seed):
-    """PreparedPolygon agrees with the scalar exhaustive reference."""
-    polygon = Polygon(ring)
-    prepared = PreparedPolygon.of(polygon)
-    box = polygon.bbox.expand(0.5)
-    rng = np.random.default_rng(seed)
-    lons = rng.uniform(box.min_lon, box.max_lon, 128)
-    lats = rng.uniform(box.min_lat, box.max_lat, 128)
-    vec = prepared.contains_many(lons, lats)
-    scalar = np.array([prepared.contains(lon, lat)
-                       for lon, lat in zip(lons, lats)])
-    # Independent oracle: the crossing test over every point with no
-    # bbox pre-filter (points outside the bbox are outside the ring, so
-    # skipping the filter changes nothing).
-    exhaustive = points_in_ring(lons, lats, polygon.exterior)
-    assert (vec == scalar).all()
-    assert (vec == exhaustive).all()
+    lons = np.concatenate([rng.uniform(box.min_lon, box.max_lon, 96),
+                           ring[:, 0]])
+    lats = np.concatenate([rng.uniform(box.min_lat, box.max_lat, 96),
+                           ring[:, 1]])
+    want = points_in_ring(lons, lats, ring)
+    assert np.array_equal(points_in_ring(lons, lats, closed), want)
+    assert np.array_equal(points_in_ring_serial(lons, lats, closed), want)
+    for polygon in (Polygon(closed), Polygon.from_ccw_ring(closed)):
+        assert np.array_equal(polygon.contains_many(lons, lats),
+                              open_polygon.contains_many(lons, lats))
 
 
 @st.composite

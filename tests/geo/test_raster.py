@@ -487,6 +487,101 @@ class TestRasterize:
         mask = rasterize_polygon(grid, p)
         assert 0 < mask.sum() < 100
 
+    @given(st.floats(min_value=-102.5, max_value=-96.5),
+           st.floats(min_value=32.5, max_value=38.5),
+           st.lists(st.floats(min_value=0.05, max_value=2.0),
+                    min_size=3, max_size=30),
+           st.lists(st.floats(min_value=0.1, max_value=0.9), max_size=2))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_equals_the_scanline_loop(self, cx, cy, radii, shrink):
+        """The cell-centre rule marks the cells the scanline loop marked,
+        for star polygons with holes and partly or wholly off the
+        grid."""
+        theta = np.linspace(0, 2 * np.pi, len(radii), endpoint=False)
+
+        def ring(k):
+            r = k * np.asarray(radii)
+            return np.column_stack([cx + r * np.cos(theta),
+                                    cy + r * np.sin(theta)])
+
+        p = Polygon(ring(1.0), holes=[ring(k) for k in shrink])
+        for res in (0.1, 0.03):
+            grid = GridSpec(BBox(-101.0, 34.0, -98.0, 37.0), res)
+            assert np.array_equal(rasterize_polygon(grid, p),
+                                  _scanline_rasterize(grid, p))
+
+    @pytest.mark.parametrize("ring", [
+        [(-100.0, 35.0), (-99.0, 35.0), (-99.0, 36.0), (-100.0, 36.0)],
+        [(-101.5, 34.5), (-100.5, 34.5), (-100.5, 35.5), (-101.5, 35.5)],
+        [(-100.05, 34.95), (-98.95, 34.95), (-98.95, 36.05)],
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+    ])
+    def test_grid_aligned_rings_equal_the_scanline_loop(self, grid, ring):
+        hole = [(-99.7, 35.3), (-99.3, 35.3), (-99.3, 35.7), (-99.7, 35.7)]
+        for p in (Polygon(ring), Polygon(ring, holes=[hole])):
+            assert np.array_equal(rasterize_polygon(grid, p),
+                                  _scanline_rasterize(grid, p))
+
+
+def _scanline_rasterize(grid, polygon):
+    """Oracle: the scanline loop ``rasterize_polygon`` ran before it
+    applied the cell-centre rule through ``contains_many``, kept
+    verbatim.  Per row, it sorts the crossing abscissae of the exterior
+    and of each hole and counts those at or left of each centre."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    bbox = polygon.bbox
+    row_min, col_min = grid.rowcol(bbox.min_lon, bbox.max_lat)
+    row_max, col_max = grid.rowcol(bbox.max_lon, bbox.min_lat)
+    row_min = max(int(row_min), 0)
+    col_min = max(int(col_min), 0)
+    row_max = min(int(row_max), grid.height - 1)
+    col_max = min(int(col_max), grid.width - 1)
+    if row_min > row_max or col_min > col_max:
+        return mask
+
+    # Edge arrays are row-invariant; build them once, not per scanline.
+    edge_arrays = []
+    for ring in [polygon.exterior, *polygon.holes]:
+        xs = ring[:, 0]
+        ys = ring[:, 1]
+        edge_arrays.append((xs, ys, np.roll(xs, -1), np.roll(ys, -1)))
+    # Cell-center longitudes depend only on the column (separable grid),
+    # so the scanline x-axis is shared by every row.
+    lons = grid.axes()[0][col_min:col_max + 1]
+
+    for row in range(row_min, row_max + 1):
+        _, lat = grid.cell_center(row, 0)
+        lat = float(lat)
+        crossings: list[float] = []
+        hole_crossings: list[list[float]] = []
+        for k, (xs, ys, x_next, y_next) in enumerate(edge_arrays):
+            cond = (ys > lat) != (y_next > lat)
+            if not cond.any():
+                if k > 0:
+                    hole_crossings.append([])
+                continue
+            xc = xs[cond] + (x_next[cond] - xs[cond]) * \
+                (lat - ys[cond]) / (y_next[cond] - ys[cond])
+            if k == 0:
+                crossings = sorted(xc.tolist())
+            else:
+                hole_crossings.append(sorted(xc.tolist()))
+        if not crossings:
+            continue
+        inside = _inside_from_crossings(lons, crossings)
+        for hc in hole_crossings:
+            if hc:
+                inside &= ~_inside_from_crossings(lons, hc)
+        mask[row, col_min:col_max + 1] = inside
+    return mask
+
+
+def _inside_from_crossings(xs: np.ndarray, crossings: list[float]) \
+        -> np.ndarray:
+    """Even-odd test given sorted scanline crossing x-coordinates."""
+    counts = np.searchsorted(np.asarray(crossings), xs, side="right")
+    return (counts % 2) == 1
+
 
 def test_tiled_sampling_counter_parity(universe, monkeypatch):
     cells = universe.cells

@@ -1,10 +1,12 @@
 """Scale-stratified differential tests for the batched hot path.
 
-PR 6 rewrote the numerical hot path three ways: a batched 2-D
-point-in-ring kernel, CSR candidate-run gathering in the grid index,
-and tiled raster sampling.  Each must be *bit-identical* to the legacy
-serial arithmetic at every scale the pipeline runs — so the oracle
-stack here is explicit:
+The numerical hot path is batched three ways: one crossing-number
+kernel over ring edge tables (``points_in_ring``,
+``Polygon.contains_many`` and the grid index's ring join all run it),
+CSR candidate-run gathering in the grid index, and tiled raster
+sampling.  Each must be *bit-identical* to the legacy serial arithmetic
+at every scale the pipeline runs — so the oracle stack here is
+explicit:
 
 * ``points_in_ring_serial`` — the original per-edge loop, kept verbatim
   as the reference kernel;
@@ -90,7 +92,7 @@ def _each_polygon(fires):
 
 @pytest.mark.parametrize("scaled", SCALES, indirect=True)
 def test_batch_pip_equals_serial_pip(scaled):
-    """The 2-D batched kernel is bitwise the per-edge loop, per ring."""
+    """The batched kernel is bitwise the per-edge loop, per ring."""
     cells, fires = scaled
     for poly in _each_polygon(fires):
         for ring in (poly.exterior, *poly.holes):

@@ -39,6 +39,19 @@ class TestMalformedCsv:
         with pytest.raises(ValueError):
             CellUniverse.from_csv(path)
 
+    @pytest.mark.parametrize("lon, lat", [("nan", "34.0"),
+                                          ("-100.0", "inf"),
+                                          ("-inf", "NaN")])
+    def test_non_finite_coordinates(self, tmp_path, lon, lat):
+        """``float`` parses nan and inf; the loader rejects them, naming
+        the line, before they reach the grid index."""
+        path = tmp_path / "bad.csv"
+        path.write_text("radio,mcc,net,area,cell,lon,lat\n"
+                        "LTE,310,410,1,1,-100.0,34.0\n"
+                        f"LTE,310,410,1,2,{lon},{lat}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            CellUniverse.from_csv(path)
+
     def test_unknown_radio_maps_to_gsm(self, tmp_path):
         """Unknown radio strings degrade gracefully (code 0 = GSM),
         mirroring how OpenCelliD rows with odd radios are ingested."""

@@ -4,8 +4,11 @@ Runtime refactors (parallelism, caching, index changes) must not move a
 single reproduced number.  These tests pin the exact values produced at
 the default test seed/size (``small_universe()``: 20k transceivers,
 seed 20190722, 0.1° WHP grid) — Table 1's in-perimeter counts, the
-Figure 7 WHP class counts behind Tables 2–3, and the §3.3
-population-served estimate.
+Figure 7 WHP class counts behind Tables 2–3, the §3.3 population-served
+estimate, the ``power`` stage's outage counts (its PSPS channel reads
+the burned cells ``rasterize_polygon`` marks) and the scripted
+incident's population exposure per tick (the stream's
+``population_in_polygon`` diff).
 
 If a PR changes these values *intentionally* (a new generator, a
 recalibration), update the constants here in the same commit and say so
@@ -82,6 +85,40 @@ GOLDEN_PROVIDER_RISK = {
     "Others": (11_803, 7_779, 1_341),
 }
 
+# ``PowerImpact`` per season on the default session power grid:
+# year -> (sites_direct, sites_indirect, sites_total_affected,
+#          substations_hit, lines_cut, indirect_ratio).
+GOLDEN_POWER_IMPACT = {
+    2000: (1, 8, 9, 1, 3, 8.0),
+    2001: (1, 60, 61, 1, 0, 60.0),
+    2002: (2, 83, 85, 1, 5, 41.5),
+    2003: (1, 1087, 1088, 0, 2, 1087.0),
+    2004: (2, 159, 161, 0, 2, 79.5),
+    2005: (1, 6, 7, 0, 1, 6.0),
+    2006: (3, 3, 6, 1, 1, 1.0),
+    2007: (0, 5, 5, 0, 0, float("inf")),
+    2008: (7, 1079, 1086, 1, 7, 154.14285714285714),
+    2009: (1, 2, 3, 0, 0, 2.0),
+    2010: (3, 1081, 1084, 0, 1, 360.3333333333333),
+    2011: (0, 7, 7, 0, 1, float("inf")),
+    2012: (3, 3, 6, 0, 1, 1.0),
+    2013: (2, 0, 2, 0, 0, 0.0),
+    2014: (1, 1087, 1088, 1, 3, 1087.0),
+    2015: (1, 475, 476, 0, 1, 475.0),
+    2016: (0, 3, 3, 0, 2, float("inf")),
+    2017: (3, 1088, 1091, 1, 7, 362.6666666666667),
+    2018: (0, 1092, 1092, 1, 6, float("inf")),
+    2019: (2, 40, 42, 0, 3, 20.0),
+}
+
+# The scripted 2019 incident at ``--scale tiny``, ``stream --ticks 8``:
+# cumulative people inside the perimeters after each tick.
+GOLDEN_INCIDENT_CUM_POPULATION = [
+    53373.19329256004, 53373.19329256004, 53373.19329256004,
+    53373.19329256004, 53373.19329256004, 53373.19329256004,
+    54018.576760136486, 54233.44598621432,
+]
+
 # Table 3: technology -> total at-risk, scaled.
 GOLDEN_TECHNOLOGY_RISK = {
     "CDMA": 45_601,
@@ -135,6 +172,28 @@ class TestProviderTechnologyGolden:
         rows = technology_risk_analysis(universe)
         assert {r.technology: r.total for r in rows} \
             == GOLDEN_TECHNOLOGY_RISK
+
+
+class TestPowerAndStreamGolden:
+    def test_power_impact_pinned(self, universe):
+        from repro.core.power import fire_power_impact
+
+        got = {}
+        for year in GOLDEN_POWER_IMPACT:
+            i = fire_power_impact(universe, year)
+            assert i.year == year
+            got[year] = (i.sites_direct, i.sites_indirect,
+                         i.sites_total_affected, i.substations_hit,
+                         i.lines_cut, i.indirect_ratio)
+        assert got == GOLDEN_POWER_IMPACT
+
+    def test_incident_population_pinned(self):
+        from repro.data.universe import universe_for_scale
+        from repro.stream.incident import run_scripted_incident
+
+        res = run_scripted_incident(universe_for_scale("tiny"), n_ticks=8)
+        assert [e.cum_population for e in res.events] \
+            == GOLDEN_INCIDENT_CUM_POPULATION
 
 
 class TestGoldenSurvivesRuntimeModes:
