@@ -30,10 +30,10 @@ hierarchical span tree — one span per stage, artifact build, join, and
 worker chunk — as Chrome ``trace_event`` JSON for Perfetto;
 ``--log-json FILE`` streams the same spans as JSON lines;
 ``--metrics FILE`` writes a Prometheus text exposition of the perf
-counters; ``--profile FILE`` runs every stage under cProfile;
-``--mem`` samples RSS/heap per artifact build.  ``repro trace
-[STAGE]`` runs a stage (default: everything) traced and prints the
-span tree.
+counters; ``--profile FILE`` runs every stage under cProfile.  Every
+traced span carries its process's memory, so the trace names the
+spans that raised the peak resident set.  ``repro trace [STAGE]``
+runs a stage (default: everything) traced and prints the span tree.
 
 Provenance (see docs/observability.md): with ``--ledger-dir DIR`` (or
 ``REPRO_LEDGER_DIR``) every run appends a manifest — git SHA, version,
@@ -161,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", metavar="FILE", default=None,
                         help="profile every stage under cProfile; dump "
                              "aggregated pstats to FILE")
-    parser.add_argument("--mem", action="store_true",
-                        help="sample RSS / Python-heap peak per "
-                             "artifact build (adds span attributes; "
-                             "needs --trace, --log-json or trace)")
     parser.add_argument("--ledger-dir", metavar="DIR", default=None,
                         help="append a run manifest (provenance, "
                              "timings, output checksums) to the ledger "
@@ -421,8 +417,6 @@ def _configure_obs(args: argparse.Namespace) -> dict:
     if args.log_json is not None:
         state["sink"] = obs.JsonlSink(args.log_json)
         state["tracer"].set_sink(state["sink"])
-    if args.mem:
-        obs.enable_memory_sampling()
     if args.profile is not None:
         state["profiler"] = obs.StageProfiler()
     return state
@@ -445,8 +439,6 @@ def _finalize_obs(args: argparse.Namespace, state: dict, out) -> None:
         state["profiler"].dump(args.profile)
         out(f"profile: {len(state['profiler'].stages)} stages -> "
             f"{args.profile}")
-    if args.mem:
-        obs.disable_memory_sampling()
     if tracer is not None:
         obs.disable()
 
@@ -498,11 +490,6 @@ def _main(argv: list[str] | None, stream) -> int:
     stream = stream or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.mem and args.trace is None and args.log_json is None \
-            and args.command != "trace":
-        # Memory attributes live on spans, and only a tracer keeps them.
-        parser.error("argument --mem: needs a span sink (--trace FILE, "
-                     "--log-json FILE or the trace subcommand)")
 
     def out(text: str) -> None:
         stream.write(text + "\n")

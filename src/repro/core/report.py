@@ -121,9 +121,12 @@ def render_span_tree(spans, *, min_ms: float = 0.0,
 
     ``spans`` is a sequence of :class:`repro.obs.Span`.  Children sort
     by start time under their parent; durations print in milliseconds
-    with each span's share of its root.  Spans shorter than ``min_ms``
-    are folded (summarized per parent as ``… n spans below min``);
-    instant events are hidden unless ``show_events``.
+    with each span's share of its root.  A span that raised its
+    process's peak resident set is marked with the rise and the peak
+    after it, ``[peak +72.3 -> 139.1 MB]`` (rises that round to 0.0 MB
+    are not marked).  Spans shorter than ``min_ms`` are folded
+    (summarized per parent as ``… n spans below min``); instant events
+    are hidden unless ``show_events``.
     """
     spans = list(spans)
     if not spans:
@@ -146,10 +149,13 @@ def render_span_tree(spans, *, min_ms: float = 0.0,
         share = f" ({sp.duration / root_total:5.1%})" \
             if root_total > 0 and sp.kind != "instant" else ""
         pid_tag = f" [pid {sp.pid}]" if sp.pid != spans[0].pid else ""
+        rise_mb = (sp.hwm_rise_kb or 0) / 1024
+        peak = f" [peak +{rise_mb:,.1f} -> {sp.hwm_kb / 1024:,.1f} MB]" \
+            if rise_mb >= 0.05 else ""
         attrs = ", ".join(f"{k}={v}" for k, v in sp.attrs.items())
         attrs = f"  {{{attrs}}}" if attrs else ""
         lines.append(f"{'  ' * depth}{label}{sp.name}  "
-                     f"{ms:,.1f}ms{share}{pid_tag}{attrs}")
+                     f"{ms:,.1f}ms{share}{pid_tag}{peak}{attrs}")
         folded = 0
         for child in by_parent.get(sp.span_id, ()):
             if child.kind != "instant" and child.duration * 1e3 < min_ms:

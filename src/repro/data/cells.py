@@ -30,7 +30,6 @@ from typing import ClassVar
 import numpy as np
 
 from ..geo.index import UniformGridIndex
-from ..obs.profile import memory_probe
 from ..obs.trace import span
 from .population import PopulationSurface
 from .providers import (
@@ -52,6 +51,9 @@ PROVIDER_GROUPS = (*MAJOR_PROVIDERS, "Others")
 
 #: Transceivers per site are drawn in ``[1, MAX_PER_SITE]``.
 MAX_PER_SITE = 12
+
+#: Cell size, in degrees, of every point set's grid index.
+INDEX_CELL_DEG = 0.25
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,14 @@ class PointSet:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} length mismatch")
 
-    def index(self, cell_deg: float = 0.25) -> UniformGridIndex:
-        """Spatial index over all points (built lazily, cached; each
-        build is a ``geo.index`` span)."""
-        if self._index is None or self._index.cell_deg != cell_deg:
+    def index(self) -> UniformGridIndex:
+        """Spatial index over all points, in ``INDEX_CELL_DEG`` cells
+        (built once, on first use, in a ``geo.index`` span)."""
+        if self._index is None:
             with span("geo.index", n_points=len(self),
-                      cell_deg=cell_deg) as sp, memory_probe(sp):
+                      cell_deg=INDEX_CELL_DEG):
                 self._index = UniformGridIndex(self.lons, self.lats,
-                                               cell_deg)
+                                               INDEX_CELL_DEG)
         return self._index
 
     def content_token(self) -> bytes:
@@ -229,7 +231,8 @@ class CellUniverse(PointSet):
     def from_csv(cls, path: str | Path) -> "CellUniverse":
         """Read an OpenCelliD-layout CSV (synthetic or real).
 
-        A ``lon`` or ``lat`` that is not a finite number raises
+        A ``lon`` or ``lat`` that is not a finite number, or an
+        ``mcc``, ``net`` or ``area`` that is not an integer, raises
         ``ValueError`` naming the file and line.
         """
         radio_codes = {r.name: int(r) for r in RadioType}
@@ -237,8 +240,18 @@ class CellUniverse(PointSet):
                 "radio": []}
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
+
+            def number(convert, column, value):
+                try:
+                    return convert(value)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: non-numeric "
+                        f"{column}={value!r}") from None
+
             for rec in reader:
-                lon, lat = float(rec["lon"]), float(rec["lat"])
+                lon = number(float, "lon", rec["lon"])
+                lat = number(float, "lat", rec["lat"])
                 if not (math.isfinite(lon) and math.isfinite(lat)):
                     raise ValueError(
                         f"{path}, line {reader.line_num}: non-finite "
@@ -246,9 +259,10 @@ class CellUniverse(PointSet):
                         f"lat={rec['lat']!r}")
                 rows["lon"].append(lon)
                 rows["lat"].append(lat)
-                rows["site"].append(int(rec.get("area") or 0))
-                rows["mcc"].append(int(rec["mcc"]))
-                rows["mnc"].append(int(rec["net"]))
+                rows["site"].append(number(int, "area",
+                                           rec.get("area") or 0))
+                rows["mcc"].append(number(int, "mcc", rec["mcc"]))
+                rows["mnc"].append(number(int, "net", rec["net"]))
                 rows["radio"].append(radio_codes.get(rec["radio"], 0))
         mcc = np.array(rows["mcc"], dtype=np.int32)
         mnc = np.array(rows["mnc"], dtype=np.int32)

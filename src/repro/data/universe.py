@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..obs.profile import memory_probe
 from ..obs.trace import span
 from ..runtime.cache import active_cache
 from . import snapshot
@@ -59,13 +58,14 @@ class SyntheticUS:
 
     Every component is built at most once per instance; instances are
     cheap until a component is touched.  Each first read is a
-    ``data.<name>`` span (with memory attrs under ``--mem``) whose
-    ``source`` attribute says whether the component was ``loaded`` from
-    the result cache or ``built``; a memoized read is not.  With a
-    cache directory configured, the population surface, WHP model,
-    cells, counties, fire seasons and validation samples are cache
-    entries (:mod:`repro.data.snapshot`): a hit is loaded, a miss is
-    built and stored.
+    ``data.<name>`` span (which, traced, records how far the build
+    raised the process's peak memory) whose ``source`` attribute says
+    whether the component was ``loaded`` from the result cache or
+    ``built``; a memoized read is not.  With a cache directory
+    configured, the population surface, WHP model, cells, counties,
+    fire seasons and validation samples are cache entries
+    (:mod:`repro.data.snapshot`): a hit is loaded, a miss is built and
+    stored.
     """
 
     def __init__(self, config: UniverseConfig | None = None):
@@ -82,7 +82,7 @@ class SyntheticUS:
         """Component ``name`` loaded from the result cache, or built
         (and stored when a cache is configured), in its ``data.<name>``
         span."""
-        with span(f"data.{name}", **params) as sp, memory_probe(sp):
+        with span(f"data.{name}", **params) as sp:
             cache = active_cache()
             if cache is not None:
                 key = snapshot.component_key(name, params, self.config)
@@ -177,7 +177,7 @@ class SyntheticUS:
     def dirs(self) -> DirsSimulation:
         """The 2019 California DIRS case-study simulation."""
         if self._dirs is None:
-            with span("data.dirs") as sp, memory_probe(sp):
+            with span("data.dirs"):
                 self._dirs = simulate_dirs(
                     self.cells, self.fire_season(2019).fires,
                     seed=self.config.seed + 3)

@@ -13,7 +13,8 @@ Three ways out of the tracer and the stats registry:
   snapshot: stage seconds and calls as counters labeled by stage,
   named counters labeled by name.
 * :class:`JsonlSink` — a tracer sink that streams one JSON object per
-  finished span/event to a file (the CLI ``--log-json`` surface).
+  finished span/event, memory fields included, to a file (the CLI
+  ``--log-json`` surface).
 
 Everything here is stdlib-only.
 """
@@ -50,7 +51,8 @@ def chrome_trace(spans: list[Span], *, main_pid: int | None = None,
 
     Spans become ``"X"`` (complete) events with microsecond ``ts`` /
     ``dur`` (``ts`` zeroed at the earliest span, so traces start at
-    t=0); instants become ``"i"`` events; every distinct pid gets a
+    t=0) and the span's memory fields among their ``args``; instants
+    become ``"i"`` events; every distinct pid gets a
     ``process_name`` metadata record so Perfetto labels the main
     process and each worker as separate tracks.
     """
@@ -63,19 +65,21 @@ def chrome_trace(spans: list[Span], *, main_pid: int | None = None,
     for sp in spans:
         if sp.pid not in seen_pids:
             seen_pids.append(sp.pid)
+        args = dict(sp.attrs, span_id=sp.span_id, parent_id=sp.parent_id)
         record = {
             "name": sp.name,
             "ph": "i" if sp.kind == "instant" else "X",
             "ts": int((sp.start - epoch) * 1e6),
             "pid": sp.pid,
             "tid": 1,
-            "args": _json_safe(dict(sp.attrs, span_id=sp.span_id,
-                                    parent_id=sp.parent_id)),
         }
         if sp.kind == "instant":
             record["s"] = "p"       # process-scoped instant marker
         else:
             record["dur"] = max(int(sp.duration * 1e6), 1)
+            args.update((name, getattr(sp, name))
+                        for name in Span.MEMORY_FIELDS)
+        record["args"] = _json_safe(args)
         events.append(record)
     for pid in seen_pids:
         name = f"{label} (main)" if pid == main_pid \

@@ -2,28 +2,33 @@
 
 A :class:`Span` is one named, timed region of the analysis — a data
 build, an artifact build, a stage dispatch, a spatial join, a parallel
-chunk — with attributes, a parent link, and the pid that produced it.
+chunk — with attributes, a parent link, the pid that produced it and,
+while tracing, that process's memory: a temporary freed inside the
+span still shows as its rise of the peak, so the span that sets a
+run's peak names itself.
 
 Every span is a timer: closing one adds its duration to the
 :data:`repro.runtime.stats.STATS` timer of its name (or of its
 ``timer=`` name), tracing on or off, so ``--stats``, Prometheus and the
 ledger manifests report span totals.  With tracing off (the default) a
-span keeps nothing else.  :func:`enable` makes the process-global
-:class:`Tracer` keep every finished span plus instant events (cache
-hits, pool lifecycle), and installs it as the :mod:`repro.runtime.stats`
-*trace channel*: a worker task's ``STATS.delta_since(before)`` then
-carries the spans it opened, and the parent's ``STATS.merge(delta)``
-re-parents them under the span active at the merge site (the
-dispatching join).  A worker's time arrives once, in the delta's
-timers; adopting its spans adds none.  Under ``fork`` the workers
-inherit the enabled tracer; start contexts without ``fork`` simply ship
-no spans — the channel degrades to the flat timers and counters, never
-to an error.
+span keeps nothing else and reads no memory.  :func:`enable` makes the
+process-global :class:`Tracer` keep every finished span plus instant
+events (cache hits, pool lifecycle), and installs it as the
+:mod:`repro.runtime.stats` *trace channel*: a worker task's
+``STATS.delta_since(before)`` then carries the spans it opened, with
+the worker's own memory readings, and the parent's
+``STATS.merge(delta)`` re-parents them under the span active at the
+merge site (the dispatching join).  A worker's time arrives once, in
+the delta's timers; adopting its spans adds none.  Under ``fork`` the
+workers inherit the enabled tracer; start contexts without ``fork``
+simply ship no spans — the channel degrades to the flat timers and
+counters, never to an error.
 
 Timestamps come from :data:`clock` (``time.perf_counter``; a test may
 swap in a fake).  On Linux that is ``CLOCK_MONOTONIC`` — system-wide,
 shared by forked workers — so parent and worker spans are directly
-comparable in one timeline.
+comparable in one timeline.  Memory comes from ``/proc/self/status``,
+read as a span opens and as it closes, outside the timed region.
 
 This module is stdlib-only and import-light: it is imported by the
 data layer, ``repro.session`` and the runtime modules.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -57,7 +63,16 @@ class Span:
     zero-duration point events.  ``span_id``/``parent_id`` are unique
     within one tracer; adoption (see :meth:`Tracer.adopt`) remaps ids
     so worker spans never collide with the parent's.
+
+    A traced span also records its process's memory in KiB:
+    ``hwm_kb``, the peak resident set (``VmHWM``) at close;
+    ``hwm_rise_kb``, how far the span raised it (close minus open,
+    clamped at 0: the kernel's counters can dip by a few pages); and
+    ``rss_kb``, the resident set (``VmRSS``) at close.  Instants, and
+    spans without ``/proc/self/status``, leave them ``None``.
     """
+
+    MEMORY_FIELDS = ("hwm_kb", "hwm_rise_kb", "rss_kb")
 
     name: str
     span_id: int
@@ -67,6 +82,9 @@ class Span:
     duration: float = 0.0
     kind: str = "span"
     attrs: dict = field(default_factory=dict)
+    hwm_kb: int | None = None
+    hwm_rise_kb: int | None = None
+    rss_kb: int | None = None
 
     def set(self, **attrs) -> "Span":
         """Attach attributes from inside the ``with`` body."""
@@ -84,6 +102,7 @@ class Span:
             "duration": self.duration,
             "kind": self.kind,
             "attrs": self.attrs,
+            **{name: getattr(self, name) for name in self.MEMORY_FIELDS},
         }
 
     @classmethod
@@ -93,12 +112,31 @@ class Span:
                    start=d.get("start", 0.0),
                    duration=d.get("duration", 0.0),
                    kind=d.get("kind", "span"),
-                   attrs=dict(d.get("attrs", {})))
+                   attrs=dict(d.get("attrs", {})),
+                   **{name: d.get(name) for name in cls.MEMORY_FIELDS})
 
 
 #: The span clock.  Every span and event reads time through this one
 #: name, so a test can replace it with a fake.
 clock = time.perf_counter
+
+_STATUS_MEMORY = re.compile(rb"VmHWM:\s*(\d+).*?VmRSS:\s*(\d+)", re.S)
+
+
+def _memory_kb() -> tuple[int | None, int | None]:
+    """This process's ``(VmHWM, VmRSS)`` in KiB, or ``(None, None)``.
+
+    The path is opened on every call, so a forked worker reads its
+    own process.
+    """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            found = _STATUS_MEMORY.search(fh.read())
+    except OSError:
+        return None, None
+    if found is None:
+        return None, None
+    return int(found[1]), int(found[2])
 
 
 class _Timed:
@@ -125,9 +163,9 @@ class _Timed:
 
 class _SpanContext:
     """A span while tracing: timed like :class:`_Timed`, and kept on
-    the tracer as a :class:`Span`."""
+    the tracer as a :class:`Span` with its memory readings."""
 
-    __slots__ = ("_tracer", "_span", "_timer")
+    __slots__ = ("_tracer", "_span", "_timer", "_hwm_open")
 
     def __init__(self, tracer: "Tracer", name: str, timer: str,
                  attrs: dict):
@@ -144,6 +182,7 @@ class _SpanContext:
         if stack:
             sp.parent_id = stack[-1].span_id
         stack.append(sp)
+        self._hwm_open = _memory_kb()[0]
         sp.start = clock()
         return sp
 
@@ -151,6 +190,9 @@ class _SpanContext:
         sp = self._span
         sp.duration = clock() - sp.start
         STATS.add_time(self._timer, sp.duration)
+        sp.hwm_kb, sp.rss_kb = _memory_kb()
+        if sp.hwm_kb is not None and self._hwm_open is not None:
+            sp.hwm_rise_kb = max(sp.hwm_kb - self._hwm_open, 0)
         tracer = self._tracer
         if tracer._stack and tracer._stack[-1] is sp:
             tracer._stack.pop()

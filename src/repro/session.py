@@ -42,7 +42,6 @@ from typing import Any, Callable
 from weakref import WeakKeyDictionary
 
 from .data.universe import SyntheticUS, UniverseConfig
-from .obs.profile import memory_probe
 from .obs.trace import event as trace_event
 from .obs.trace import span as trace_span
 from .runtime.stats import STATS
@@ -423,8 +422,7 @@ class AnalysisSession:
         self._building.append(key)
         try:
             with trace_span(f"artifact.{name}", artifact=name,
-                            **{k: repr(v) for k, v in key[1]}) as sp, \
-                    memory_probe(sp):
+                            **{k: repr(v) for k, v in key[1]}) as sp:
                 value = spec.build(self, **params)
         finally:
             self._building.pop()

@@ -71,6 +71,19 @@ class TestChromeTrace:
         chunk = next(e for e in events if e.get("name") == "worker.chunk")
         assert chunk["pid"] == 200
 
+    def test_complete_events_carry_memory(self):
+        spans = _sample_spans()
+        spans[0].hwm_kb, spans[0].hwm_rise_kb, spans[0].rss_kb = \
+            4096, 1024, 2048
+        events = chrome_trace(spans, main_pid=100)["traceEvents"]
+        child = next(e for e in events if e["name"] == "child")
+        assert {k: child["args"][k] for k in Span.MEMORY_FIELDS} \
+            == {"hwm_kb": 4096, "hwm_rise_kb": 1024, "rss_kb": 2048}
+        assert all(set(Span.MEMORY_FIELDS) <= set(e["args"])
+                   for e in events if e["ph"] == "X")
+        instant = next(e for e in events if e["ph"] == "i")
+        assert not set(Span.MEMORY_FIELDS) & set(instant["args"])
+
     def test_json_serializable(self):
         doc = chrome_trace(_sample_spans())
         parsed = json.loads(json.dumps(doc))
@@ -158,6 +171,7 @@ class TestJsonlSink:
         assert records[0]["type"] == "instant"
         assert records[1]["type"] == "span"
         assert records[1]["attrs"] == {"x": 1}
+        assert set(Span.MEMORY_FIELDS) <= set(records[1])
 
     def test_context_manager_closes(self, tmp_path):
         path = tmp_path / "s.jsonl"

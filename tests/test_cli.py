@@ -420,8 +420,8 @@ class TestLedgerCLI:
 
 
 class TestObservabilityFlags:
-    """The --trace / --log-json / --metrics / --profile / --mem
-    surfaces and the `repro trace` subcommand."""
+    """The --trace / --log-json / --metrics / --profile surfaces and
+    the `repro trace` subcommand."""
 
     def test_trace_writes_chrome_trace(self, tmp_path):
         import json
@@ -456,10 +456,15 @@ class TestObservabilityFlags:
     def test_trace_all_one_span_per_artifact_build(self, tmp_path):
         """`repro all --trace` ships a valid trace where each artifact
         build appears exactly once per parameterization (the session
-        memo guarantees a second request is a hit, not a new span)."""
+        memo guarantees a second request is a hit, not a new span).
+        Builds are keyed on their parameters alone: two duplicate
+        builds differ in their memory readings."""
         import json
         from collections import Counter
 
+        from repro.obs import Span
+
+        not_params = {"span_id", "parent_id", *Span.MEMORY_FIELDS}
         path = tmp_path / "all.json"
         _run("--trace", str(path), "all")
         doc = json.loads(path.read_text())
@@ -469,7 +474,7 @@ class TestObservabilityFlags:
             if e["name"].startswith("artifact."):
                 args = e["args"]
                 params = tuple(sorted((k, v) for k, v in args.items()
-                                      if k not in ("span_id", "parent_id")))
+                                      if k not in not_params))
                 builds[(e["name"], params)] += 1
         assert builds, "repro all must build artifacts"
         dupes = {k: n for k, n in builds.items() if n != 1}
@@ -485,6 +490,21 @@ class TestObservabilityFlags:
         assert "stage.fig7" in out
         assert "artifact." in out
         assert "%" in out                    # share-of-parent column
+
+    def test_trace_subcommand_marks_peak_raising_spans(self):
+        """A fresh process, so that building the universe raises its
+        peak; the tree marks the spans that did."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *ARGS, "trace", "fig7"],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert done.returncode == 0, done.stderr[-2000:]
+        marked = [line.split()[0] for line in done.stdout.splitlines()
+                  if "[peak +" in line]
+        assert "stage.fig7" in marked
+        assert "data.population" in marked
 
     def test_trace_subcommand_writes_out_file(self, tmp_path):
         import json
@@ -520,30 +540,33 @@ class TestObservabilityFlags:
         stats = pstats.Stats(str(path))
         assert stats.total_calls > 0
 
-    def test_mem_flag_attaches_rss_attrs(self, tmp_path):
+    def test_trace_spans_carry_memory(self, tmp_path):
+        """Memory needs no flag: every span of a trace carries its
+        process's peak, its rise and its resident set."""
         import json
 
+        from repro.obs import Span
+
         path = tmp_path / "trace.json"
-        _run("--mem", "--trace", str(path), "fig7")
+        _run("--trace", str(path), "fig7")
         doc = json.loads(path.read_text())
-        arts = [e for e in doc["traceEvents"]
-                if e.get("name", "").startswith("artifact.")]
-        assert arts
-        assert any("rss_kb_after" in e["args"] for e in arts)
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert any(e["name"].startswith("artifact.") for e in spans)
+        for e in spans:
+            hwm, rise, rss = (e["args"][k] for k in Span.MEMORY_FIELDS)
+            assert hwm >= rss > 0 and rise >= 0, e["name"]
 
     @pytest.mark.parametrize("argv", [["--mem", "table2"],
                                       ["--mem", "--stats", "fig7"]])
-    def test_mem_without_a_span_sink_is_a_usage_error(self, argv, capsys):
-        """Memory attributes live on spans, so ``--mem`` with no tracer
-        would pay for tracemalloc and report nothing."""
+    def test_mem_flag_is_unrecognized(self, argv, capsys):
+        """Memory is a span measurement; no flag turns it on."""
         with pytest.raises(SystemExit) as exc:
             main([*ARGS, *argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].endswith(
-            "error: argument --mem: needs a span sink (--trace FILE, "
-            "--log-json FILE or the trace subcommand)")
+            "error: unrecognized arguments: --mem")
 
     def test_tracing_off_leaves_no_spans(self):
         from repro import obs, runtime

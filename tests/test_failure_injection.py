@@ -36,7 +36,23 @@ class TestMalformedCsv:
         path = tmp_path / "bad.csv"
         path.write_text("radio,mcc,net,area,cell,lon,lat\n"
                         "LTE,310,410,1,1,oops,34.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 2"):
+            CellUniverse.from_csv(path)
+
+    @pytest.mark.parametrize("row, column", [
+        ("LTE,3x0,410,1,1,-100.0,34.0", "mcc='3x0'"),
+        ("LTE,310,4.1,1,1,-100.0,34.0", "net='4.1'"),
+        ("LTE,310,410,a1,1,-100.0,34.0", "area='a1'"),
+    ], ids=["mcc", "net", "area"])
+    def test_non_numeric_codes(self, tmp_path, row, column):
+        """A bad integer field names its file, line and column, like a
+        bad coordinate."""
+        path = tmp_path / "bad.csv"
+        path.write_text("radio,mcc,net,area,cell,lon,lat\n"
+                        "LTE,310,410,1,1,-100.0,34.0\n"
+                        f"{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv, line 3: "
+                           f"non-numeric {column}"):
             CellUniverse.from_csv(path)
 
     @pytest.mark.parametrize("lon, lat", [("nan", "34.0"),
